@@ -26,6 +26,7 @@ from .geometry import (
     truncated_space,
 )
 from .isometry import (
+    DomainEscapeError,
     Isometry,
     IsometryFamily,
     check_domain_preserving,
@@ -56,12 +57,7 @@ from .measure_kernel import (
     monte_carlo_measure,
     truncation_sequence,
 )
-from .operator import (
-    DomainEscapeError,
-    HausdorffOperator,
-    averaging_operator,
-    push_field,
-)
+from .operator import HausdorffOperator, averaging_operator
 from .experiments import (
     TOLERANCES,
     DivergenceReport,

@@ -20,7 +20,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +41,7 @@ from .geometry import build_grid_quadrature
 from .isometry import (
     CYCLIC_ROTATION_2D,
     FINITE_GROUP_KINDS,
+    GROUP_SIZE_CAP,
     SIGN_FLIPS,
     finite_group_family,
     motion_family,
@@ -63,6 +64,12 @@ EXPERIMENT_DESCRIPTIONS = (
     ("necessity_divergence", "operator blowup alongside a non-integrable kernel"),
 )
 EXPERIMENT_NAMES = tuple(name for name, _ in EXPERIMENT_DESCRIPTIONS)
+# experiments that build the operator and the resolution ** dimension grid
+_GRID_EXPERIMENTS = ("lp_bound", "sobolev_bound", "gradient_check")
+
+# largest grid a run may build; its nodes, field values and gradients must
+# fit in memory next to each other
+MAX_GRID_NODES = 1 << 22
 
 _TOP_KEYS = {
     "dimension", "domain", "family", "measure", "kernel", "fields", "p",
@@ -169,8 +176,8 @@ def _validate_family(spec, n: int, errors: list) -> int | None:
     kind = spec.get("kind")
     if kind == "rotations_haar":
         _check_keys(spec, {"kind", "count", "seed"}, "family", errors)
-        if not (_is_int(spec.get("count")) and spec["count"] >= 1):
-            errors.append("family: count must be an integer >= 1")
+        if not (_is_int(spec.get("count")) and 1 <= spec["count"] <= GROUP_SIZE_CAP):
+            errors.append(f"family: count must be an integer in [1, {GROUP_SIZE_CAP}]")
             return None
         if "seed" in spec and not _is_int(spec["seed"]):
             errors.append("family: seed must be an integer")
@@ -239,13 +246,13 @@ def _validate_family(spec, n: int, errors: list) -> int | None:
 def _validate_measure(spec, family_spec, family_count, errors: list) -> None:
     family_kind = family_spec.get("kind") if isinstance(family_spec, dict) else None
     if family_kind == "finite_group":
-        if spec is not None and spec.get("scheme") != "finite_group_uniform":
+        if isinstance(spec, dict) and spec.get("scheme") == "finite_group_uniform":
+            _check_keys(spec, {"scheme"}, "measure", errors)
+        elif spec is not None:
             errors.append(
                 "measure: a finite_group family carries its own uniform measure; "
                 "omit the measure or set scheme = 'finite_group_uniform'"
             )
-        if isinstance(spec, dict) and spec.get("scheme") == "finite_group_uniform":
-            _check_keys(spec, {"scheme"}, "measure", errors)
         return
     if spec is None:
         errors.append("missing required key 'measure' (only finite_group families omit it)")
@@ -355,6 +362,8 @@ def _validate_field(spec, n: int, index: int, errors: list) -> None:
             errors.append(
                 f"{where}: coeffs must be a depth-{n} nested list (one axis per dimension)"
             )
+        elif not np.isfinite(coeffs).all():
+            errors.append(f"{where}: coeffs must be finite numbers")
 
 
 def _validate_options(options, n: int, errors: list) -> None:
@@ -401,10 +410,12 @@ def _validate_options(options, n: int, errors: list) -> None:
             )
 
 
-def parse_config(text: str) -> RunConfig:
+def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
     """Parse and fully validate a JSON run config.
 
-    Raises :class:`ConfigError` carrying every violation found.
+    ``overrides`` replaces top-level keys before validation, so command-line
+    values pass the same checks as the file's.  Raises :class:`ConfigError`
+    carrying every violation found.
     """
     try:
         raw = json.loads(text)
@@ -412,6 +423,7 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError([f"not valid JSON: {exc}"]) from exc
     if not isinstance(raw, dict):
         raise ConfigError(["top level must be a JSON object"])
+    raw.update(overrides or {})
     errors: list[str] = []
     _check_keys(raw, _TOP_KEYS, "config", errors)
     for key in _REQUIRED_KEYS:
@@ -470,10 +482,17 @@ def parse_config(text: str) -> RunConfig:
                 errors.append(
                     f"unknown experiment(s) {unknown}, known: {list(EXPERIMENT_NAMES)}"
                 )
-            if len(set(experiments)) != len(experiments):
+            elif len(set(experiments)) != len(experiments):
                 errors.append("experiments must not repeat")
     else:
         experiments = []
+    # min(n, 64) keeps the power small for any n: 2 ** 64 already exceeds the cap
+    needs_grid = any(name in _GRID_EXPERIMENTS for name in experiments)
+    if needs_grid and resolution ** min(n, 64) > MAX_GRID_NODES:
+        errors.append(
+            f"resolution {resolution} in dimension {n} gives more than "
+            f"{MAX_GRID_NODES} grid nodes"
+        )
 
     options = raw.get("experiment_options", {})
     _validate_options(options, n, errors)
@@ -594,10 +613,7 @@ def run(config: RunConfig, out_dir) -> int:
 
     operator = None
     quad = None
-    needs_operator = bool(
-        {"lp_bound", "sobolev_bound", "gradient_check"} & set(config.experiments)
-    )
-    if needs_operator:
+    if any(name in _GRID_EXPERIMENTS for name in config.experiments):
         family, measure = _build_family_measure(config)
         kernel = kernel_on_measure(_kernel_form_from_spec(config.kernel), measure)
         operator = HausdorffOperator(
@@ -762,15 +778,13 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 1
+    overrides = {key: value for key, value in
+                 (("seed", args.seed), ("resolution", args.resolution)) if value is not None}
     try:
-        config = parse_config(text)
+        config = parse_config(text, overrides)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
-    if args.resolution is not None:
-        config = replace(config, resolution=args.resolution)
     out_dir = args.out or config.output or "."
     try:
         return run(config, out_dir)

@@ -23,7 +23,7 @@ from .field import ScalarField, gaussian, lp_norm, sobolev_norm
 from .geometry import Domain, DomainQuadrature
 from .isometry import Isometry, shift_family
 from .measure_kernel import KernelForm, kernel_l1_norm, kernel_on_measure, gauss_legendre_panels
-from .operator import HausdorffOperator, push_field
+from .operator import HausdorffOperator
 
 TOLERANCES = {
     # relative slack on ||Hf||_p <= ||phi||_1 ||f||_p
@@ -100,7 +100,7 @@ def run_lp_bound(
 ) -> ExperimentReport:
     """Check ||Hf||_p <= ||phi||_1 * ||f||_p on the given quadrature."""
     constant = operator.kernel_l1()
-    lhs = lp_norm(push_field(operator, f), p, quad)
+    lhs = lp_norm(operator.push(f), p, quad)
     rhs = constant * lp_norm(f, p, quad)
     tol = TOLERANCES["lp_bound"]
     return ExperimentReport(
@@ -131,7 +131,7 @@ def run_sobolev_bound(
     n = operator.dimension
     jac = operator.family.jacobian_bound
     constant = (jac * n + 1.0) * operator.kernel_l1()
-    lhs = sobolev_norm(push_field(operator, f), p, quad).sobolev
+    lhs = sobolev_norm(operator.push(f), p, quad).sobolev
     rhs = constant * sobolev_norm(f, p, quad).sobolev
     tol = TOLERANCES["sobolev_bound"]
     notes = "" if p == 1 else "informative for p > 1; the proved constant applies at p = 1"
@@ -202,19 +202,6 @@ def run_gradient_check(
     )
 
 
-def _image_bounds(iso: Isometry, region: Domain) -> tuple[np.ndarray, np.ndarray]:
-    if region.shape == geometry.BALL:
-        center = iso.apply(region.center)
-        return center - region.radius, center + region.radius
-    lo, hi = region.bounding_box()
-    corners = np.array(
-        [[lo[k] if bit else hi[k] for k, bit in enumerate(bits)]
-         for bits in np.ndindex(*(2,) * region.dimension)]
-    )
-    images = iso.apply_many(corners)
-    return images.min(axis=0), images.max(axis=0)
-
-
 def run_measure_preservation(
     iso: Isometry,
     region: Domain,
@@ -233,7 +220,7 @@ def run_measure_preservation(
     if region.shape == geometry.TRUNCATED:
         raise ValueError("region must be a bounded ball or box")
     lo_r, hi_r = region.bounding_box()
-    lo_i, hi_i = _image_bounds(iso, region)
+    (lo_i,), (hi_i,) = region.image_bounds(iso.matrix[None], iso.offset[None])
     lo = np.minimum(lo_r, lo_i)
     hi = np.maximum(hi_r, hi_i)
     if window is None:

@@ -146,7 +146,7 @@ def _self_check(f: ScalarField, points: np.ndarray):
     an = f.gradients(points)
     defect = np.abs(an - fd) / (1.0 + np.abs(an))
     worst = float(defect.max())
-    if worst > FD_CHECK_TOL:
+    if not worst <= FD_CHECK_TOL:  # a NaN defect fails too
         raise ValueError(
             f"analytic gradient of {f.kind!r} disagrees with finite differences: "
             f"relative defect {worst:.3e} exceeds {FD_CHECK_TOL:.0e}"
@@ -180,6 +180,8 @@ def polynomial(coeffs, dimension: int | None = None) -> ScalarField:
     power of x_k; a 1-D array gives a univariate polynomial.
     """
     c = np.asarray(coeffs, dtype=float)
+    if not np.isfinite(c).all():
+        raise ValueError("polynomial coefficients must be finite")
     if dimension is None:
         dimension = c.ndim
     if c.ndim != dimension:

@@ -123,6 +123,37 @@ class Domain:
         excess_high = np.maximum(pts - self.upper, 0.0)
         return np.maximum(excess_low, excess_high).max(axis=1)
 
+    def image_bounds(self, matrices: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Componentwise (lower, upper) corners of the smallest box holding the
+        image of the quadrature region under each motion x -> Vx + b.
+
+        ``matrices`` is ``(m, n, n)`` and orthogonal, ``offsets`` ``(m, n)``;
+        both corners are ``(m, n)``.  A ball B(c, r) maps onto B(Vc + b, r); a
+        box with centre c and half-widths h spans (Vc + b)_k +- sum_j |V_kj| h_j
+        along axis k, and both ends are attained.
+        """
+        if self.shape == BALL:
+            moved = matrices @ self.center + offsets
+            return moved - self.radius, moved + self.radius
+        lo, hi = self.bounding_box()
+        moved = matrices @ (0.5 * (lo + hi)) + offsets
+        half = np.abs(matrices) @ (0.5 * (hi - lo))
+        return moved - half, moved + half
+
+    def image_escape(self, matrices: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+        """The supremum of :meth:`escape_distance` over the image of the whole
+        domain under each motion (see :meth:`image_bounds`), in closed form.
+
+        A ball escapes by ||Vc + b - c||, a box by the excess of its image
+        bounds over lower/upper; truncated spaces return 0.
+        """
+        if self.shape == TRUNCATED:
+            return np.zeros(len(offsets))
+        if self.shape == BALL:
+            return np.sqrt(((matrices @ self.center + offsets - self.center) ** 2).sum(axis=1))
+        lo, hi = self.image_bounds(matrices, offsets)
+        return np.maximum(self.lower - lo, hi - self.upper).clip(min=0.0).max(axis=1)
+
     def volume(self) -> float:
         """Lebesgue volume of the quadrature region (closed form)."""
         if self.shape == BALL:

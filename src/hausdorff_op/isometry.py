@@ -3,6 +3,10 @@
 V must be orthogonal to 1e-12 at construction, so every member preserves
 distances and Lebesgue measure; families additionally carry the two constants
 the Sobolev bound consumes (max |V entry| and max shift length).
+
+:func:`check_domain_preserving` decides exactly, from V and b alone, whether
+every member maps a domain into itself; operators run it once at
+construction, so evaluation needs no per-point escape test.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import TRUNCATED
+from .geometry import Domain
 from .measure_kernel import DiscretizedMeasure, finite_group_uniform_measure
 
 ORTHOGONALITY_TOL = 1e-12
@@ -78,10 +82,6 @@ def make_isometry(matrix, offset=None) -> Isometry:
 def orthogonality_defect(matrix: np.ndarray) -> float:
     v = np.asarray(matrix, dtype=float)
     return float(np.abs(v.T @ v - np.eye(v.shape[0])).max())
-
-
-def apply_isometry(iso: Isometry, x: np.ndarray) -> np.ndarray:
-    return iso.apply(x)
 
 
 def affine_map_defect(matrix, offset, pairs: np.ndarray) -> float:
@@ -259,26 +259,26 @@ def finite_group_family(
     return family, finite_group_uniform_measure(len(family))
 
 
-def check_domain_preserving(family: IsometryFamily, domain, samples: int = 1000, seed: int = 2401):
-    """Raise unless every member maps sampled domain points into the domain.
+class DomainEscapeError(ValueError):
+    """A family member maps part of the domain out of it."""
 
-    A statistical guard, not a proof: ``samples`` seeded points per run are
-    pushed through every member and must land within DOMAIN_PRESERVATION_TOL
-    of the domain (truncated spaces accept everything).
+
+def check_domain_preserving(family: IsometryFamily, domain: Domain) -> None:
+    """Raise :class:`DomainEscapeError` unless every member maps the domain into itself.
+
+    Exact, not sampled: :meth:`~.geometry.Domain.image_escape` gives the
+    worst escape of the whole domain under each member, which may exceed
+    DOMAIN_PRESERVATION_TOL only by round-off.  The error names the first
+    offending member.  Truncated spaces accept every motion.
     """
     if family.dimension != domain.dimension:
         raise ValueError(
             f"family dimension {family.dimension} vs domain dimension {domain.dimension}"
         )
-    if domain.shape == TRUNCATED:
-        # window onto R^n, every motion preserves it
-        return
-    pts = domain.sample_uniform(samples, seed)
-    for index, member in enumerate(family.members):
-        escape = domain.escape_distance(member.apply_many(pts))
-        worst = float(escape.max())
-        if worst > DOMAIN_PRESERVATION_TOL:
-            raise ValueError(
-                f"family member {index} leaves the domain: sampled point escapes "
-                f"by {worst:.3e} (> {DOMAIN_PRESERVATION_TOL:.0e})"
-            )
+    escape = domain.image_escape(family.matrices(), family.offsets())
+    index = int(np.argmax(escape > DOMAIN_PRESERVATION_TOL))
+    if escape[index] > DOMAIN_PRESERVATION_TOL:
+        raise DomainEscapeError(
+            f"family member {index} leaves the domain by {escape[index]:.3e} "
+            f"(> {DOMAIN_PRESERVATION_TOL:.0e}); the family does not preserve this domain"
+        )

@@ -11,16 +11,17 @@ The gradient applies the chain rule through each motion: component j picks up
 sum_k (df/dy_k)(V_i x + b_i) * V_i[k][j], i.e. the transposed matrix acting
 on the downstream gradient.
 
-Every evaluation point must lie in the domain, and every member must keep it
-there (up to ESCAPE_TOL); a violation names the offending member, which is
-how mispaired family/domain configurations surface.
+Every evaluation point must lie in the domain.  The constructor checks
+exactly, once, that every member maps the domain into itself
+(:func:`~.isometry.check_domain_preserving`), so a mispaired family and
+domain fail there with a :class:`~.isometry.DomainEscapeError` naming the
+member, and evaluation does no escape test.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import geometry
 from .field import ScalarField
 from .geometry import Domain
 from .isometry import IsometryFamily, check_domain_preserving, rotation_family, finite_group_family
@@ -33,14 +34,8 @@ from .measure_kernel import (
 )
 from .summation import pairwise_sum
 
-ESCAPE_TOL = 1e-9
-
 # cap on the transient (members x points) term block, in elements
 _BLOCK_ELEMENTS = 1 << 22
-
-
-class DomainEscapeError(ValueError):
-    """A family member mapped an evaluation point out of the domain."""
 
 
 class HausdorffOperator:
@@ -61,10 +56,6 @@ class HausdorffOperator:
             raise ValueError(
                 f"family has {len(family)} members but measure has {len(measure)} nodes"
             )
-        if family.dimension != domain.dimension:
-            raise ValueError(
-                f"family dimension {family.dimension} vs domain dimension {domain.dimension}"
-            )
         check_domain_preserving(family, domain)
         self.measure = measure
         self.kernel = kernel
@@ -74,7 +65,6 @@ class HausdorffOperator:
         self._abs_coeff = measure.weights * np.abs(kernel.values)
         self._matrices = family.matrices()
         self._offsets = family.offsets()
-        self._skip_escape = domain.shape == geometry.TRUNCATED
 
     def __len__(self) -> int:
         return len(self.measure)
@@ -100,17 +90,6 @@ class HausdorffOperator:
             )
         return pts
 
-    def _check_images(self, images: np.ndarray, member: int):
-        if self._skip_escape:
-            return
-        worst = float(self.domain.escape_distance(images).max())
-        if worst > ESCAPE_TOL:
-            raise DomainEscapeError(
-                f"family member {member} maps an evaluation point out of the "
-                f"domain by {worst:.3e} (> {ESCAPE_TOL:.0e}); the family does "
-                f"not preserve this domain"
-            )
-
     def _accumulate(self, f: ScalarField, pts: np.ndarray, coeff: np.ndarray, want_gradient: bool) -> np.ndarray:
         count = len(self.family)
         n = self.dimension
@@ -126,7 +105,6 @@ class HausdorffOperator:
                 terms = np.empty((count, len(chunk)))
             for i in range(count):
                 images = chunk @ self._matrices[i].T + self._offsets[i]
-                self._check_images(images, i)
                 if want_gradient:
                     terms[i] = coeff[i] * (f.gradients(images) @ self._matrices[i])
                 else:
@@ -173,28 +151,18 @@ class HausdorffOperator:
         )
 
 
-def push_field(operator: HausdorffOperator, f: ScalarField) -> ScalarField:
-    return operator.push(f)
-
-
 def averaging_operator(dimension: int, group, domain: Domain) -> HausdorffOperator:
     """Uniform averaging over an orthogonal group, kernel identically 1.
 
     ``group`` is a finite-group kind name (``"sign_flips"``,
     ``"signed_permutations"``), a tuple ``("cyclic_rotation_2d", order)``,
     or ``("haar_mc", count, seed)`` for Monte Carlo averaging over the full
-    rotation group.  The domain must be rotation-safe: a ball centered at
-    the origin or a truncated space.
+    rotation group.  Every group member must map the domain into itself,
+    as for a ball centered at the origin or a truncated space.
     """
     if domain.dimension != dimension:
         raise ValueError(
             f"domain dimension {domain.dimension} does not match {dimension}"
-        )
-    centered_ball = domain.shape == geometry.BALL and np.all(domain.center == 0.0)
-    if not centered_ball and domain.shape != geometry.TRUNCATED:
-        raise ValueError(
-            "averaging needs an origin-centered ball or a truncated space, "
-            f"got {domain.shape} domain"
         )
     if isinstance(group, str):
         spec: tuple = (group,)

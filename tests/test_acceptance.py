@@ -49,7 +49,7 @@ from hausdorff_op.measure_kernel import (
     kernel_on_measure,
     monte_carlo_measure,
 )
-from hausdorff_op.operator import HausdorffOperator, averaging_operator, push_field
+from hausdorff_op.operator import HausdorffOperator, averaging_operator
 
 LINE = truncated_space(8.0, 1)
 BALL2 = ball([0.0, 0.0], 3.0)
@@ -150,7 +150,7 @@ def test_single_node_identity_reproduces_fields():
     for f in fields:
         assert np.abs(op.apply_many(f, pts) - f.values(pts)).max() <= 1e-12
         assert np.abs(op.apply_gradient_many(f, pts) - f.gradients(pts)).max() <= 1e-12
-        hf = push_field(op, f)
+        hf = op.push(f)
         for p in (1.0, 2.0):
             direct = lp_norm(f, p, quad)
             assert abs(lp_norm(hf, p, quad) - direct) <= 1e-12 * max(1.0, direct)

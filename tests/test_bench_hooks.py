@@ -1,0 +1,65 @@
+"""The benchmark under bench/ reaches into the package by name.
+
+``bench/tracing.py`` wraps public callables where their callers look them up,
+and ``bench/setup_probe.py`` rebuilds what ``cli.run`` builds from public
+calls.  Both run here on a tiny 2-D config, each in a fresh interpreter, so
+renaming or removing a name they use fails this test rather than every
+benchmark run.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "bench"
+# the package modules the benchmark reports a `<layer>.self_s` for
+LAYERS = ("cli", "experiments", "operator", "field", "geometry",
+          "isometry", "measure_kernel", "summation")
+
+CONFIG = {
+    "dimension": 2,
+    "domain": {"shape": "ball", "center": [0.0, 0.0], "radius": 2.0},
+    "family": {"kind": "rotations_haar", "count": 4, "seed": 3},
+    "measure": {"scheme": "gauss_legendre", "interval": [0.0, 1.0], "count": 4},
+    "kernel": {"name": "exp_decay", "a": 1.0},
+    "fields": [
+        {"kind": "gaussian", "center": [0.1, -0.2], "width": 0.9},
+        {"kind": "gaussian_times_poly", "center": [0.0, 0.1], "width": 0.8,
+         "coeffs": [[1.0, 0.3], [-0.2, 0.0]]},
+    ],
+    "p": [1.0, 2.0],
+    "resolution": 16,
+    "experiments": ["lp_bound", "sobolev_bound", "gradient_check", "measure_preservation"],
+    "experiment_options": {"gradient_points": 5, "preservation_samples": 1000,
+                           "preservation_members": 2},
+}
+
+
+def _run(args, tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), HAUSDORFF_OP_THREADS="1")
+    return subprocess.run(
+        [sys.executable, *map(str, args)], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_traced_run_covers_every_layer(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(CONFIG))
+    spans = tmp_path / "spans.jsonl"
+    done = _run([BENCH / "tracing.py", config, tmp_path / "out", spans, "hooks"], tmp_path)
+    assert done.returncode == 0, done.stderr
+    with open(spans, encoding="utf-8") as lines:
+        layers = {json.loads(line)["name"].split(".")[0] for line in lines}
+    assert layers == set(LAYERS)
+
+
+def test_setup_probe_builds_the_config(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(CONFIG))
+    done = _run([BENCH / "setup_probe.py", config], tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("set up 2 field(s)")

@@ -126,6 +126,52 @@ def test_finite_group_family_owns_its_measure():
     assert parsed.measure is None
 
 
+@pytest.mark.parametrize("measure", [[1], "x", 3])
+def test_finite_group_rejects_non_object_measure(measure):
+    config = _minimal_config(
+        family={"kind": "finite_group", "group": "sign_flips"}, measure=measure,
+    )
+    with pytest.raises(ConfigError, match="carries its own uniform measure"):
+        parse_config(json.dumps(config))
+
+
+@pytest.mark.parametrize("bad", ["Infinity", "-Infinity", "NaN"])
+def test_non_finite_coefficients_rejected(bad):
+    # json.loads accepts these non-standard literals
+    text = json.dumps(_minimal_config()).replace("[0.0, 1.0]", f"[0.0, {bad}]")
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert exc.value.errors == ["fields[0]: coeffs must be finite numbers"]
+
+
+def test_grid_size_is_capped():
+    at_cap = _minimal_config(dimension=2, resolution=2048,
+                             domain={"shape": "box", "lower": [0.0, 0.0], "upper": [1.0, 1.0]},
+                             family={"kind": "finite_group", "group": "sign_flips"},
+                             fields=[{"kind": "gaussian", "center": [0.0, 0.0], "width": 1.0}])
+    del at_cap["measure"]
+    assert parse_config(json.dumps(at_cap)).resolution == 2048
+    with pytest.raises(ConfigError, match="resolution 2049 in dimension 2 gives more than"):
+        parse_config(json.dumps({**at_cap, "resolution": 2049}))
+    huge = {**at_cap, "dimension": 10**6}
+    with pytest.raises(ConfigError, match=f"in dimension {10**6} gives more than"):
+        parse_config(json.dumps(huge))
+    # no grid is built without a bound or gradient experiment
+    parse_config(json.dumps({**at_cap, "resolution": 10**6,
+                             "experiments": ["measure_preservation"]}))
+
+
+def test_haar_count_is_capped():
+    config = _minimal_config(family={"kind": "rotations_haar", "count": 10**6 + 1})
+    with pytest.raises(ConfigError, match=r"count must be an integer in \[1, 1000000\]"):
+        parse_config(json.dumps(config))
+
+
+def test_unhashable_experiment_is_reported():
+    with pytest.raises(ConfigError, match=r"unknown experiment\(s\) \[\['lp_bound'\]\]"):
+        parse_config(json.dumps(_minimal_config(experiments=[["lp_bound"]])))
+
+
 def test_repeated_experiments_rejected():
     config = _minimal_config(experiments=["lp_bound", "lp_bound"])
     with pytest.raises(ConfigError, match="must not repeat"):
@@ -273,6 +319,28 @@ def test_main_overrides_seed_and_resolution(tmp_path):
     rows = _read_rows(out / "results.csv")
     assert rows[0]["seed"] == "9"
     assert rows[0]["resolution"] == "16"
+
+
+@pytest.mark.parametrize("resolution, message", [
+    ("1", "resolution must be an integer >= 2"),
+    (str(2**22 + 1), "grid nodes"),
+])
+def test_main_resolution_override_is_validated(tmp_path, capsys, resolution, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_minimal_config()))
+    code = main(["run", str(path), "--out", str(tmp_path / "out"), "--resolution", resolution])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("measure", ["[1]", '"x"', "3"])
+def test_main_non_object_measure_exits_2(tmp_path, capsys, measure):
+    config = _minimal_config(family={"kind": "finite_group", "group": "sign_flips"})
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config).replace(
+        json.dumps(config["measure"]), measure))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "config invalid" in capsys.readouterr().err
 
 
 def test_main_surfaces_runtime_value_errors(tmp_path, capsys):

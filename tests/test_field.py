@@ -97,6 +97,21 @@ def test_custom_field_without_gradient():
 # lp norms
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_coefficients_rejected(bad):
+    with pytest.raises(ValueError, match="coefficients must be finite"):
+        polynomial([1.0, bad])
+    with pytest.raises(ValueError, match="coefficients must be finite"):
+        gaussian_times_poly([0.0], 1.0, [1.0, bad])
+
+
+def test_self_check_fails_on_nan_defect():
+    # a NaN center makes every defect NaN, which no comparison with the
+    # tolerance may let through
+    with pytest.raises(ValueError, match="relative defect nan"):
+        gaussian([math.nan, 0.0], 1.0)
+
+
 def test_lp_constant_field_unit_box():
     f = polynomial([1.0])
     quad = build_grid_quadrature(box([0.0], [1.0]), 16)

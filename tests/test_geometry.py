@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -130,6 +131,36 @@ def test_escape_distance():
     assert d.escape_distance(np.array([[1.25]]))[0] == pytest.approx(0.25)
     t = truncated_space(1.0, 1)
     assert t.escape_distance(np.array([[100.0]]))[0] == 0.0
+
+
+def _motions(n, count, seed):
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((count, n, n)))
+    return q, 0.3 * rng.standard_normal((count, n))
+
+
+def test_image_escape_box_matches_corner_images():
+    # escape_distance is convex, so its supremum over the image of a box is
+    # attained at the image of a corner
+    d = box([-1.0, 0.0, 2.0], [0.5, 3.0, 2.5])
+    v, b = _motions(3, 20, seed=4)
+    corners = np.array(list(itertools.product(*zip(d.lower, d.upper))))
+    want = [d.escape_distance(corners @ v[i].T + b[i]).max() for i in range(len(v))]
+    assert d.image_escape(v, b) == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
+def test_image_escape_ball_matches_dense_boundary():
+    d = ball([0.4, -0.2], 1.3)
+    v, b = _motions(2, 20, seed=5)
+    t = np.linspace(0.0, 2.0 * math.pi, 200_001)
+    rim = d.center + d.radius * np.stack([np.cos(t), np.sin(t)], axis=1)
+    want = [d.escape_distance(rim @ v[i].T + b[i]).max() for i in range(len(v))]
+    assert d.image_escape(v, b) == pytest.approx(want, rel=1e-8)
+
+
+def test_image_escape_of_truncated_space_is_zero():
+    v, b = _motions(2, 5, seed=6)
+    assert np.array_equal(truncated_space(1.0, 2).image_escape(v, 100.0 * b), np.zeros(5))
 
 
 def test_volume():

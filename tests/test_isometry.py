@@ -8,8 +8,8 @@ from hausdorff_op.isometry import (
     CYCLIC_ROTATION_2D,
     SIGN_FLIPS,
     SIGNED_PERMUTATIONS,
+    DomainEscapeError,
     affine_map_defect,
-    apply_isometry,
     check_domain_preserving,
     finite_group_family,
     haar_orthogonal,
@@ -22,6 +22,8 @@ from hausdorff_op.isometry import (
     rotation_family,
     shift_family,
 )
+from hausdorff_op.measure_kernel import finite_group_uniform_measure, kernel_from_values
+from hausdorff_op.operator import HausdorffOperator
 
 
 def _rotation(theta):
@@ -36,17 +38,17 @@ def _random_pairs(rng, count, n, scale=2.0):
 def test_apply_identity():
     iso = make_isometry(np.eye(3))
     x = np.array([0.2, -1.1, 0.7])
-    assert np.array_equal(apply_isometry(iso, x), x)
+    assert np.array_equal(iso.apply(x), x)
 
 
 def test_apply_quarter_turn():
     iso = make_isometry(_rotation(math.pi / 2.0))
-    assert apply_isometry(iso, [1.0, 0.0]) == pytest.approx([0.0, 1.0], abs=1e-15)
+    assert iso.apply([1.0, 0.0]) == pytest.approx([0.0, 1.0], abs=1e-15)
 
 
 def test_apply_shift_1d():
     iso = make_isometry([[1.0]], [0.3])
-    assert apply_isometry(iso, [0.2])[0] == pytest.approx(0.5)
+    assert iso.apply([0.2])[0] == pytest.approx(0.5)
 
 
 def test_orthogonality_enforced_at_construction():
@@ -180,10 +182,10 @@ def test_cyclic_requires_dimension_two():
 def test_shift_family_examples():
     fam = shift_family([0.0])
     assert len(fam) == 1
-    assert apply_isometry(fam.members[0], [0.5])[0] == 0.5
+    assert fam.members[0].apply([0.5])[0] == 0.5
     fam = shift_family([0.0, 1.0])
-    assert apply_isometry(fam.members[0], [0.5])[0] == 0.5
-    assert apply_isometry(fam.members[1], [0.5])[0] == 1.5
+    assert fam.members[0].apply([0.5])[0] == 0.5
+    assert fam.members[1].apply([0.5])[0] == 1.5
     rng = np.random.default_rng(6)
     fam = shift_family(rng.uniform(0.0, 1.0, 32))
     assert fam.translation_bound <= 1.0
@@ -218,3 +220,56 @@ def test_check_domain_preserving_rejects_shift_off_box():
 def test_truncated_space_accepts_any_motion():
     fam = shift_family(np.linspace(0.0, 100.0, 11))
     check_domain_preserving(fam, truncated_space(2.0, 1))
+
+
+def _identity_and(matrix):
+    return motion_family([(np.eye(len(matrix)), None), (matrix, None)])
+
+
+def _build_operator(family, domain):
+    return HausdorffOperator(
+        measure=finite_group_uniform_measure(len(family)),
+        kernel=kernel_from_values(np.ones(len(family))),
+        family=family,
+        domain=domain,
+    )
+
+
+EXACT_CHECKS = [check_domain_preserving, _build_operator]
+
+PRESERVING = {
+    "haar_rotations_centred_ball": (rotation_family(3, 32, seed=5), ball([0.0, 0.0, 0.0], 1.5)),
+    "signed_permutations_cube": (
+        finite_group_family(SIGNED_PERMUTATIONS, 3)[0], box([-1.0] * 3, [1.0] * 3)),
+    "cyclic_order_4_centred_square": (
+        finite_group_family(CYCLIC_ROTATION_2D, 2, order=4)[0], box([-1.0] * 2, [1.0] * 2)),
+}
+
+# (family, domain, member named, escape); the first two escapes are too small
+# for 1000 uniform samples of the domain to reveal reliably
+ESCAPING = {
+    "rotation_1e-3_square": (
+        _identity_and(_rotation(1e-3)), box([-1.0] * 2, [1.0] * 2),
+        1, math.cos(1e-3) + math.sin(1e-3) - 1.0),
+    "rotation_1e-5_offcentre_ball": (
+        _identity_and(_rotation(1e-5)), ball([1.0, 0.0], 1.0), 1, 2.0 * math.sin(0.5e-5)),
+    # members 0-3 keep the axis order; member 4 is the first swap
+    "signed_permutations_non_cube": (
+        finite_group_family(SIGNED_PERMUTATIONS, 2)[0], box([-1.0, -2.0], [1.0, 2.0]), 4, 1.0),
+}
+
+
+@pytest.mark.parametrize("check", EXACT_CHECKS)
+@pytest.mark.parametrize("case", sorted(PRESERVING))
+def test_exact_check_accepts_preserving_families(case, check):
+    check(*PRESERVING[case])
+
+
+@pytest.mark.parametrize("check", EXACT_CHECKS)
+@pytest.mark.parametrize("case", sorted(ESCAPING))
+def test_exact_check_rejects_and_names_the_member(case, check):
+    family, domain, member, escape = ESCAPING[case]
+    with pytest.raises(DomainEscapeError, match=f"family member {member} leaves the domain") as err:
+        check(family, domain)
+    reported = float(str(err.value).split(" by ")[1].split()[0])
+    assert reported == pytest.approx(escape, rel=1e-3)

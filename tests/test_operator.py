@@ -12,6 +12,7 @@ from hausdorff_op.field import (
 )
 from hausdorff_op.geometry import ball, box, build_grid_quadrature, truncated_space
 from hausdorff_op.isometry import (
+    DomainEscapeError,
     finite_group_family,
     make_isometry,
     motion_family,
@@ -26,12 +27,7 @@ from hausdorff_op.measure_kernel import (
     kernel_from_values,
     kernel_on_measure,
 )
-from hausdorff_op.operator import (
-    DomainEscapeError,
-    HausdorffOperator,
-    averaging_operator,
-    push_field,
-)
+from hausdorff_op.operator import HausdorffOperator, averaging_operator
 
 
 def _dirac(dimension, domain=None):
@@ -150,14 +146,14 @@ def test_gradient_matches_finite_differences():
         assert defect.max() <= 1e-5
 
 
-# push_field
+# push
 
 
 def test_push_zero_field_has_zero_norm():
     op = _reflection_pair()
     f = 0.0 * gaussian([0.0], 1.0)
     quad = build_grid_quadrature(box([-2.0], [2.0]), 32)
-    assert lp_norm(push_field(op, f), 1.0, quad) == 0.0
+    assert lp_norm(op.push(f), 1.0, quad) == 0.0
 
 
 def test_push_is_additive():
@@ -165,19 +161,19 @@ def test_push_is_additive():
     f = gaussian([0.4], 0.8)
     g = polynomial([0.0, 0.0, 1.0])
     pts = np.random.default_rng(9).uniform(-2.0, 2.0, (100, 1))
-    combined = push_field(op, f + g).values(pts)
-    split = push_field(op, f).values(pts) + push_field(op, g).values(pts)
+    combined = op.push(f + g).values(pts)
+    split = op.push(f).values(pts) + op.push(g).values(pts)
     assert np.abs(combined - split).max() <= 1e-12
 
 
 def test_push_without_gradient_stays_gradient_free():
     op = _reflection_pair()
     f = 0.0 * gaussian([0.0], 1.0)
-    assert push_field(op, f).has_gradient
+    assert op.push(f).has_gradient
     from hausdorff_op.field import custom_field
 
     raw = custom_field(1, lambda pts: np.abs(pts[:, 0]))
-    assert not push_field(op, raw).has_gradient
+    assert not op.push(raw).has_gradient
 
 
 # linearity and bounds
@@ -327,16 +323,15 @@ def test_field_dimension_mismatch():
 
 
 def test_escape_names_the_member():
-    # a 1e-6 shift survives the constructor's sampled check but is caught
-    # pointwise at the boundary
-    op = HausdorffOperator(
-        measure=explicit_measure([0.0, 1.0], [1.0, 1.0]),
-        kernel=kernel_from_values([1.0, 1.0]),
-        family=shift_family([[0.0], [1e-6]]),
-        domain=box([0.0], [1.0]),
-    )
-    with pytest.raises(DomainEscapeError, match="family member 1"):
-        op.apply(polynomial([0.0, 1.0]), [1.0])
+    # a 1e-6 shift moves the box's right end out; the exact check sees it
+    # without any evaluation point landing there
+    with pytest.raises(DomainEscapeError, match="family member 1 leaves the domain"):
+        HausdorffOperator(
+            measure=explicit_measure([0.0, 1.0], [1.0, 1.0]),
+            kernel=kernel_from_values([1.0, 1.0]),
+            family=shift_family([[0.0], [1e-6]]),
+            domain=box([0.0], [1.0]),
+        )
 
 
 def test_non_preserving_family_rejected_at_construction():
@@ -350,9 +345,10 @@ def test_non_preserving_family_rejected_at_construction():
 
 
 def test_averaging_needs_centered_domain():
-    with pytest.raises(ValueError, match="origin-centered ball"):
+    # diag(-1, 1) moves the ball's centre; diag(1, -1) flips the box to y <= 0
+    with pytest.raises(DomainEscapeError, match="family member 2 leaves the domain"):
         averaging_operator(2, "sign_flips", ball([1.0, 0.0], 2.0))
-    with pytest.raises(ValueError, match="origin-centered ball"):
+    with pytest.raises(DomainEscapeError, match="family member 1 leaves the domain"):
         averaging_operator(2, "sign_flips", box([0.0, 0.0], [1.0, 1.0]))
 
 
