@@ -13,8 +13,10 @@ from .field import (
     gaussian_times_poly,
     hajlasz_defect,
     lp_norm,
+    lp_norm_of_values,
     polynomial,
     sobolev_norm,
+    sobolev_norm_of_arrays,
 )
 from .geometry import (
     Domain,
@@ -31,6 +33,7 @@ from .isometry import (
     IsometryFamily,
     check_domain_preserving,
     finite_group_family,
+    finite_group_size,
     haar_orthogonal,
     haar_orthogonal_sample,
     isometry_defect,
@@ -62,6 +65,8 @@ from .experiments import (
     TOLERANCES,
     DivergenceReport,
     ExperimentReport,
+    FieldEvaluation,
+    evaluate_field,
     margins_non_worsening,
     run_gradient_check,
     run_lp_bound,

@@ -29,6 +29,7 @@ from . import geometry
 from .experiments import (
     DivergenceReport,
     ExperimentReport,
+    evaluate_field,
     interior_points,
     run_gradient_check,
     run_lp_bound,
@@ -42,8 +43,8 @@ from .isometry import (
     CYCLIC_ROTATION_2D,
     FINITE_GROUP_KINDS,
     GROUP_SIZE_CAP,
-    SIGN_FLIPS,
     finite_group_family,
+    finite_group_size,
     motion_family,
     rotation_family,
     shift_family,
@@ -66,6 +67,8 @@ EXPERIMENT_DESCRIPTIONS = (
 EXPERIMENT_NAMES = tuple(name for name, _ in EXPERIMENT_DESCRIPTIONS)
 # experiments that build the operator and the resolution ** dimension grid
 _GRID_EXPERIMENTS = ("lp_bound", "sobolev_bound", "gradient_check")
+# the grid checks that share one evaluation per field
+_BOUND_EXPERIMENTS = ("lp_bound", "sobolev_bound")
 
 # largest grid a run may build; its nodes, field values and gradients must
 # fit in memory next to each other
@@ -194,12 +197,15 @@ def _validate_family(spec, n: int, errors: list) -> int | None:
             if not (_is_int(spec.get("order")) and spec["order"] >= 1):
                 errors.append("family: cyclic_rotation_2d needs an integer order >= 1")
                 return None
-            return spec["order"]
-        if "order" in spec:
+        elif "order" in spec:
             errors.append(f"family: order only applies to {CYCLIC_ROTATION_2D}")
-        if group == SIGN_FLIPS:
-            return 2**n
-        return 2**n * math.factorial(n)
+        size = finite_group_size(group, n, spec.get("order"))
+        if size is None:
+            errors.append(
+                f"family: {group} in dimension {n} exceeds the group size cap of "
+                f"{GROUP_SIZE_CAP} members"
+            )
+        return size
     if kind == "shifts":
         if n != 1:
             errors.append("family: shifts need dimension 1")
@@ -623,31 +629,39 @@ def run(config: RunConfig, out_dir) -> int:
     elif "measure_preservation" in config.experiments:
         family, _ = _build_family_measure(config)
 
-    jobs = []  # (label, callable) in a deterministic order
+    # each job returns {key: report}; `order` lists (key, label) in output order
+    jobs = []
+    order = []
+    bound_suite = [name for name in config.experiments if name in _BOUND_EXPERIMENTS]
+    if bound_suite:
+        with_gradients = "sobolev_bound" in bound_suite
+        runners = {"lp_bound": run_lp_bound, "sobolev_bound": run_sobolev_bound}
 
-    def add(label, fn):
-        jobs.append((label, fn))
+        def bound_job(j, f):
+            # one evaluation of field j serves every bound check and every p
+            evaluation = evaluate_field(operator, f, quad, gradients=with_gradients)
+            return {(name, j, p): runners[name](evaluation, p, seed=config.seed)
+                    for name in bound_suite for p in config.p}
+
+        for j, (_, f) in enumerate(fields):
+            jobs.append(lambda j=j, f=f: bound_job(j, f))
 
     for name in config.experiments:
-        if name == "lp_bound":
-            for label, f in fields:
+        if name in _BOUND_EXPERIMENTS:
+            for j, (label, _) in enumerate(fields):
                 for p in config.p:
-                    add(f"lp_bound p={p:g} field={label}",
-                        lambda f=f, p=p: run_lp_bound(operator, f, p, quad, seed=config.seed))
-        elif name == "sobolev_bound":
-            for label, f in fields:
-                for p in config.p:
-                    add(f"sobolev_bound p={p:g} field={label}",
-                        lambda f=f, p=p: run_sobolev_bound(operator, f, p, quad, seed=config.seed))
+                    order.append(((name, j, p), f"{name} p={p:g} field={label}"))
         elif name == "gradient_check":
             count = opts.get("gradient_points", 50)
             step = opts.get("gradient_step")
             margin = opts.get("gradient_margin", 0.05)
             seed = config.seed + _GRADIENT_SEED_OFFSET
             points = interior_points(domain, count, seed, margin)
-            for label, f in fields:
-                add(f"gradient_check field={label}",
-                    lambda f=f: run_gradient_check(operator, f, points, step, seed=seed))
+            for j, (label, f) in enumerate(fields):
+                key = (name, j)
+                jobs.append(lambda key=key, f=f, seed=seed:
+                            {key: run_gradient_check(operator, f, points, step, seed=seed)})
+                order.append((key, f"gradient_check field={label}"))
         elif name == "measure_preservation":
             members = opts.get("preservation_members", min(10, len(family)))
             members = min(members, len(family))
@@ -658,32 +672,34 @@ def run(config: RunConfig, out_dir) -> int:
             )
             region = _build_domain(region_spec, n)
             for i in range(members):
+                key = (name, i)
                 iso = family.members[i]
                 seed = config.seed + _PRESERVATION_SEED_OFFSET + i
-                add(f"measure_preservation member={i}",
-                    lambda iso=iso, seed=seed:
-                        run_measure_preservation(iso, region, samples, seed))
+                jobs.append(lambda key=key, iso=iso, seed=seed:
+                            {key: run_measure_preservation(iso, region, samples, seed)})
+                order.append((key, f"measure_preservation member={i}"))
         else:
             nec = opts.get("necessity", {})
             form = _kernel_form_from_spec(nec.get("kernel", {"name": "power", "a": 1.0}))
             endpoints = nec.get("endpoints", [10.0, 100.0, 1000.0, 10000.0])
             x0 = nec.get("x0", 0.0)
             ppp = nec.get("points_per_panel", 8)
-            add("necessity_divergence",
-                lambda: run_necessity_divergence(form, endpoints, x0, ppp))
+            jobs.append(lambda key=name:
+                        {key: run_necessity_divergence(form, endpoints, x0, ppp)})
+            order.append((name, "necessity_divergence"))
 
     threads = _thread_count()
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(fn) for _, fn in jobs]
+            futures = [pool.submit(fn) for fn in jobs]
             results = [f.result() for f in futures]
     else:
-        results = [fn() for _, fn in jobs]
+        results = [fn() for fn in jobs]
+    by_key = {key: r for result in results for key, r in result.items()}
+    ordered = [(label, by_key[key]) for key, label in order]
 
-    reports = [(label, r) for (label, _), r in zip(jobs, results)
-               if isinstance(r, ExperimentReport)]
-    divergences = [(label, r) for (label, _), r in zip(jobs, results)
-                   if isinstance(r, DivergenceReport)]
+    reports = [(label, r) for label, r in ordered if isinstance(r, ExperimentReport)]
+    divergences = [(label, r) for label, r in ordered if isinstance(r, DivergenceReport)]
 
     header = "experiment,p,lhs,rhs,bound_constant,margin,resolution,seed,passed"
     rows = [header] + [_report_row(r) for _, r in reports]

@@ -6,6 +6,14 @@ pass flag at the experiment's named tolerance.  All tolerances live in the
 TOLERANCES table below, one audit point for every piece of numerical slack
 in the package.
 
+The two bound checks read a :class:`FieldEvaluation`: f and Hf (and their
+gradients when a Sobolev check needs them) on the nodes of one quadrature,
+built by :func:`evaluate_field` with one operator pass.  Every exponent p,
+and both checks, reduce those stored arrays, so a field is evaluated once
+per (operator, field, quadrature).  The reductions are the ones
+:func:`~.field.lp_norm` and :func:`~.field.sobolev_norm` use, so each side
+is bitwise equal to ``lp_norm(operator.push(f), p, quad)`` and its kin.
+
 The divergence experiment is the odd one out: it reports a sequence (one
 value per truncation endpoint) and checks growth rather than a bound, so it
 returns a :class:`DivergenceReport`.
@@ -19,7 +27,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .field import ScalarField, gaussian, lp_norm, sobolev_norm
+# lp_norm and sobolev_norm are not called here but stay importable from this
+# module: bench/tracing.py wraps them under this module's name
+from .field import (
+    ScalarField,
+    gaussian,
+    lp_norm,  # noqa: F401
+    lp_norm_of_values,
+    sobolev_norm,  # noqa: F401
+    sobolev_norm_of_arrays,
+)
 from .geometry import Domain, DomainQuadrature
 from .isometry import Isometry, shift_family
 from .measure_kernel import KernelForm, kernel_l1_norm, kernel_on_measure, gauss_legendre_panels
@@ -91,17 +108,41 @@ class DivergenceReport:
     notes: str = ""
 
 
-def run_lp_bound(
-    operator: HausdorffOperator,
-    f: ScalarField,
-    p: float,
-    quad: DomainQuadrature,
-    seed: int = 0,
-) -> ExperimentReport:
-    """Check ||Hf||_p <= ||phi||_1 * ||f||_p on the given quadrature."""
-    constant = operator.kernel_l1()
-    lhs = lp_norm(operator.push(f), p, quad)
-    rhs = constant * lp_norm(f, p, quad)
+@dataclass(frozen=True)
+class FieldEvaluation:
+    """f and Hf on the nodes of one quadrature, from one operator pass.
+
+    The gradient arrays are None unless the evaluation was built with
+    ``gradients=True``.
+    """
+
+    operator: HausdorffOperator
+    quad: DomainQuadrature
+    f_values: np.ndarray
+    hf_values: np.ndarray
+    f_gradients: np.ndarray | None = None
+    hf_gradients: np.ndarray | None = None
+
+
+def evaluate_field(
+    operator: HausdorffOperator, f: ScalarField, quad: DomainQuadrature, gradients: bool = False
+) -> FieldEvaluation:
+    """Evaluate f and Hf on ``quad.nodes``, with gradients if asked, in one pass each."""
+    if not gradients:
+        return FieldEvaluation(
+            operator, quad, f.values(quad.nodes), operator.apply_many(f, quad.nodes)
+        )
+    f_values, f_gradients = f.values_and_gradients(quad.nodes)
+    hf_values, hf_gradients = operator.apply_and_gradient_many(f, quad.nodes)
+    return FieldEvaluation(operator, quad, f_values, hf_values, f_gradients, hf_gradients)
+
+
+def run_lp_bound(evaluation: FieldEvaluation, p: float, seed: int = 0) -> ExperimentReport:
+    """Check ||Hf||_p <= ||phi||_1 * ||f||_p on the evaluation's quadrature."""
+    ev = evaluation
+    constant = ev.operator.kernel_l1()
+    lhs = lp_norm_of_values(ev.hf_values, p, ev.quad)
+    rhs = constant * lp_norm_of_values(ev.f_values, p, ev.quad)
     tol = TOLERANCES["lp_bound"]
     return ExperimentReport(
         name="lp_bound",
@@ -110,29 +151,27 @@ def run_lp_bound(
         rhs=rhs,
         bound_constant=constant,
         margin=rhs - lhs,
-        resolution=quad.resolution,
+        resolution=ev.quad.resolution,
         seed=seed,
         passed=bool(lhs <= rhs * (1.0 + tol)),
     )
 
 
-def run_sobolev_bound(
-    operator: HausdorffOperator,
-    f: ScalarField,
-    p: float,
-    quad: DomainQuadrature,
-    seed: int = 0,
-) -> ExperimentReport:
+def run_sobolev_bound(evaluation: FieldEvaluation, p: float, seed: int = 0) -> ExperimentReport:
     """Check ||Hf||_{W^{1,p}} <= (C n + 1) ||phi||_1 ||f||_{W^{1,p}}.
 
-    The constant is proved for p = 1; for p > 1 the experiment still runs
-    but is informational (the sharp constant there is not explicit).
+    The evaluation must carry gradients.  The constant is proved for p = 1;
+    for p > 1 the experiment still runs but is informational (the sharp
+    constant there is not explicit).
     """
-    n = operator.dimension
-    jac = operator.family.jacobian_bound
-    constant = (jac * n + 1.0) * operator.kernel_l1()
-    lhs = sobolev_norm(operator.push(f), p, quad).sobolev
-    rhs = constant * sobolev_norm(f, p, quad).sobolev
+    ev = evaluation
+    if ev.f_gradients is None:
+        raise ValueError("run_sobolev_bound needs an evaluation built with gradients=True")
+    n = ev.operator.dimension
+    jac = ev.operator.family.jacobian_bound
+    constant = (jac * n + 1.0) * ev.operator.kernel_l1()
+    lhs = sobolev_norm_of_arrays(ev.hf_values, ev.hf_gradients, p, ev.quad).sobolev
+    rhs = constant * sobolev_norm_of_arrays(ev.f_values, ev.f_gradients, p, ev.quad).sobolev
     tol = TOLERANCES["sobolev_bound"]
     notes = "" if p == 1 else "informative for p > 1; the proved constant applies at p = 1"
     return ExperimentReport(
@@ -142,7 +181,7 @@ def run_sobolev_bound(
         rhs=rhs,
         bound_constant=constant,
         margin=rhs - lhs,
-        resolution=quad.resolution,
+        resolution=ev.quad.resolution,
         seed=seed,
         passed=bool(lhs <= rhs * (1.0 + tol)),
         notes=notes,

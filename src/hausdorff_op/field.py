@@ -6,8 +6,17 @@ at construction, so a typo in a derivative formula fails immediately rather
 than surfacing as a loose bound three modules later.  Custom fields skip the
 check and may omit the gradient entirely; Sobolev norms then refuse them.
 
+:meth:`ScalarField.values_and_gradients` returns both arrays from one
+evaluation: built-in kinds share their factors (one ``exp`` per gaussian
+point, one set of power tables per polynomial point), sums and scalar
+multiples combine their parts' single evaluations, and custom and composed
+fields fall back to ``values`` and ``gradients``.  Either way the arrays are
+bitwise equal to the separate calls.  Polynomial power tables take powers 0
+and 1 without a float ``pow``.
+
 All norms integrate with a supplied :class:`~.geometry.DomainQuadrature` and
-reduce in deterministic pairwise order.
+reduce in deterministic pairwise order; :func:`lp_norm_of_values` and
+:func:`sobolev_norm_of_arrays` reduce arrays that were evaluated already.
 """
 
 from __future__ import annotations
@@ -32,17 +41,20 @@ class ScalarField:
     """A scalar function with vectorized evaluation and optional gradient.
 
     ``values`` maps an (m, n) point array to an (m,) array; ``gradients``
-    maps it to (m, n).  Fields compose with isometries and form a vector
-    space under + and scalar *.
+    maps it to (m, n).  ``both_fn``, when given, returns both from one
+    evaluation and must agree with them bitwise.  Fields compose with
+    isometries and form a vector space under + and scalar *.
     """
 
-    def __init__(self, dimension: int, values_fn, gradients_fn=None, kind: str = "custom"):
+    def __init__(self, dimension: int, values_fn, gradients_fn=None, kind: str = "custom",
+                 both_fn=None):
         if dimension < 1:
             raise ValueError(f"dimension must be >= 1, got {dimension}")
         self.dimension = int(dimension)
         self.kind = kind
         self._values_fn = values_fn
         self._gradients_fn = gradients_fn
+        self._both_fn = both_fn if gradients_fn is not None else None
 
     @property
     def has_gradient(self) -> bool:
@@ -56,25 +68,41 @@ class ScalarField:
             )
         return pts
 
-    def values(self, points) -> np.ndarray:
-        pts = self._check_points(points)
-        out = np.asarray(self._values_fn(pts), dtype=float)
+    @staticmethod
+    def _checked_values(out, pts: np.ndarray) -> np.ndarray:
+        out = np.asarray(out, dtype=float)
         if out.shape != (len(pts),):
             raise ValueError(
                 f"field evaluation returned shape {out.shape}, expected ({len(pts)},)"
             )
         return out
 
-    def gradients(self, points) -> np.ndarray:
-        if not self.has_gradient:
-            raise ValueError(f"field kind {self.kind!r} has no gradient")
-        pts = self._check_points(points)
-        out = np.asarray(self._gradients_fn(pts), dtype=float)
+    @staticmethod
+    def _checked_gradients(out, pts: np.ndarray) -> np.ndarray:
+        out = np.asarray(out, dtype=float)
         if out.shape != pts.shape:
             raise ValueError(
                 f"field gradient returned shape {out.shape}, expected {pts.shape}"
             )
         return out
+
+    def values(self, points) -> np.ndarray:
+        pts = self._check_points(points)
+        return self._checked_values(self._values_fn(pts), pts)
+
+    def gradients(self, points) -> np.ndarray:
+        if not self.has_gradient:
+            raise ValueError(f"field kind {self.kind!r} has no gradient")
+        pts = self._check_points(points)
+        return self._checked_gradients(self._gradients_fn(pts), pts)
+
+    def values_and_gradients(self, points) -> tuple[np.ndarray, np.ndarray]:
+        """``(values(points), gradients(points))`` from one evaluation where possible."""
+        if self._both_fn is None:
+            return self.values(points), self.gradients(points)
+        pts = self._check_points(points)
+        values, grads = self._both_fn(pts)
+        return self._checked_values(values, pts), self._checked_gradients(grads, pts)
 
     def __call__(self, x) -> float:
         return float(self.values(np.atleast_2d(np.asarray(x, dtype=float)))[0])
@@ -92,11 +120,18 @@ class ScalarField:
         grads = None
         if self.has_gradient and other.has_gradient:
             grads = lambda pts: self.gradients(pts) + other.gradients(pts)
+
+        def both(pts):
+            v1, g1 = self.values_and_gradients(pts)
+            v2, g2 = other.values_and_gradients(pts)
+            return v1 + v2, g1 + g2
+
         return ScalarField(
             self.dimension,
             lambda pts: self.values(pts) + other.values(pts),
             grads,
             kind="sum",
+            both_fn=both,
         )
 
     def __mul__(self, scalar) -> "ScalarField":
@@ -104,8 +139,14 @@ class ScalarField:
         grads = None
         if self.has_gradient:
             grads = lambda pts: c * self.gradients(pts)
+
+        def both(pts):
+            v, g = self.values_and_gradients(pts)
+            return c * v, c * g
+
         return ScalarField(
-            self.dimension, lambda pts: c * self.values(pts), grads, kind="scaled"
+            self.dimension, lambda pts: c * self.values(pts), grads, kind="scaled",
+            both_fn=both,
         )
 
     __rmul__ = __mul__
@@ -164,10 +205,11 @@ def gaussian(center, width: float) -> ScalarField:
     def values(pts):
         return np.exp(-((pts - c) ** 2).sum(axis=1) / (w * w))
 
-    def gradients(pts):
-        return (-2.0 / (w * w)) * (pts - c) * values(pts)[:, None]
+    def both(pts):
+        v = values(pts)
+        return v, (-2.0 / (w * w)) * (pts - c) * v[:, None]
 
-    f = ScalarField(n, values, gradients, kind="gaussian")
+    f = ScalarField(n, values, lambda pts: both(pts)[1], kind="gaussian", both_fn=both)
     rng = np.random.default_rng(FD_CHECK_SEED)
     _self_check(f, c + w * rng.standard_normal((FD_CHECK_POINTS, n)))
     return f
@@ -192,41 +234,56 @@ def polynomial(coeffs, dimension: int | None = None) -> ScalarField:
     degrees = [s - 1 for s in c.shape]
 
     def _power_tables(pts):
-        return [
-            pts[:, k][:, None] ** np.arange(degrees[k] + 1) for k in range(n)
-        ]
+        # tables[k][:, d] = x_k ** d.  Degrees 0 and 1 need no float pow,
+        # which makes them cheap.  Higher degrees keep the pow table: x * x
+        # differs from pow(x, 2) in the last bit for a few percent of x, and
+        # those bits move the round-off-sized gradient-check defect that
+        # bench/reference.json records to 1e-9.
+        tables = []
+        for k in range(n):
+            x = pts[:, k][:, None]
+            if degrees[k] <= 1:
+                tables.append(np.hstack([np.ones_like(x), x])[:, : degrees[k] + 1])
+            else:
+                tables.append(x ** np.arange(degrees[k] + 1))
+        return tables
 
-    def values(pts):
-        tables = _power_tables(pts)
-        out = np.zeros(len(pts))
+    def _monomial(tables, scale, powers, m):
+        term = np.full(m, scale)
+        for k, d in enumerate(powers):
+            if d:  # a factor x ** 0 = 1 changes nothing
+                term *= tables[k][:, d]
+        return term
+
+    def _values(tables, m):
+        out = np.zeros(m)
         for alpha in np.ndindex(c.shape):
-            ca = c[alpha]
-            if ca == 0.0:
-                continue
-            term = np.full(len(pts), ca)
-            for k in range(n):
-                term = term * tables[k][:, alpha[k]]
-            out += term
+            if c[alpha] != 0.0:
+                out += _monomial(tables, c[alpha], alpha, m)
         return out
 
-    def gradients(pts):
-        tables = _power_tables(pts)
-        out = np.zeros((len(pts), n))
+    def _gradients(tables, m):
+        out = np.zeros((m, n))
         for alpha in np.ndindex(c.shape):
-            ca = c[alpha]
-            if ca == 0.0:
+            if c[alpha] == 0.0:
                 continue
             for j in range(n):
-                if alpha[j] == 0:
-                    continue
-                term = np.full(len(pts), ca * alpha[j])
-                for k in range(n):
-                    p = alpha[k] - 1 if k == j else alpha[k]
-                    term = term * tables[k][:, p]
-                out[:, j] += term
+                if alpha[j]:
+                    powers = alpha[:j] + (alpha[j] - 1,) + alpha[j + 1:]
+                    out[:, j] += _monomial(tables, c[alpha] * alpha[j], powers, m)
         return out
 
-    f = ScalarField(n, values, gradients, kind="polynomial")
+    def both(pts):
+        tables = _power_tables(pts)
+        return _values(tables, len(pts)), _gradients(tables, len(pts))
+
+    f = ScalarField(
+        n,
+        lambda pts: _values(_power_tables(pts), len(pts)),
+        lambda pts: _gradients(_power_tables(pts), len(pts)),
+        kind="polynomial",
+        both_fn=both,
+    )
     rng = np.random.default_rng(FD_CHECK_SEED + 1)
     _self_check(f, rng.uniform(-1.0, 1.0, (FD_CHECK_POINTS, n)))
     return f
@@ -245,10 +302,14 @@ def gaussian_times_poly(center, width: float, coeffs) -> ScalarField:
     def values(pts):
         return p.values(pts) * g.values(pts)
 
-    def gradients(pts):
-        return p.gradients(pts) * g.values(pts)[:, None] + p.values(pts)[:, None] * g.gradients(pts)
+    def both(pts):
+        pv, pg = p.values_and_gradients(pts)
+        gv, gg = g.values_and_gradients(pts)
+        return pv * gv, pg * gv[:, None] + pv[:, None] * gg
 
-    f = ScalarField(g.dimension, values, gradients, kind="gaussian_times_poly")
+    f = ScalarField(
+        g.dimension, values, lambda pts: both(pts)[1], kind="gaussian_times_poly", both_fn=both
+    )
     rng = np.random.default_rng(FD_CHECK_SEED + 2)
     _self_check(
         f, np.asarray(center, dtype=float) + width * rng.standard_normal((FD_CHECK_POINTS, g.dimension))
@@ -290,23 +351,19 @@ def _weighted_lp(values: np.ndarray, quad: DomainQuadrature, p: float) -> float:
     return total if p == 1.0 else total ** (1.0 / p)
 
 
-def lp_norm(f: ScalarField, p: float, quad: DomainQuadrature) -> float:
-    """Discrete L^p norm (sum of w * |f|^p) ** (1/p) over the quadrature."""
-    p = _check_p(p)
-    return _weighted_lp(f.values(quad.nodes), quad, p)
+def lp_norm_of_values(values: np.ndarray, p: float, quad: DomainQuadrature) -> float:
+    """Discrete L^p norm of field values already evaluated on ``quad.nodes``."""
+    return _weighted_lp(values, quad, _check_p(p))
 
 
-def sobolev_norm(f: ScalarField, p: float, quad: DomainQuadrature) -> NormReport:
-    """W^{1,p} norm: ||f||_p plus the sum of per-axis derivative L^p norms."""
+def sobolev_norm_of_arrays(
+    values: np.ndarray, grads: np.ndarray, p: float, quad: DomainQuadrature
+) -> NormReport:
+    """W^{1,p} norm of values and (m, n) gradients already evaluated on ``quad.nodes``."""
     p = _check_p(p)
-    if not f.has_gradient:
-        raise ValueError(
-            f"sobolev_norm needs a gradient but field kind {f.kind!r} has none"
-        )
-    lp = _weighted_lp(f.values(quad.nodes), quad, p)
-    grads = f.gradients(quad.nodes)
+    lp = _weighted_lp(values, quad, p)
     per_axis = np.array(
-        [_weighted_lp(grads[:, k], quad, p) for k in range(f.dimension)]
+        [_weighted_lp(grads[:, k], quad, p) for k in range(grads.shape[1])]
     )
     return NormReport(
         p=p,
@@ -315,6 +372,21 @@ def sobolev_norm(f: ScalarField, p: float, quad: DomainQuadrature) -> NormReport
         sobolev=lp + float(per_axis.sum()),
         resolution=quad.resolution,
     )
+
+
+def lp_norm(f: ScalarField, p: float, quad: DomainQuadrature) -> float:
+    """Discrete L^p norm (sum of w * |f|^p) ** (1/p) over the quadrature."""
+    return lp_norm_of_values(f.values(quad.nodes), p, quad)
+
+
+def sobolev_norm(f: ScalarField, p: float, quad: DomainQuadrature) -> NormReport:
+    """W^{1,p} norm: ||f||_p plus the sum of per-axis derivative L^p norms."""
+    _check_p(p)
+    if not f.has_gradient:
+        raise ValueError(
+            f"sobolev_norm needs a gradient but field kind {f.kind!r} has none"
+        )
+    return sobolev_norm_of_arrays(*f.values_and_gradients(quad.nodes), p, quad)
 
 
 def hajlasz_defect(f: ScalarField, witness: ScalarField, pairs: np.ndarray) -> float:

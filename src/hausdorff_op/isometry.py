@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -113,12 +113,15 @@ class IsometryFamily:
     """A finite indexed family of motions, one per measure node.
 
     jacobian_bound is max |V[k][j]| over members (at most 1 for orthogonal
-    matrices); translation_bound is max ||b||.
+    matrices); translation_bound is max ||b||.  The members' matrices and
+    offsets are stacked once, at construction, into read-only arrays.
     """
 
     members: tuple[Isometry, ...]
     jacobian_bound: float
     translation_bound: float
+    _matrices: np.ndarray = field(init=False, repr=False, compare=False)
+    _offsets: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.members:
@@ -126,6 +129,11 @@ class IsometryFamily:
         dims = {m.dimension for m in self.members}
         if len(dims) != 1:
             raise ValueError(f"members mix dimensions {sorted(dims)}")
+        for name, parts in (("_matrices", [m.matrix for m in self.members]),
+                            ("_offsets", [m.offset for m in self.members])):
+            stacked = np.stack(parts)
+            stacked.setflags(write=False)
+            object.__setattr__(self, name, stacked)
 
     @property
     def dimension(self) -> int:
@@ -135,10 +143,12 @@ class IsometryFamily:
         return len(self.members)
 
     def matrices(self) -> np.ndarray:
-        return np.stack([m.matrix for m in self.members])
+        """The (members, n, n) stack of matrices, read-only."""
+        return self._matrices
 
     def offsets(self) -> np.ndarray:
-        return np.stack([m.offset for m in self.members])
+        """The (members, n) stack of offsets, read-only."""
+        return self._offsets
 
 
 def make_family(members) -> IsometryFamily:
@@ -213,6 +223,24 @@ CYCLIC_ROTATION_2D = "cyclic_rotation_2d"
 FINITE_GROUP_KINDS = (SIGN_FLIPS, SIGNED_PERMUTATIONS, CYCLIC_ROTATION_2D)
 
 
+def finite_group_size(kind: str, dimension: int, order: int | None = None) -> int | None:
+    """Member count of a finite group kind, or None when it exceeds GROUP_SIZE_CAP.
+
+    The count is multiplied up factor by factor (2 per axis for sign_flips,
+    2k for axis k of signed_permutations, whose size is 2^n n!) and the
+    product stops at the first factor that takes it past the cap, so a huge
+    dimension costs a few steps and never a huge factorial.
+    """
+    if kind == CYCLIC_ROTATION_2D:
+        return order if order <= GROUP_SIZE_CAP else None
+    size = 1
+    for k in range(1, dimension + 1):
+        size *= 2 if kind == SIGN_FLIPS else 2 * k
+        if size > GROUP_SIZE_CAP:
+            return None
+    return size
+
+
 def finite_group_family(
     kind: str, dimension: int, order: int | None = None
 ) -> tuple[IsometryFamily, DiscretizedMeasure]:
@@ -221,7 +249,7 @@ def finite_group_family(
     sign_flips enumerates all 2^n diagonal sign matrices,
     signed_permutations the full hyperoctahedral group (2^n * n!), and
     cyclic_rotation_2d the ``order`` rotations by multiples of 2*pi/order
-    (dimension 2 only).  Groups larger than 1e6 members are refused.
+    (dimension 2 only).  Groups larger than GROUP_SIZE_CAP members are refused.
     """
     if kind not in FINITE_GROUP_KINDS:
         raise ValueError(f"unknown group kind {kind!r}, expected one of {FINITE_GROUP_KINDS}")
@@ -233,21 +261,19 @@ def finite_group_family(
             raise ValueError(f"cyclic_rotation_2d needs dimension 2, got {dimension}")
         if order is None or order < 1:
             raise ValueError(f"cyclic_rotation_2d needs order >= 1, got {order}")
-        if order > GROUP_SIZE_CAP:
-            raise ValueError(f"group of size {order} exceeds cap {GROUP_SIZE_CAP}")
+    if finite_group_size(kind, dimension, order) is None:
+        raise ValueError(
+            f"{kind} in dimension {dimension} exceeds the group size cap of "
+            f"{GROUP_SIZE_CAP} members"
+        )
+    if kind == CYCLIC_ROTATION_2D:
         for k in range(order):
             t = 2.0 * math.pi * k / order
             mats.append(np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]]))
     elif kind == SIGN_FLIPS:
-        size = 2**dimension
-        if size > GROUP_SIZE_CAP:
-            raise ValueError(f"group of size {size} exceeds cap {GROUP_SIZE_CAP}")
         for signs in itertools.product((1.0, -1.0), repeat=dimension):
             mats.append(np.diag(signs))
     else:
-        size = 2**dimension * math.factorial(dimension)
-        if size > GROUP_SIZE_CAP:
-            raise ValueError(f"group of size {size} exceeds cap {GROUP_SIZE_CAP}")
         for perm in itertools.permutations(range(dimension)):
             for signs in itertools.product((1.0, -1.0), repeat=dimension):
                 v = np.zeros((dimension, dimension))

@@ -11,6 +11,15 @@ The gradient applies the chain rule through each motion: component j picks up
 sum_k (df/dy_k)(V_i x + b_i) * V_i[k][j], i.e. the transposed matrix acting
 on the downstream gradient.
 
+One pass over the members serves both outputs: each image V_i x + b_i is
+formed once, and when both are wanted the field's
+:meth:`~.field.ScalarField.values_and_gradients` fills the value and the
+gradient terms together (:meth:`HausdorffOperator.apply_and_gradient_many`).
+``apply_many`` and ``apply_gradient_many`` are the one-output views of that
+pass and agree with it bitwise, whatever the block boundaries: every
+matrix product goes through :func:`_rows_times`, which gives a row the same
+bits alone as inside a larger block.
+
 Every evaluation point must lie in the domain.  The constructor checks
 exactly, once, that every member maps the domain into itself
 (:func:`~.isometry.check_domain_preserving`), so a mispaired family and
@@ -76,7 +85,11 @@ class HausdorffOperator:
     def kernel_l1(self) -> float:
         return kernel_l1_norm(self.kernel, self.measure)
 
-    def _check_inputs(self, points: np.ndarray) -> np.ndarray:
+    def _check_inputs(self, f: ScalarField, points) -> np.ndarray:
+        if f.dimension != self.dimension:
+            raise ValueError(
+                f"field dimension {f.dimension} vs operator dimension {self.dimension}"
+            )
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[1] != self.dimension:
             raise ValueError(
@@ -90,37 +103,44 @@ class HausdorffOperator:
             )
         return pts
 
-    def _accumulate(self, f: ScalarField, pts: np.ndarray, coeff: np.ndarray, want_gradient: bool) -> np.ndarray:
+    def _accumulate(
+        self, f: ScalarField, pts: np.ndarray, coeff: np.ndarray, values: bool, gradients: bool
+    ) -> tuple[np.ndarray | None, np.ndarray | None]:
         count = len(self.family)
         n = self.dimension
-        per_point = n if want_gradient else 1
+        # the value and gradient term blocks together hold count x block x (n + 1)
+        per_point = n + 1 if gradients else 1
         block = max(1, _BLOCK_ELEMENTS // (count * per_point))
-        out_shape = (len(pts), n) if want_gradient else (len(pts),)
-        out = np.empty(out_shape)
+        value_out = np.empty(len(pts)) if values else None
+        grad_out = np.empty((len(pts), n)) if gradients else None
         for start in range(0, len(pts), block):
             chunk = pts[start : start + block]
-            if want_gradient:
-                terms = np.empty((count, len(chunk), n))
-            else:
-                terms = np.empty((count, len(chunk)))
+            rows = slice(start, start + len(chunk))
+            value_terms = np.empty((count, len(chunk))) if values else None
+            grad_terms = np.empty((count, len(chunk), n)) if gradients else None
             for i in range(count):
-                images = chunk @ self._matrices[i].T + self._offsets[i]
-                if want_gradient:
-                    terms[i] = coeff[i] * (f.gradients(images) @ self._matrices[i])
+                images = _rows_times(chunk, self._matrices[i].T) + self._offsets[i]
+                if values and gradients:
+                    v, g = f.values_and_gradients(images)
+                elif values:
+                    v = f.values(images)
                 else:
-                    terms[i] = coeff[i] * f.values(images)
-            out[start : start + len(chunk)] = pairwise_sum(terms, axis=0)
-        return out
+                    g = f.gradients(images)
+                if values:
+                    value_terms[i] = coeff[i] * v
+                if gradients:
+                    grad_terms[i] = coeff[i] * _rows_times(g, self._matrices[i])
+            if values:
+                value_out[rows] = pairwise_sum(value_terms, axis=0)
+            if gradients:
+                grad_out[rows] = pairwise_sum(grad_terms, axis=0)
+        return value_out, grad_out
 
     def apply_many(self, f: ScalarField, points, absolute_kernel: bool = False) -> np.ndarray:
         """(Hf) at each row of ``points``; rows must lie in the domain."""
-        if f.dimension != self.dimension:
-            raise ValueError(
-                f"field dimension {f.dimension} vs operator dimension {self.dimension}"
-            )
-        pts = self._check_inputs(points)
+        pts = self._check_inputs(f, points)
         coeff = self._abs_coeff if absolute_kernel else self._coeff
-        return self._accumulate(f, pts, coeff, want_gradient=False)
+        return self._accumulate(f, pts, coeff, values=True, gradients=False)[0]
 
     def apply(self, f: ScalarField, x, absolute_kernel: bool = False) -> float:
         """(Hf)(x) for a single point."""
@@ -128,12 +148,13 @@ class HausdorffOperator:
 
     def apply_gradient_many(self, f: ScalarField, points) -> np.ndarray:
         """Gradient of Hf at each row of ``points`` via the analytic formula."""
-        if f.dimension != self.dimension:
-            raise ValueError(
-                f"field dimension {f.dimension} vs operator dimension {self.dimension}"
-            )
-        pts = self._check_inputs(points)
-        return self._accumulate(f, pts, self._coeff, want_gradient=True)
+        pts = self._check_inputs(f, points)
+        return self._accumulate(f, pts, self._coeff, values=False, gradients=True)[1]
+
+    def apply_and_gradient_many(self, f: ScalarField, points) -> tuple[np.ndarray, np.ndarray]:
+        """``(apply_many(f, points), apply_gradient_many(f, points))`` from one pass."""
+        pts = self._check_inputs(f, points)
+        return self._accumulate(f, pts, self._coeff, values=True, gradients=True)
 
     def apply_gradient(self, f: ScalarField, x) -> np.ndarray:
         return self.apply_gradient_many(f, np.atleast_2d(np.asarray(x, dtype=float)))[0]
@@ -148,7 +169,21 @@ class HausdorffOperator:
             lambda pts: self.apply_many(f, pts),
             grads,
             kind="pushforward",
+            both_fn=lambda pts: self.apply_and_gradient_many(f, pts),
         )
+
+
+def _rows_times(x: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """``x @ matrix`` with the same bits per row whatever the number of rows.
+
+    numpy hands a single row to a BLAS matrix-vector kernel that rounds
+    differently from the matrix-matrix kernel of larger blocks, so a lone
+    row is doubled and one copy kept.  A one-axis product is one rounded
+    multiply in either kernel and needs no copy.
+    """
+    if len(x) == 1 and len(matrix) > 1:
+        return (np.concatenate([x, x]) @ matrix)[:1]
+    return x @ matrix
 
 
 def averaging_operator(dimension: int, group, domain: Domain) -> HausdorffOperator:

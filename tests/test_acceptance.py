@@ -17,6 +17,7 @@ import pytest
 from hausdorff_op.cli import main
 from hausdorff_op.experiments import (
     TOLERANCES,
+    evaluate_field,
     interior_points,
     margins_non_worsening,
     run_gradient_check,
@@ -163,10 +164,9 @@ def test_single_node_identity_reproduces_fields():
 def test_lp_contraction_holds_across_config_suite(bound_suite, grid):
     start = time.perf_counter()
     for label, _, op, f in bound_suite:
+        evaluations = [evaluate_field(op, f, grid(op.domain, res)) for res in (32, 64, 128)]
         for p in (1.0, 2.0, 4.0):
-            reports = [
-                run_lp_bound(op, f, p, grid(op.domain, res)) for res in (32, 64, 128)
-            ]
+            reports = [run_lp_bound(evaluation, p) for evaluation in evaluations]
             assert reports[1].passed, f"{label} p={p}: lhs {reports[1].lhs:.6e} rhs {reports[1].rhs:.6e}"
             margins = [r.margin for r in reports]
             assert margins_non_worsening(reports), f"{label} p={p}: margins {margins}"
@@ -178,7 +178,7 @@ def test_w11_bound_holds_at_p1_across_config_suite(bound_suite, grid):
     rel = TOLERANCES["sobolev_bound"]
     for label, n, op, f in bound_suite:
         quad = grid(op.domain, 64)
-        report = run_sobolev_bound(op, f, 1.0, quad)
+        report = run_sobolev_bound(evaluate_field(op, f, quad, gradients=True), 1.0)
         assert report.passed, f"{label}: lhs {report.lhs:.6e} rhs {report.rhs:.6e}"
         budget = (n + 1) * op.kernel_l1() * sobolev_norm(f, 1.0, quad).sobolev
         assert report.lhs <= budget * (1.0 + rel), label
@@ -234,7 +234,7 @@ def test_group_averaging_is_invariant_and_bounded():
         sigma = float(np.linalg.norm(x)) / math.sqrt(2.0 * 4096.0)
         assert abs(avg.apply(coordinate, x)) <= 3.0 * sigma
     quad = build_grid_quadrature(domain, 64)
-    report = run_sobolev_bound(avg, f, 1.0, quad)
+    report = run_sobolev_bound(evaluate_field(avg, f, quad, gradients=True), 1.0)
     assert report.passed
     budget = 3.0 * sobolev_norm(f, 1.0, quad).sobolev
     assert report.lhs <= budget * (1.0 + TOLERANCES["sobolev_bound"])

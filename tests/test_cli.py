@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import pytest
 
@@ -12,6 +13,7 @@ from hausdorff_op.cli import (
     run,
 )
 from hausdorff_op.experiments import ExperimentReport
+from hausdorff_op.isometry import GROUP_SIZE_CAP
 
 
 def _minimal_config(**overrides):
@@ -167,6 +169,42 @@ def test_haar_count_is_capped():
         parse_config(json.dumps(config))
 
 
+def _group_config(group, dimension):
+    # a 3-D field: only the dimension-3 config is meant to parse
+    config = _minimal_config(
+        dimension=dimension,
+        domain={"shape": "truncated_space", "halfwidth": 2.0},
+        family={"kind": "finite_group", "group": group},
+        fields=[{"kind": "polynomial", "coeffs": [[[1.0]]]}],
+        experiments=["measure_preservation"],
+    )
+    del config["measure"]  # a finite group carries its own
+    return config
+
+
+@pytest.mark.parametrize("group, dimension, members", [
+    ("signed_permutations", 8, 10_321_920),
+    ("sign_flips", 20, 1_048_576),
+])
+def test_oversized_finite_group_rejected_at_parse_time(group, dimension, members):
+    config = _group_config(group, dimension)
+    assert members > GROUP_SIZE_CAP
+    with pytest.raises(ConfigError) as exc:
+        parse_config(json.dumps(config))
+    assert (f"family: {group} in dimension {dimension} exceeds the group size cap "
+            f"of {GROUP_SIZE_CAP} members") in exc.value.errors
+
+
+def test_huge_group_dimension_is_rejected_at_once():
+    small = _group_config("signed_permutations", 3)
+    assert parse_config(json.dumps(small)).dimension == 3  # 48 members
+    huge = json.dumps({**small, "dimension": 300_000})
+    start = time.perf_counter()
+    with pytest.raises(ConfigError, match="signed_permutations in dimension 300000 exceeds"):
+        parse_config(huge)
+    assert time.perf_counter() - start < 0.1
+
+
 def test_unhashable_experiment_is_reported():
     with pytest.raises(ConfigError, match=r"unknown experiment\(s\) \[\['lp_bound'\]\]"):
         parse_config(json.dumps(_minimal_config(experiments=[["lp_bound"]])))
@@ -259,6 +297,64 @@ def test_full_run_is_deterministic(tmp_path):
     assert code1 == code2
     for name in ("results.csv", "divergence.csv", "summary.txt"):
         assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+def _two_field_grid_config(experiments):
+    return _minimal_config(
+        dimension=2,
+        domain={"shape": "ball", "center": [0.0, 0.0], "radius": 2.0},
+        family={"kind": "rotations_haar", "count": 6, "seed": 4},
+        measure={"scheme": "gauss_legendre", "interval": [0.0, 1.0], "count": 6},
+        kernel={"name": "exp_decay", "a": 1.0},
+        fields=[
+            {"kind": "gaussian", "center": [0.1, -0.2], "width": 0.9},
+            {"kind": "gaussian_times_poly", "center": [0.0, 0.1], "width": 0.8,
+             "coeffs": [[1.0, 0.3, 0.1], [-0.2, 0.0, 0.05]]},
+        ],
+        p=[1.0, 2.0],
+        resolution=20,
+        experiments=experiments,
+        experiment_options={"gradient_points": 6},
+    )
+
+
+def test_output_does_not_depend_on_thread_count(tmp_path, monkeypatch):
+    rows_by_order = {}
+    for experiments in (["lp_bound", "sobolev_bound", "gradient_check"],
+                        ["sobolev_bound", "lp_bound", "gradient_check"]):
+        config = tmp_path / f"{experiments[0]}.json"
+        config.write_text(json.dumps(_two_field_grid_config(experiments)))
+        outputs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("HAUSDORFF_OP_THREADS", threads)
+            out = tmp_path / f"{experiments[0]}-{threads}"
+            assert main(["run", str(config), "--out", str(out)]) == 0
+            outputs.append({name: (out / name).read_bytes()
+                            for name in ("results.csv", "summary.txt")})
+        assert outputs[0] == outputs[1]
+        rows = _read_rows(tmp_path / f"{experiments[0]}-1" / "results.csv")
+        rows_by_order[experiments[0]] = rows
+        # rows follow the config: each experiment in turn, then field, then p
+        want = [(name, p) for name in experiments[:2] for _ in range(2) for p in ("1", "2")]
+        assert [(r["experiment"], r["p"]) for r in rows[:8]] == want
+        assert [r["experiment"] for r in rows[8:]] == ["gradient_check"] * 2
+    # the order of the experiments moves rows, not their values
+    lp_first, sobolev_first = rows_by_order["lp_bound"], rows_by_order["sobolev_bound"]
+    assert lp_first[:4] == sobolev_first[4:8] and lp_first[4:8] == sobolev_first[:4]
+    assert lp_first[8:] == sobolev_first[8:]
+
+
+def test_gradient_check_rows_keep_their_seed(tmp_path):
+    # a later experiment's loop must not change the seed a gradient check reports
+    config = _two_field_grid_config(["gradient_check", "measure_preservation"])
+    config["experiment_options"].update(preservation_samples=1000, preservation_members=2)
+    config["seed"] = 5
+    assert run(parse_config(json.dumps(config)), tmp_path) == 0
+    rows = _read_rows(tmp_path / "results.csv")
+    assert [(r["experiment"], r["seed"]) for r in rows] == [
+        ("gradient_check", "16"), ("gradient_check", "16"),
+        ("measure_preservation", "1005"), ("measure_preservation", "1006"),
+    ]
 
 
 def test_necessity_artifacts(tmp_path):

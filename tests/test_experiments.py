@@ -6,6 +6,7 @@ import pytest
 from hausdorff_op.experiments import (
     TOLERANCES,
     ExperimentReport,
+    evaluate_field,
     interior_points,
     margins_non_worsening,
     run_gradient_check,
@@ -61,7 +62,7 @@ def test_lp_bound_identity_operator_is_tight():
     dom = ball([0.0, 0.0], 2.0)
     op = _identity_operator(2, dom)
     quad = build_grid_quadrature(dom, 24)
-    report = run_lp_bound(op, gaussian([0.2, 0.0], 0.8), 2.0, quad)
+    report = run_lp_bound(evaluate_field(op, gaussian([0.2, 0.0], 0.8), quad), 2.0)
     assert report.passed
     assert report.bound_constant == 1.0
     assert abs(report.margin) <= 1e-12
@@ -75,14 +76,14 @@ def test_lp_bound_scales_with_kernel_mass():
     dom = ball([0.0, 0.0], 2.0)
     quad = build_grid_quadrature(dom, 24)
     f = gaussian([0.2, 0.0], 0.8)
-    base = run_lp_bound(_identity_operator(2, dom), f, 1.0, quad)
+    base = run_lp_bound(evaluate_field(_identity_operator(2, dom), f, quad), 1.0)
     scaled_op = HausdorffOperator(
         measure=explicit_measure([0.0], [1.0]),
         kernel=kernel_from_values([7.0]),
         family=motion_family([make_isometry(np.eye(2))]),
         domain=dom,
     )
-    scaled = run_lp_bound(scaled_op, f, 1.0, quad)
+    scaled = run_lp_bound(evaluate_field(scaled_op, f, quad), 1.0)
     assert scaled.lhs == pytest.approx(7.0 * base.lhs, rel=1e-12)
     assert scaled.rhs == pytest.approx(7.0 * base.rhs, rel=1e-12)
     assert scaled.bound_constant == 7.0
@@ -98,7 +99,7 @@ def test_lp_bound_rotation_family_passes():
     )
     quad = build_grid_quadrature(dom, 48)
     for p in (1.0, 2.0, 4.0):
-        report = run_lp_bound(op, gaussian([0.2, -0.1], 0.5), p, quad)
+        report = run_lp_bound(evaluate_field(op, gaussian([0.2, -0.1], 0.5), quad), p)
         assert report.passed, (p, report.margin)
 
 
@@ -106,7 +107,8 @@ def test_lp_bound_odd_field_maps_to_zero():
     dom = truncated_space(8.0, 1)
     op = _sign_flip_operator(dom)
     quad = build_grid_quadrature(dom, 64)
-    report = run_lp_bound(op, gaussian_times_poly([0.0], 1.0, [0.0, 1.0]), 1.0, quad)
+    f = gaussian_times_poly([0.0], 1.0, [0.0, 1.0])
+    report = run_lp_bound(evaluate_field(op, f, quad), 1.0)
     assert report.lhs == 0.0
     assert report.passed
 
@@ -119,7 +121,7 @@ def test_sobolev_identity_margin_is_n_times_norm():
     op = _identity_operator(2, dom)
     quad = build_grid_quadrature(dom, 24)
     f = gaussian([0.1, 0.2], 0.9)
-    report = run_sobolev_bound(op, f, 1.0, quad)
+    report = run_sobolev_bound(evaluate_field(op, f, quad, gradients=True), 1.0)
     norm = sobolev_norm(f, 1.0, quad).sobolev
     assert report.bound_constant == pytest.approx(3.0, abs=1e-12)
     assert report.margin == pytest.approx(2.0 * norm, rel=1e-12)
@@ -131,7 +133,8 @@ def test_sobolev_p_above_one_is_flagged_informative():
     dom = ball([0.0, 0.0], 2.0)
     op = _identity_operator(2, dom)
     quad = build_grid_quadrature(dom, 16)
-    report = run_sobolev_bound(op, gaussian([0.0, 0.0], 1.0), 2.0, quad)
+    f = gaussian([0.0, 0.0], 1.0)
+    report = run_sobolev_bound(evaluate_field(op, f, quad, gradients=True), 2.0)
     assert "informative" in report.notes
     assert "p = 1" in report.notes
 
@@ -145,11 +148,40 @@ def test_sobolev_rotation_family_respects_constant():
         domain=dom,
     )
     quad = build_grid_quadrature(dom, 48)
-    report = run_sobolev_bound(op, gaussian([0.2, -0.1], 0.5), 1.0, quad)
+    f = gaussian([0.2, -0.1], 0.5)
+    report = run_sobolev_bound(evaluate_field(op, f, quad, gradients=True), 1.0)
     jac = op.family.jacobian_bound
     assert report.bound_constant == pytest.approx((2 * jac + 1) * 1.0, rel=1e-12)
     assert report.bound_constant <= 3.0 + 1e-9
     assert report.passed
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_evaluation_sides_equal_the_norms_bitwise(n):
+    dom = ball([0.0] * n, 2.0)
+    op = HausdorffOperator(
+        measure=explicit_measure(np.arange(6.0), np.full(6, 1.0 / 6)),
+        kernel=kernel_from_values(np.linspace(0.5, 1.5, 6)),
+        family=rotation_family(n, 6, seed=9),
+        domain=dom,
+    )
+    quad = build_grid_quadrature(dom, 12)
+    f = gaussian_times_poly([0.1] * n, 0.8, np.full((2,) * n, 0.3))
+    values_only = evaluate_field(op, f, quad)
+    assert values_only.f_gradients is None and values_only.hf_gradients is None
+    with pytest.raises(ValueError, match="gradients=True"):
+        run_sobolev_bound(values_only, 1.0)
+    evaluation = evaluate_field(op, f, quad, gradients=True)
+    constant = op.kernel_l1()
+    sobolev_constant = (op.family.jacobian_bound * n + 1.0) * constant
+    for p in (1.0, 2.0, 4.0):
+        for ev in (values_only, evaluation):
+            report = run_lp_bound(ev, p)
+            assert report.lhs == lp_norm(op.push(f), p, quad)
+            assert report.rhs == constant * lp_norm(f, p, quad)
+        report = run_sobolev_bound(evaluation, p)
+        assert report.lhs == sobolev_norm(op.push(f), p, quad).sobolev
+        assert report.rhs == sobolev_constant * sobolev_norm(f, p, quad).sobolev
 
 
 # gradient check

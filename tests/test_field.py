@@ -94,6 +94,72 @@ def test_custom_field_without_gradient():
         sobolev_norm(f, 1.0, quad)
 
 
+def _assert_values_and_gradients_bitwise(f, pts):
+    values, grads = f.values_and_gradients(pts)
+    assert np.array_equal(values, f.values(pts)), f.kind
+    assert np.array_equal(grads, f.gradients(pts)), f.kind
+
+
+def _pow_formula(coeffs, pts):
+    """sum_a c_a prod_k x_k ** a_k in multi-index order, with pow for every power."""
+    tables = [pts[:, k][:, None] ** np.arange(coeffs.shape[k]) for k in range(coeffs.ndim)]
+    out = np.zeros(len(pts))
+    for alpha in np.ndindex(coeffs.shape):
+        if coeffs[alpha] != 0.0:
+            term = np.full(len(pts), coeffs[alpha])
+            for k, power in enumerate(alpha):
+                term = term * tables[k][:, power]
+            out += term
+    return out
+
+
+@pytest.mark.parametrize("axes", [1, 2, 3])
+@pytest.mark.parametrize("degree", range(6))
+def test_polynomial_values_and_gradients_bitwise(axes, degree):
+    rng = np.random.default_rng(10 * axes + degree)
+    coeffs = rng.uniform(-1.0, 1.0, (degree + 1,) * axes)
+    coeffs[(0,) * axes] = 0.0  # a zero coefficient is skipped in both outputs
+    f = polynomial(coeffs)
+    pts = rng.uniform(-1.5, 1.5, (257, axes))
+    _assert_values_and_gradients_bitwise(f, pts)
+    assert np.array_equal(f.values(pts), _pow_formula(coeffs, pts))
+
+
+def test_builtin_and_composite_values_and_gradients_bitwise():
+    rng = np.random.default_rng(11)
+    pts = rng.normal(size=(300, 2))
+    g = gaussian([0.3, -0.2], 0.9)
+    gp = gaussian_times_poly([0.1, 0.0], 1.1, [[1.0, 0.3, -0.2], [0.5, 0.0, 0.1]])
+    custom = custom_field(2, lambda p: np.sin(p[:, 0]) * p[:, 1],
+                          lambda p: np.stack([np.cos(p[:, 0]) * p[:, 1], np.sin(p[:, 0])], axis=1))
+    for f in (g, gp, g + gp, 2.5 * gp, gp - g, custom, custom + g):
+        _assert_values_and_gradients_bitwise(f, pts)
+    # one point alone gets the bits it gets inside a batch
+    values, grads = gp.values_and_gradients(pts)
+    for k in (0, 7, 299):
+        one_value, one_grad = gp.values_and_gradients(pts[k])
+        assert one_value[0] == values[k]
+        assert np.array_equal(one_grad[0], grads[k])
+
+
+def test_values_and_gradients_needs_a_gradient():
+    f = custom_field(1, lambda pts: np.abs(pts[:, 0]))
+    with pytest.raises(ValueError, match="has no gradient"):
+        f.values_and_gradients(np.zeros((3, 1)))
+
+
+def test_degree_five_polynomial_matches_polyval():
+    coeffs = [0.7, -1.3, 0.45, 2.2, -0.8, 0.35]
+    f = polynomial(coeffs)
+    x = np.linspace(-2.0, 2.0, 401)
+    want = np.polynomial.polynomial.polyval(x, coeffs)
+    got = f.values(x[:, None])
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    dwant = np.polynomial.polynomial.polyval(x, np.polynomial.polynomial.polyder(coeffs))
+    dgot = f.gradients(x[:, None])[:, 0]
+    assert np.abs(dgot - dwant).max() <= 1e-13 * np.abs(dwant).max()
+
+
 # lp norms
 
 

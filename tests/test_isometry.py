@@ -11,7 +11,9 @@ from hausdorff_op.isometry import (
     DomainEscapeError,
     affine_map_defect,
     check_domain_preserving,
+    GROUP_SIZE_CAP,
     finite_group_family,
+    finite_group_size,
     haar_orthogonal,
     haar_orthogonal_sample,
     isometry_defect,
@@ -172,6 +174,33 @@ def test_group_closure():
 def test_group_size_cap():
     with pytest.raises(ValueError, match="cap"):
         finite_group_family(SIGN_FLIPS, 21)
+    with pytest.raises(ValueError, match="signed_permutations in dimension 8 exceeds"):
+        finite_group_family(SIGNED_PERMUTATIONS, 8)
+
+
+def test_finite_group_size_stops_at_the_cap():
+    assert finite_group_size(SIGN_FLIPS, 19) == 2**19
+    assert finite_group_size(SIGN_FLIPS, 20) is None  # 1,048,576 members
+    assert finite_group_size(SIGNED_PERMUTATIONS, 3) == 48
+    assert finite_group_size(SIGNED_PERMUTATIONS, 7) == 2**7 * math.factorial(7)
+    assert finite_group_size(SIGNED_PERMUTATIONS, 8) is None  # 10,321,920 members
+    assert finite_group_size(CYCLIC_ROTATION_2D, 2, GROUP_SIZE_CAP) == GROUP_SIZE_CAP
+    assert finite_group_size(CYCLIC_ROTATION_2D, 2, GROUP_SIZE_CAP + 1) is None
+    # a huge dimension stops after a few factors, with no n! computed
+    assert finite_group_size(SIGNED_PERMUTATIONS, 10**18) is None
+
+
+def test_family_arrays_are_stacked_once_and_read_only():
+    fam = rotation_family(3, 5, seed=4)
+    matrices, offsets = fam.matrices(), fam.offsets()
+    assert matrices is fam.matrices() and offsets is fam.offsets()
+    assert matrices.shape == (5, 3, 3) and offsets.shape == (5, 3)
+    assert not matrices.flags.writeable and not offsets.flags.writeable
+    for member, matrix, offset in zip(fam.members, matrices, offsets):
+        assert np.array_equal(member.matrix, matrix)
+        assert np.array_equal(member.offset, offset)
+    with pytest.raises(ValueError):
+        matrices[0, 0, 0] = 2.0
 
 
 def test_cyclic_requires_dimension_two():

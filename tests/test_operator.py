@@ -27,6 +27,7 @@ from hausdorff_op.measure_kernel import (
     kernel_from_values,
     kernel_on_measure,
 )
+from hausdorff_op import operator as operator_module
 from hausdorff_op.operator import HausdorffOperator, averaging_operator
 
 
@@ -223,6 +224,47 @@ def test_batch_matches_scalar_bitwise():
     pts = np.random.default_rng(5).uniform(-2.0, 2.0, (100, 1))
     batched = op.apply_many(f, pts)
     assert all(batched[k] == op.apply(f, pts[k]) for k in range(len(pts)))
+
+
+def _rotation_operator(n, count=6, seed=12):
+    measure = gauss_legendre_measure((0.0, 1.0), count)
+    return HausdorffOperator(
+        measure=measure,
+        kernel=kernel_on_measure(kernel_form("exp_decay", a=1.0), measure),
+        family=rotation_family(n, count, seed=seed),
+        domain=ball([0.0] * n, 2.0),
+    )
+
+
+def test_batch_matches_scalar_bitwise_in_three_dimensions():
+    op = _rotation_operator(3)
+    coeffs = [[[1.0, 0.2], [0.3, 0.0]], [[-0.4, 0.0], [0.0, 0.1]]]
+    f = gaussian_times_poly([0.1, -0.2, 0.0], 0.9, coeffs)
+    pts = op.domain.shrink(0.1).sample_uniform(40, 6)
+    values = op.apply_many(f, pts)
+    grads = op.apply_gradient_many(f, pts)
+    for k in range(len(pts)):
+        assert values[k] == op.apply(f, pts[k])
+        assert np.array_equal(grads[k], op.apply_gradient(f, pts[k]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_fused_pass_matches_one_output_views_bitwise(n, monkeypatch):
+    op = _rotation_operator(n)
+    f = gaussian_times_poly([0.1] * n, 0.9, np.full((3,) * n, 0.2))
+    pts = op.domain.shrink(0.05).sample_uniform(101, 8)
+    values = op.apply_many(f, pts)
+    grads = op.apply_gradient_many(f, pts)
+    # blocks of 7 points, the last one holding 3, in the fused and one-output passes
+    monkeypatch.setattr(operator_module, "_BLOCK_ELEMENTS", len(op) * (n + 1) * 7)
+    fused_values, fused_grads = op.apply_and_gradient_many(f, pts)
+    assert np.array_equal(fused_values, values)
+    assert np.array_equal(fused_grads, grads)
+    assert np.array_equal(op.apply_many(f, pts), values)
+    assert np.array_equal(op.apply_gradient_many(f, pts), grads)
+    pushed = op.push(f).values_and_gradients(pts)
+    assert np.array_equal(pushed[0], values)
+    assert np.array_equal(pushed[1], grads)
 
 
 # averaging operators
