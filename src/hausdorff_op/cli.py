@@ -85,6 +85,9 @@ _OPTION_KEYS = {
     "necessity",
 }
 _NECESSITY_KEYS = {"kernel", "endpoints", "x0", "points_per_panel"}
+# the default necessity witness: 88,880 folded shifts in all
+_NECESSITY_ENDPOINTS = [10.0, 100.0, 1000.0, 10000.0]
+_NECESSITY_POINTS_PER_PANEL = 8
 
 # seed offsets keep per-experiment streams distinct under one config seed
 _GRADIENT_SEED_OFFSET = 11
@@ -396,24 +399,32 @@ def _validate_options(options, n: int, errors: list) -> None:
         _check_keys(spec, _NECESSITY_KEYS, "experiment_options.necessity", errors)
         if "kernel" in spec:
             _validate_kernel(spec["kernel"], "experiment_options.necessity.kernel", errors)
-        endpoints = spec.get("endpoints")
-        if endpoints is not None:
-            ok = (isinstance(endpoints, list) and len(endpoints) >= 2
-                  and all(_is_number(v) and v > 0 for v in endpoints)
-                  and all(b > a for a, b in zip(endpoints, endpoints[1:])))
-            if not ok:
-                errors.append(
-                    "experiment_options.necessity: endpoints must be >= 2 "
-                    "positive increasing numbers"
-                )
+        endpoints = spec.get("endpoints", _NECESSITY_ENDPOINTS)
+        endpoints_ok = (isinstance(endpoints, list) and len(endpoints) >= 2
+                        and all(_is_number(v) and v > 0 for v in endpoints)
+                        and all(b > a for a, b in zip(endpoints, endpoints[1:])))
+        if not endpoints_ok:
+            errors.append(
+                "experiment_options.necessity: endpoints must be >= 2 "
+                "positive increasing numbers"
+            )
         if "x0" in spec and not _is_number(spec["x0"]):
             errors.append("experiment_options.necessity: x0 must be a number")
-        if "points_per_panel" in spec and not (
-            _is_int(spec["points_per_panel"]) and spec["points_per_panel"] >= 2
-        ):
+        per_panel = spec.get("points_per_panel", _NECESSITY_POINTS_PER_PANEL)
+        per_panel_ok = _is_int(per_panel) and per_panel >= 2
+        if not per_panel_ok:
             errors.append(
                 "experiment_options.necessity: points_per_panel must be an integer >= 2"
             )
+        if endpoints_ok and per_panel_ok:
+            # one shift member per node of the unit panels over [0, endpoint]
+            members = sum(math.ceil(e) * per_panel for e in endpoints)
+            if members > GROUP_SIZE_CAP:
+                errors.append(
+                    f"experiment_options.necessity: endpoints {endpoints} with "
+                    f"points_per_panel {per_panel} give {members} witness members, "
+                    f"more than the cap of {GROUP_SIZE_CAP}"
+                )
 
 
 def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
@@ -673,7 +684,7 @@ def run(config: RunConfig, out_dir) -> int:
             region = _build_domain(region_spec, n)
             for i in range(members):
                 key = (name, i)
-                iso = family.members[i]
+                iso = family[i]
                 seed = config.seed + _PRESERVATION_SEED_OFFSET + i
                 jobs.append(lambda key=key, iso=iso, seed=seed:
                             {key: run_measure_preservation(iso, region, samples, seed)})
@@ -681,9 +692,9 @@ def run(config: RunConfig, out_dir) -> int:
         else:
             nec = opts.get("necessity", {})
             form = _kernel_form_from_spec(nec.get("kernel", {"name": "power", "a": 1.0}))
-            endpoints = nec.get("endpoints", [10.0, 100.0, 1000.0, 10000.0])
+            endpoints = nec.get("endpoints", _NECESSITY_ENDPOINTS)
             x0 = nec.get("x0", 0.0)
-            ppp = nec.get("points_per_panel", 8)
+            ppp = nec.get("points_per_panel", _NECESSITY_POINTS_PER_PANEL)
             jobs.append(lambda key=name:
                         {key: run_necessity_divergence(form, endpoints, x0, ppp)})
             order.append((name, "necessity_divergence"))

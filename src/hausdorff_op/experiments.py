@@ -39,7 +39,15 @@ from .field import (
 )
 from .geometry import Domain, DomainQuadrature
 from .isometry import Isometry, shift_family
-from .measure_kernel import KernelForm, kernel_l1_norm, kernel_on_measure, gauss_legendre_panels
+# gauss_legendre_panels and kernel_on_measure are not called here but stay
+# importable from this module: bench/tracing.py wraps them under its name
+from .measure_kernel import (
+    KernelForm,
+    gauss_legendre_panels,  # noqa: F401
+    kernel_l1_norm,
+    kernel_on_measure,  # noqa: F401
+    truncation_sequence,
+)
 from .operator import HausdorffOperator
 
 TOLERANCES = {
@@ -328,9 +336,8 @@ def run_necessity_divergence(
     domain = geometry.truncated_space(max(2.0, abs(x0) + 2.0), 1)
     l1_norms = np.empty(len(ends))
     values = np.empty(len(ends))
-    for k, end in enumerate(ends):
-        measure = gauss_legendre_panels((0.0, end), points_per_panel=points_per_panel)
-        kernel = kernel_on_measure(form, measure)
+    pairs = truncation_sequence(form, ends, points_per_panel=points_per_panel)
+    for k, (kernel, measure) in enumerate(pairs):
         folded = measure.nodes - np.floor(measure.nodes)
         operator = HausdorffOperator(
             measure=measure,

@@ -1,8 +1,9 @@
 """Euclidean motions x -> Vx + b and parametrized families of them.
 
 V must be orthogonal to 1e-12 at construction, so every member preserves
-distances and Lebesgue measure; families additionally carry the two constants
-the Sobolev bound consumes (max |V entry| and max shift length).
+distances and Lebesgue measure.  A family is held as stacked matrices and
+offsets, checked in one pass, and carries the two constants the Sobolev
+bound consumes (max |V entry| and max shift length).
 
 :func:`check_domain_preserving` decides exactly, from V and b alone, whether
 every member maps a domain into itself; operators run it once at
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,39 +109,51 @@ def isometry_defect(iso: Isometry, pairs: np.ndarray) -> float:
     return affine_map_defect(iso.matrix, iso.offset, pairs)
 
 
-@dataclass(frozen=True)
 class IsometryFamily:
-    """A finite indexed family of motions, one per measure node.
+    """A finite indexed family of motions x -> V_i x + b_i, one per measure node.
 
-    jacobian_bound is max |V[k][j]| over members (at most 1 for orthogonal
-    matrices); translation_bound is max ||b||.  The members' matrices and
-    offsets are stacked once, at construction, into read-only arrays.
+    The family is held as a read-only ``(members, n, n)`` stack of matrices
+    and a ``(members, n)`` stack of offsets; ``family[i]`` is member i as an
+    :class:`Isometry`.  Construction checks every matrix orthogonal to
+    ORTHOGONALITY_TOL in one pass over the stack and names the first member
+    that fails.  jacobian_bound is max |V[k][j]| over members (at most 1 for
+    orthogonal matrices); translation_bound is max ||b||.
     """
 
-    members: tuple[Isometry, ...]
-    jacobian_bound: float
-    translation_bound: float
-    _matrices: np.ndarray = field(init=False, repr=False, compare=False)
-    _offsets: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if not self.members:
+    def __init__(self, matrices, offsets):
+        v = np.array(matrices, dtype=float, order="C")
+        b = np.array(offsets, dtype=float, order="C")
+        if v.ndim != 3 or v.shape[1] != v.shape[2] or v.shape[1] < 1:
+            raise ValueError(f"matrices must be a (members, n, n) stack, got shape {v.shape}")
+        if len(v) == 0:
             raise ValueError("family needs at least one member")
-        dims = {m.dimension for m in self.members}
-        if len(dims) != 1:
-            raise ValueError(f"members mix dimensions {sorted(dims)}")
-        for name, parts in (("_matrices", [m.matrix for m in self.members]),
-                            ("_offsets", [m.offset for m in self.members])):
-            stacked = np.stack(parts)
-            stacked.setflags(write=False)
-            object.__setattr__(self, name, stacked)
+        if b.shape != v.shape[:2]:
+            raise ValueError(f"offsets shape {b.shape} does not match matrices shape {v.shape}")
+        eye = np.eye(v.shape[1])
+        defects = np.abs(np.matmul(v.transpose(0, 2, 1), v) - eye).max(axis=(1, 2))
+        bad = ~(defects <= ORTHOGONALITY_TOL)  # a NaN defect fails too
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(
+                f"family member {i} is not orthogonal: max |V^T V - I| = "
+                f"{defects[i]:.3e} exceeds {ORTHOGONALITY_TOL:.0e}"
+            )
+        v.setflags(write=False)
+        b.setflags(write=False)
+        self._matrices = v
+        self._offsets = b
+        self.jacobian_bound = float(np.abs(v).max())
+        self.translation_bound = float(np.sqrt((b**2).sum(axis=1)).max())
 
     @property
     def dimension(self) -> int:
-        return self.members[0].dimension
+        return self._matrices.shape[1]
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self._matrices)
+
+    def __getitem__(self, index: int) -> Isometry:
+        return Isometry(matrix=self._matrices[index], offset=self._offsets[index])
 
     def matrices(self) -> np.ndarray:
         """The (members, n, n) stack of matrices, read-only."""
@@ -152,12 +165,15 @@ class IsometryFamily:
 
 
 def make_family(members) -> IsometryFamily:
+    """Family stacking the given :class:`Isometry` members."""
     members = tuple(members)
-    jac = max(float(np.abs(m.matrix).max()) for m in members)
-    if jac > 1.0 + ORTHOGONALITY_TOL:
-        raise ValueError(f"orthogonal member has |entry| = {jac} > 1")
-    trans = max(float(np.sqrt((m.offset**2).sum())) for m in members)
-    return IsometryFamily(members=members, jacobian_bound=jac, translation_bound=trans)
+    if not members:
+        raise ValueError("family needs at least one member")
+    dims = {m.dimension for m in members}
+    if len(dims) != 1:
+        raise ValueError(f"members mix dimensions {sorted(dims)}")
+    return IsometryFamily(np.stack([m.matrix for m in members]),
+                          np.stack([m.offset for m in members]))
 
 
 def haar_orthogonal_sample(dimension: int, count: int, seed: int) -> np.ndarray:
@@ -185,12 +201,8 @@ def haar_orthogonal(dimension: int, seed: int) -> np.ndarray:
 
 def rotation_family(dimension: int, count: int, seed: int) -> IsometryFamily:
     """Family of Haar-random orthogonal motions with zero offsets."""
-    mats = haar_orthogonal_sample(dimension, count, seed)
-    zero = np.zeros(dimension)
-    return make_family(
-        Isometry(matrix=np.ascontiguousarray(mats[i]), offset=zero.copy())
-        for i in range(count)
-    )
+    return IsometryFamily(haar_orthogonal_sample(dimension, count, seed),
+                          np.zeros((count, dimension)))
 
 
 def shift_family(offsets) -> IsometryFamily:
@@ -198,21 +210,14 @@ def shift_family(offsets) -> IsometryFamily:
     u = np.asarray(offsets, dtype=float).reshape(-1)
     if len(u) == 0:
         raise ValueError("need at least one shift")
-    eye = np.eye(1)
-    return make_family(
-        Isometry(matrix=eye.copy(), offset=np.array([ui])) for ui in u
-    )
+    return IsometryFamily(np.ones((len(u), 1, 1)), u[:, None])
 
 
 def motion_family(members) -> IsometryFamily:
     """Family from explicit (matrix, offset) pairs or Isometry objects."""
-    out = []
-    for m in members:
-        if isinstance(m, Isometry):
-            out.append(m)
-        else:
-            out.append(make_isometry(m[0], m[1]))
-    return make_family(out)
+    return make_family(
+        m if isinstance(m, Isometry) else make_isometry(m[0], m[1]) for m in members
+    )
 
 
 # finite subgroups
@@ -255,33 +260,31 @@ def finite_group_family(
         raise ValueError(f"unknown group kind {kind!r}, expected one of {FINITE_GROUP_KINDS}")
     if dimension < 1:
         raise ValueError(f"dimension must be >= 1, got {dimension}")
-    mats: list[np.ndarray] = []
     if kind == CYCLIC_ROTATION_2D:
         if dimension != 2:
             raise ValueError(f"cyclic_rotation_2d needs dimension 2, got {dimension}")
         if order is None or order < 1:
             raise ValueError(f"cyclic_rotation_2d needs order >= 1, got {order}")
-    if finite_group_size(kind, dimension, order) is None:
+    size = finite_group_size(kind, dimension, order)
+    if size is None:
         raise ValueError(
             f"{kind} in dimension {dimension} exceeds the group size cap of "
             f"{GROUP_SIZE_CAP} members"
         )
     if kind == CYCLIC_ROTATION_2D:
-        for k in range(order):
-            t = 2.0 * math.pi * k / order
-            mats.append(np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]]))
-    elif kind == SIGN_FLIPS:
-        for signs in itertools.product((1.0, -1.0), repeat=dimension):
-            mats.append(np.diag(signs))
+        angles = (2.0 * math.pi * k / order for k in range(order))
+        mats = np.array([[[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]]
+                         for t in angles])
     else:
-        for perm in itertools.permutations(range(dimension)):
-            for signs in itertools.product((1.0, -1.0), repeat=dimension):
-                v = np.zeros((dimension, dimension))
-                for row, col in enumerate(perm):
-                    v[row, col] = signs[row]
-                mats.append(v)
-    zero = np.zeros(dimension)
-    family = make_family(Isometry(matrix=v, offset=zero.copy()) for v in mats)
+        # member order: permutations outermost, sign patterns innermost
+        perms = (list(itertools.permutations(range(dimension)))
+                 if kind == SIGNED_PERMUTATIONS else [tuple(range(dimension))])
+        signs = np.array(list(itertools.product((1.0, -1.0), repeat=dimension)))
+        mats = np.zeros((size, dimension, dimension))
+        rows = np.arange(dimension)
+        cols = np.repeat(np.array(perms), len(signs), axis=0)
+        mats[np.arange(size)[:, None], rows, cols] = np.tile(signs, (len(perms), 1))
+    family = IsometryFamily(mats, np.zeros((size, dimension)))
     return family, finite_group_uniform_measure(len(family))
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import gauss_legendre_rule
+from .geometry import _legendre_rule, gauss_legendre_rule
 from .summation import pairwise_sum
 
 EXPLICIT = "explicit"
@@ -116,17 +116,20 @@ def gauss_legendre_panels(
         raise ValueError(f"empty interval [{lo}, {hi}]")
     if max_panel_width <= 0:
         raise ValueError(f"panel width must be > 0, got {max_panel_width}")
+    if points_per_panel < 1:
+        raise ValueError(f"need at least one node, got count={points_per_panel}")
     count = int(np.ceil((hi - lo) / max_panel_width))
     edges = lo + (hi - lo) * np.arange(count + 1) / count
-    all_nodes = []
-    all_weights = []
-    for k in range(count):
-        nodes, weights = gauss_legendre_rule(edges[k], edges[k + 1], points_per_panel)
-        all_nodes.append(nodes)
-        all_weights.append(weights)
+    lower, upper = edges[:-1, None], edges[1:, None]
+    if not np.all(upper > lower):
+        raise ValueError(f"panel edges of [{lo}, {hi}] collapse at width {max_panel_width}")
+    # the per-panel affine map of gauss_legendre_rule, over all panels at once
+    base_nodes, base_weights = _legendre_rule(int(points_per_panel))
+    mid = 0.5 * (lower + upper)
+    half = 0.5 * (upper - lower)
     return DiscretizedMeasure(
-        nodes=np.concatenate(all_nodes),
-        weights=np.concatenate(all_weights),
+        nodes=(mid + half * base_nodes).ravel(),
+        weights=(half * base_weights).ravel(),
         scheme=EXPLICIT,
     )
 

@@ -12,7 +12,9 @@ sum_k (df/dy_k)(V_i x + b_i) * V_i[k][j], i.e. the transposed matrix acting
 on the downstream gradient.
 
 One pass over the members serves both outputs: each image V_i x + b_i is
-formed once, and when both are wanted the field's
+formed once, for a block of members at a time from the family's stacked
+matrices and offsets, and the field is called once per block of images
+(at most ``_FIELD_ROWS`` rows).  When both outputs are wanted the field's
 :meth:`~.field.ScalarField.values_and_gradients` fills the value and the
 gradient terms together (:meth:`HausdorffOperator.apply_and_gradient_many`).
 ``apply_many`` and ``apply_gradient_many`` are the one-output views of that
@@ -45,6 +47,9 @@ from .summation import pairwise_sum
 
 # cap on the transient (members x points) term block, in elements
 _BLOCK_ELEMENTS = 1 << 22
+# cap on the image rows (members x points) handed to one field call; the
+# field's temporaries grow with it
+_FIELD_ROWS = 1 << 14
 
 
 class HausdorffOperator:
@@ -110,7 +115,7 @@ class HausdorffOperator:
         n = self.dimension
         # the value and gradient term blocks together hold count x block x (n + 1)
         per_point = n + 1 if gradients else 1
-        block = max(1, _BLOCK_ELEMENTS // (count * per_point))
+        block = max(1, min(_FIELD_ROWS, _BLOCK_ELEMENTS // (count * per_point)))
         value_out = np.empty(len(pts)) if values else None
         grad_out = np.empty((len(pts), n)) if gradients else None
         for start in range(0, len(pts), block):
@@ -118,8 +123,13 @@ class HausdorffOperator:
             rows = slice(start, start + len(chunk))
             value_terms = np.empty((count, len(chunk))) if values else None
             grad_terms = np.empty((count, len(chunk), n)) if gradients else None
-            for i in range(count):
-                images = _rows_times(chunk, self._matrices[i].T) + self._offsets[i]
+            # one field call per member block: its images stacked member-major
+            step = max(1, _FIELD_ROWS // len(chunk))
+            for lo in range(0, count, step):
+                members = slice(lo, min(lo + step, count))
+                mats = self._matrices[members]
+                images = _rows_times(chunk, mats.transpose(0, 2, 1)) + self._offsets[members, None]
+                images = images.reshape(-1, n)
                 if values and gradients:
                     v, g = f.values_and_gradients(images)
                 elif values:
@@ -127,9 +137,10 @@ class HausdorffOperator:
                 else:
                     g = f.gradients(images)
                 if values:
-                    value_terms[i] = coeff[i] * v
+                    value_terms[members] = coeff[members, None] * v.reshape(len(mats), -1)
                 if gradients:
-                    grad_terms[i] = coeff[i] * _rows_times(g, self._matrices[i])
+                    g = _rows_times(g.reshape(len(mats), -1, n), mats)
+                    grad_terms[members] = coeff[members, None, None] * g
             if values:
                 value_out[rows] = pairwise_sum(value_terms, axis=0)
             if gradients:
@@ -173,17 +184,22 @@ class HausdorffOperator:
         )
 
 
-def _rows_times(x: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """``x @ matrix`` with the same bits per row whatever the number of rows.
+def _rows_times(x: np.ndarray, matrices: np.ndarray) -> np.ndarray:
+    """``x @ matrices`` over a member stack, with the same bits per row
+    whatever the number of rows or members.
 
-    numpy hands a single row to a BLAS matrix-vector kernel that rounds
-    differently from the matrix-matrix kernel of larger blocks, so a lone
-    row is doubled and one copy kept.  A one-axis product is one rounded
-    multiply in either kernel and needs no copy.
+    ``x`` is ``(rows, n)`` or ``(members, rows, n)`` and ``matrices`` is
+    ``(members, n, n)``; each member's product is the one numpy forms for
+    that member alone.  numpy hands a single row to a BLAS matrix-vector
+    kernel that rounds differently from the matrix-matrix kernel of larger
+    blocks, so a lone row is doubled and one copy kept.  At n = 1 the product
+    is one rounded multiply in either kernel, taken here as a broadcast one.
     """
-    if len(x) == 1 and len(matrix) > 1:
-        return (np.concatenate([x, x]) @ matrix)[:1]
-    return x @ matrix
+    if matrices.shape[-1] == 1:
+        return x * matrices
+    if x.shape[-2] == 1:
+        return (np.concatenate([x, x], axis=-2) @ matrices)[..., :1, :]
+    return x @ matrices
 
 
 def averaging_operator(dimension: int, group, domain: Domain) -> HausdorffOperator:

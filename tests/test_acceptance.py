@@ -222,7 +222,7 @@ def test_group_averaging_is_invariant_and_bounded():
     for group in ("sign_flips", ("cyclic_rotation_2d", 8), "signed_permutations"):
         avg = averaging_operator(2, group, domain)
         base = avg.apply_many(f, pts)
-        for member in avg.family.members:
+        for member in avg.family:
             moved = pts @ member.matrix.T + member.offset
             shifted = avg.apply_many(f, moved)
             assert np.abs(shifted - base).max() <= 1e-12, group

@@ -205,6 +205,38 @@ def test_huge_group_dimension_is_rejected_at_once():
     assert time.perf_counter() - start < 0.1
 
 
+def _necessity_config(**necessity):
+    return _minimal_config(experiments=["necessity_divergence"],
+                           experiment_options={"necessity": necessity})
+
+
+def test_necessity_witness_is_capped_at_parse_time():
+    # the default witness: 8 nodes per unit panel up to 10, 100, 1000, 10000
+    assert parse_config(json.dumps(_minimal_config(experiments=["necessity_divergence"])))
+    parse_config(json.dumps(_necessity_config(endpoints=[10.0, 100.0, 1000.0, 10000.0],
+                                              points_per_panel=8)))
+    with pytest.raises(ConfigError) as exc:
+        parse_config(json.dumps(_necessity_config(endpoints=[10, 1e12])))
+    assert exc.value.errors == [
+        "experiment_options.necessity: endpoints [10, 1000000000000.0] with "
+        "points_per_panel 8 give 8000000000080 witness members, more than the cap "
+        f"of {GROUP_SIZE_CAP}"
+    ]
+    # 25,000 + 100,000 unit panels of 8 nodes is exactly the cap; a fraction
+    # of a panel more adds a whole one
+    parse_config(json.dumps(_necessity_config(endpoints=[25_000, 100_000])))
+    with pytest.raises(ConfigError, match="1000008 witness members"):
+        parse_config(json.dumps(_necessity_config(endpoints=[25_000, 100_000.5])))
+
+
+def test_main_oversized_necessity_witness_exits_2(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_necessity_config(endpoints=[10, 1e12])))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "8000000000080 witness members" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_unhashable_experiment_is_reported():
     with pytest.raises(ConfigError, match=r"unknown experiment\(s\) \[\['lp_bound'\]\]"):
         parse_config(json.dumps(_minimal_config(experiments=[["lp_bound"]])))

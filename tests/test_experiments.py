@@ -15,7 +15,7 @@ from hausdorff_op.experiments import (
     run_necessity_divergence,
     run_sobolev_bound,
 )
-from hausdorff_op.field import gaussian, gaussian_times_poly, lp_norm, sobolev_norm
+from hausdorff_op.field import ScalarField, gaussian, gaussian_times_poly, lp_norm, sobolev_norm
 from hausdorff_op.geometry import ball, box, build_grid_quadrature, truncated_space
 from hausdorff_op.isometry import (
     finite_group_family,
@@ -319,6 +319,34 @@ def test_necessity_power_kernel_tracks_log():
     assert report.growth_factor < 10.0
     assert not report.passed
     assert "growth factor" in report.notes
+
+
+def test_necessity_calls_the_field_once_per_member_block(monkeypatch):
+    # counts work, not wall time: each truncation evaluates the witness in
+    # blocks of at most 2^14 images, not once per member
+    calls_per_apply = []
+    apply_many = HausdorffOperator.apply_many
+    values = ScalarField.values
+
+    def counted_apply(self, *args, **kwargs):
+        calls_per_apply.append(0)
+        try:
+            return apply_many(self, *args, **kwargs)
+        finally:
+            calls_per_apply.append(calls_per_apply.pop())
+
+    def counted_values(self, points):
+        if calls_per_apply:
+            calls_per_apply[-1] += 1
+        return values(self, points)
+
+    monkeypatch.setattr(HausdorffOperator, "apply_many", counted_apply)
+    monkeypatch.setattr(ScalarField, "values", counted_values)
+    ends = [10.0, 100.0, 1000.0, 10000.0]
+    run_necessity_divergence(kernel_form("power", a=1.0), ends)
+    members = [math.ceil(e) * 8 for e in ends]
+    assert sum(members) == 88_880
+    assert calls_per_apply == [math.ceil(m / 2**14) for m in members] == [1, 1, 1, 5]
 
 
 def test_necessity_offcenter_base_point_lowers_the_bound():

@@ -9,6 +9,8 @@ from hausdorff_op.isometry import (
     SIGN_FLIPS,
     SIGNED_PERMUTATIONS,
     DomainEscapeError,
+    Isometry,
+    IsometryFamily,
     affine_map_defect,
     check_domain_preserving,
     GROUP_SIZE_CAP,
@@ -134,7 +136,7 @@ def test_rotation_family_members_are_rotations():
     assert len(fam) == 8
     assert fam.jacobian_bound <= 1.0 + 1e-12
     assert fam.translation_bound == 0.0
-    for member in fam.members:
+    for member in fam:
         assert abs(abs(np.linalg.det(member.matrix)) - 1.0) <= 1e-12
 
 
@@ -143,7 +145,7 @@ def test_sign_flips_group():
     assert len(fam) == 4
     assert np.allclose(meas.weights, 0.25)
     assert meas.total_mass() == pytest.approx(1.0, abs=1e-15)
-    diags = sorted(tuple(np.diag(m.matrix)) for m in fam.members)
+    diags = sorted(tuple(np.diag(m.matrix)) for m in fam)
     assert diags == [(-1.0, -1.0), (-1.0, 1.0), (1.0, -1.0), (1.0, 1.0)]
 
 
@@ -152,7 +154,7 @@ def test_cyclic_rotation_group():
     assert len(fam) == 4
     assert np.allclose(meas.weights, 0.25)
     expected = [_rotation(k * math.pi / 2.0) for k in range(4)]
-    for member, want in zip(fam.members, expected):
+    for member, want in zip(fam, expected):
         assert np.abs(member.matrix - want).max() <= 1e-12
 
 
@@ -164,7 +166,7 @@ def test_signed_permutations_order():
 def test_group_closure():
     for kind, kwargs in ((SIGN_FLIPS, {}), (CYCLIC_ROTATION_2D, {"order": 6})):
         fam, _ = finite_group_family(kind, 2, **kwargs)
-        mats = [m.matrix for m in fam.members]
+        mats = [m.matrix for m in fam]
         for a in mats:
             for b in mats:
                 product = a @ b
@@ -196,11 +198,65 @@ def test_family_arrays_are_stacked_once_and_read_only():
     assert matrices is fam.matrices() and offsets is fam.offsets()
     assert matrices.shape == (5, 3, 3) and offsets.shape == (5, 3)
     assert not matrices.flags.writeable and not offsets.flags.writeable
-    for member, matrix, offset in zip(fam.members, matrices, offsets):
+    for member, matrix, offset in zip(fam, matrices, offsets):
         assert np.array_equal(member.matrix, matrix)
         assert np.array_equal(member.offset, offset)
     with pytest.raises(ValueError):
         matrices[0, 0, 0] = 2.0
+
+
+def test_family_rejects_empty_and_mismatched_stacks():
+    with pytest.raises(ValueError, match="at least one member"):
+        IsometryFamily(np.empty((0, 2, 2)), np.empty((0, 2)))
+    with pytest.raises(ValueError, match="at least one member"):
+        make_family([])
+    with pytest.raises(ValueError, match=r"\(members, n, n\) stack"):
+        IsometryFamily(np.ones((3, 2, 3)), np.zeros((3, 2)))
+    with pytest.raises(ValueError, match=r"\(members, n, n\) stack"):
+        IsometryFamily(np.eye(2), np.zeros(2))
+    with pytest.raises(ValueError, match="offsets shape"):
+        IsometryFamily(np.stack([np.eye(2)] * 3), np.zeros((3, 3)))
+    with pytest.raises(ValueError, match="offsets shape"):
+        IsometryFamily(np.stack([np.eye(2)] * 3), np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("bad", [1.0 + 1e-9, np.nan])
+def test_family_names_its_first_non_orthogonal_member(bad):
+    matrices = haar_orthogonal_sample(3, 8, seed=5)
+    matrices[4, 0, 0] *= bad
+    matrices[6, 1, 1] *= bad
+    with pytest.raises(ValueError, match="family member 4 is not orthogonal"):
+        IsometryFamily(matrices, np.zeros((8, 3)))
+
+
+def test_family_bounds_equal_the_per_member_maxima():
+    rng = np.random.default_rng(8)
+    matrices = haar_orthogonal_sample(3, 50, seed=9)
+    offsets = rng.normal(size=(50, 3))
+    fam = IsometryFamily(matrices, offsets)
+    assert fam.jacobian_bound == max(float(np.abs(v).max()) for v in matrices)
+    assert fam.translation_bound == max(float(np.sqrt((b**2).sum())) for b in offsets)
+    shifts = rng.uniform(-3.0, 3.0, 1000)
+    fam = shift_family(shifts)
+    assert fam.jacobian_bound == 1.0
+    assert fam.translation_bound == max(float(np.sqrt(u * u)) for u in shifts)
+
+
+def test_family_members_are_isometries_of_the_stacks():
+    matrices = haar_orthogonal_sample(2, 4, seed=10)
+    offsets = np.arange(8.0).reshape(4, 2)
+    fam = IsometryFamily(matrices, offsets)
+    assert len(fam) == 4 and fam.dimension == 2
+    for i, member in enumerate(fam):
+        assert isinstance(member, Isometry)
+        assert np.array_equal(member.matrix, matrices[i])
+        assert np.array_equal(member.offset, offsets[i])
+    assert np.array_equal(fam[-1].offset, offsets[3])
+    with pytest.raises(IndexError):
+        fam[4]
+    # the family keeps its own read-only copy
+    matrices[0] = np.eye(2)
+    assert not np.array_equal(fam[0].matrix, matrices[0])
 
 
 def test_cyclic_requires_dimension_two():
@@ -211,10 +267,10 @@ def test_cyclic_requires_dimension_two():
 def test_shift_family_examples():
     fam = shift_family([0.0])
     assert len(fam) == 1
-    assert fam.members[0].apply([0.5])[0] == 0.5
+    assert fam[0].apply([0.5])[0] == 0.5
     fam = shift_family([0.0, 1.0])
-    assert fam.members[0].apply([0.5])[0] == 0.5
-    assert fam.members[1].apply([0.5])[0] == 1.5
+    assert fam[0].apply([0.5])[0] == 0.5
+    assert fam[1].apply([0.5])[0] == 1.5
     rng = np.random.default_rng(6)
     fam = shift_family(rng.uniform(0.0, 1.0, 32))
     assert fam.translation_bound <= 1.0

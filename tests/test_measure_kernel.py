@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hausdorff_op.geometry import gauss_legendre_rule
 from hausdorff_op.measure_kernel import (
     DiscretizedMeasure,
     discretize,
@@ -85,6 +86,16 @@ def test_panels_cover_interval():
     m = gauss_legendre_panels((0.0, 7.5), points_per_panel=8)
     assert m.total_mass() == pytest.approx(7.5, abs=1e-12)
     assert np.all(np.diff(m.nodes) > 0)
+
+
+@pytest.mark.parametrize("panels", [1, 10, 10_000])
+def test_panels_equal_the_per_panel_rules(panels):
+    lo, hi = -0.25, -0.25 + 0.75 * panels
+    m = gauss_legendre_panels((lo, hi), points_per_panel=5, max_panel_width=0.75)
+    edges = lo + (hi - lo) * np.arange(panels + 1) / panels
+    rules = [gauss_legendre_rule(edges[k], edges[k + 1], 5) for k in range(panels)]
+    assert np.array_equal(m.nodes, np.concatenate([nodes for nodes, _ in rules]))
+    assert np.array_equal(m.weights, np.concatenate([weights for _, weights in rules]))
 
 
 def test_discretize_dispatch_and_errors():

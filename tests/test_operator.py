@@ -29,6 +29,7 @@ from hausdorff_op.measure_kernel import (
 )
 from hausdorff_op import operator as operator_module
 from hausdorff_op.operator import HausdorffOperator, averaging_operator
+from hausdorff_op.summation import pairwise_sum
 
 
 def _dirac(dimension, domain=None):
@@ -267,6 +268,78 @@ def test_fused_pass_matches_one_output_views_bitwise(n, monkeypatch):
     assert np.array_equal(pushed[1], grads)
 
 
+def _per_member_reference(op, f, pts, coeff):
+    """Hf and its gradient by the per-member loop: one product and one field call per member."""
+
+    def times(x, matrix):
+        # a lone row is doubled: numpy's matrix-vector kernel rounds differently
+        if len(x) == 1 and len(matrix) > 1:
+            return (np.concatenate([x, x]) @ matrix)[:1]
+        return x @ matrix
+
+    mats, offsets = op.family.matrices(), op.family.offsets()
+    value_terms = np.empty((len(op), len(pts)))
+    grad_terms = np.empty((len(op), len(pts), op.dimension))
+    for i in range(len(op)):
+        images = times(pts, mats[i].T) + offsets[i]
+        value_terms[i] = coeff[i] * f.values(images)
+        grad_terms[i] = coeff[i] * times(f.gradients(images), mats[i])
+    return pairwise_sum(value_terms, axis=0), pairwise_sum(grad_terms, axis=0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_member_blocks_match_the_per_member_loop_bitwise(n, monkeypatch):
+    op = _rotation_operator(n, count=7)
+    f = gaussian_times_poly([0.1] * n, 0.9, np.full((3,) * n, 0.2))
+    pts = op.domain.shrink(0.05).sample_uniform(101, 9)
+    coeff = op.measure.weights * op.kernel.values
+    want_values, want_grads = _per_member_reference(op, f, pts, coeff)
+    abs_values, _ = _per_member_reference(op, f, pts, np.abs(coeff))
+    # point blocks of 7 with gradients (the last holds 3) and of 14, 20 or 20
+    # without; 20-row field calls split the 7 members unevenly in each
+    monkeypatch.setattr(operator_module, "_BLOCK_ELEMENTS", len(op) * (n + 1) * 7)
+    monkeypatch.setattr(operator_module, "_FIELD_ROWS", 20)
+    rows = []
+    values_fn = type(f).values
+
+    def counted(self, points):
+        if self is f:  # not the factors' own calls
+            rows.append(len(points))
+        return values_fn(self, points)
+
+    monkeypatch.setattr(type(f), "values", counted)
+    assert np.array_equal(op.apply_many(f, pts), want_values)
+    assert max(rows) <= 20 and sum(rows) == len(op) * len(pts)
+    assert np.array_equal(op.apply_many(f, pts, absolute_kernel=True), abs_values)
+    assert np.array_equal(op.apply_gradient_many(f, pts), want_grads)
+    fused_values, fused_grads = op.apply_and_gradient_many(f, pts)
+    assert np.array_equal(fused_values, want_values)
+    assert np.array_equal(fused_grads, want_grads)
+    # one point at a time: lone rows in every member block
+    for k in (0, 50, 100):
+        assert op.apply(f, pts[k]) == want_values[k]
+        assert np.array_equal(op.apply_gradient(f, pts[k]), want_grads[k])
+
+
+def test_one_point_under_many_shifts_matches_the_per_member_loop_bitwise():
+    shifts = np.random.default_rng(21).uniform(0.0, 1.0, 10**5)
+    measure = explicit_measure(np.linspace(0.0, 50.0, len(shifts)), np.full(len(shifts), 5e-4))
+    op = HausdorffOperator(
+        measure=measure,
+        kernel=kernel_on_measure(kernel_form("power", a=1.0), measure),
+        family=shift_family(shifts),
+        domain=truncated_space(3.0, 1),
+    )
+    f = gaussian([0.0], 1.0)
+    x0 = np.array([[0.3]])
+    coeff = op.measure.weights * op.kernel.values
+    want_values, want_grads = _per_member_reference(op, f, x0, coeff)
+    assert op.apply(f, x0[0]) == want_values[0]
+    fused_values, fused_grads = op.apply_and_gradient_many(f, x0)
+    assert fused_values[0] == want_values[0]
+    assert np.array_equal(fused_grads, want_grads)
+
+
 # averaging operators
 
 
@@ -304,7 +377,7 @@ def test_finite_group_averaging_is_invariant(group):
     family, _ = finite_group_family(kind, 2, **order)
     x = np.array([0.7, -0.3])
     base = op.apply(f, x)
-    for member in family.members:
+    for member in family:
         assert op.apply(f, member.apply(x)) == pytest.approx(base, abs=1e-12)
 
 
