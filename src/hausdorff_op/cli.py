@@ -73,6 +73,12 @@ _BOUND_EXPERIMENTS = ("lp_bound", "sobolev_bound")
 # largest grid a run may build; its nodes, field values and gradients must
 # fit in memory next to each other
 MAX_GRID_NODES = 1 << 22
+# largest Gauss-Legendre rule a run may build: scipy's roots_legendre takes
+# time quadratic in the node count
+MAX_LEGENDRE_NODES = 1 << 15
+# largest preservation sample per member; the check streams its samples in
+# blocks, so this bounds time, not memory
+MAX_PRESERVATION_SAMPLES = 10**8
 
 _TOP_KEYS = {
     "dimension", "domain", "family", "measure", "kernel", "fields", "p",
@@ -139,6 +145,14 @@ def _check_keys(spec: dict, allowed: set, where: str, errors: list) -> None:
     unknown = sorted(set(spec) - allowed)
     if unknown:
         errors.append(f"{where}: unknown key(s) {unknown}, allowed: {sorted(allowed)}")
+
+
+def _check_legendre_nodes(count: int, where: str, errors: list) -> None:
+    if count > MAX_LEGENDRE_NODES:
+        errors.append(
+            f"{where} {count} asks for a Gauss-Legendre rule of more than "
+            f"{MAX_LEGENDRE_NODES} nodes"
+        )
 
 
 def _validate_domain(spec, n: int, where: str, errors: list, bounded_only=False) -> None:
@@ -300,6 +314,13 @@ def _validate_measure(spec, family_spec, family_count, errors: list) -> None:
             errors.append("measure: count must be an integer >= 1")
         else:
             count = spec["count"]
+            if scheme == "gauss_legendre":
+                _check_legendre_nodes(count, "measure: count", errors)
+            elif count > GROUP_SIZE_CAP:
+                # the monte_carlo nodes can become a shift family
+                errors.append(
+                    f"measure: count {count} exceeds the family size cap of {GROUP_SIZE_CAP}"
+                )
         if "seed" in spec and not _is_int(spec["seed"]):
             errors.append("measure: seed must be an integer")
     elif scheme == "finite_group_uniform":
@@ -383,6 +404,12 @@ def _validate_options(options, n: int, errors: list) -> None:
     for key in ("gradient_points", "preservation_samples", "preservation_members"):
         if key in options and not (_is_int(options[key]) and options[key] >= 1):
             errors.append(f"experiment_options: {key} must be an integer >= 1")
+    samples = options.get("preservation_samples")
+    if _is_int(samples) and samples > MAX_PRESERVATION_SAMPLES:
+        errors.append(
+            f"experiment_options: preservation_samples {samples} exceeds the cap of "
+            f"{MAX_PRESERVATION_SAMPLES} per member"
+        )
     for key in ("gradient_step", "gradient_margin"):
         if key in options and not (_is_number(options[key]) and options[key] > 0):
             errors.append(f"experiment_options: {key} must be a positive number")
@@ -415,6 +442,10 @@ def _validate_options(options, n: int, errors: list) -> None:
         if not per_panel_ok:
             errors.append(
                 "experiment_options.necessity: points_per_panel must be an integer >= 2"
+            )
+        else:
+            _check_legendre_nodes(
+                per_panel, "experiment_options.necessity: points_per_panel", errors
             )
         if endpoints_ok and per_panel_ok:
             # one shift member per node of the unit panels over [0, endpoint]
@@ -505,11 +536,14 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
         experiments = []
     # min(n, 64) keeps the power small for any n: 2 ** 64 already exceeds the cap
     needs_grid = any(name in _GRID_EXPERIMENTS for name in experiments)
-    if needs_grid and resolution ** min(n, 64) > MAX_GRID_NODES:
-        errors.append(
-            f"resolution {resolution} in dimension {n} gives more than "
-            f"{MAX_GRID_NODES} grid nodes"
-        )
+    if needs_grid:
+        # every grid axis is one Gauss-Legendre rule of `resolution` nodes
+        _check_legendre_nodes(resolution, "resolution", errors)
+        if resolution ** min(n, 64) > MAX_GRID_NODES:
+            errors.append(
+                f"resolution {resolution} in dimension {n} gives more than "
+                f"{MAX_GRID_NODES} grid nodes"
+            )
 
     options = raw.get("experiment_options", {})
     _validate_options(options, n, errors)

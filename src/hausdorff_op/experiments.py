@@ -48,7 +48,10 @@ from .measure_kernel import (
     kernel_on_measure,  # noqa: F401
     truncation_sequence,
 )
-from .operator import HausdorffOperator
+from .operator import HausdorffOperator, _rows_times
+
+# rows per block of the streamed measure-preservation samples
+_SAMPLE_BLOCK = 1 << 14
 
 TOLERANCES = {
     # relative slack on ||Hf||_p <= ||phi||_1 ||f||_p
@@ -260,7 +263,10 @@ def run_measure_preservation(
 
     Uniform samples are drawn on a window covering the region and its image;
     the two hit frequencies must agree within the binomial 3 sigma band, and
-    |det V| must equal 1 to roundoff.
+    |det V| must equal 1 to roundoff.  The samples are
+    ``window.sample_uniform(samples, seed)``, drawn and tested in blocks of
+    ``_SAMPLE_BLOCK`` rows that keep only hit counts, so memory stays flat in
+    ``samples`` and every count is the one the whole array would give.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
@@ -276,13 +282,18 @@ def run_measure_preservation(
         if np.any(lo < window.bounding_box()[0]) or np.any(hi > window.bounding_box()[1]):
             raise ValueError("region or its image escapes the window")
     volume = window.volume()
-    pts = window.sample_uniform(samples, seed)
-    in_region = region.contains_many(pts)
-    preimages = (pts - iso.offset) @ iso.matrix
-    in_image = region.contains_many(preimages)
-    frequency = float(in_region.mean())
+    region_hits = image_hits = 0
+    for pts in window.sample_blocks(samples, seed, _SAMPLE_BLOCK):
+        region_hits += int(np.count_nonzero(region.contains_many(pts)))
+        for k in range(region.dimension):  # pts -= b, by column
+            column = pts[:, k]
+            column -= iso.offset[k]
+        # the preimages (pts - b) V; a lone row keeps the bits it has in a block
+        image_hits += int(np.count_nonzero(region.contains_many(_rows_times(pts, iso.matrix))))
+    # a count over samples is bitwise the mean of the boolean array
+    frequency = region_hits / samples
     sigma = math.sqrt(frequency * (1.0 - frequency) / samples)
-    lhs = abs(float(in_image.mean()) - frequency) * volume
+    lhs = abs(image_hits / samples - frequency) * volume
     rhs = TOLERANCES["preservation_sigma"] * sigma * volume
     det = float(np.linalg.det(iso.matrix))
     det_defect = abs(abs(det) - 1.0)

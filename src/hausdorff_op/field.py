@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import DomainQuadrature
+from .geometry import DomainQuadrature, squared_distances
 from .summation import pairwise_sum
 
 P_MIN = 1.0
@@ -203,7 +203,7 @@ def gaussian(center, width: float) -> ScalarField:
     n = len(c)
 
     def values(pts):
-        return np.exp(-((pts - c) ** 2).sum(axis=1) / (w * w))
+        return np.exp(-squared_distances(pts, c) / (w * w))
 
     def both(pts):
         v = values(pts)

@@ -28,6 +28,30 @@ TRUNCATED = "truncated_space"
 
 _SHAPES = (BALL, BOX, TRUNCATED)
 
+# from this many columns on, numpy's row reduction sums pairwise
+_PAIRWISE_COLUMNS = 8
+
+
+def squared_distances(points: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """``((points - center) ** 2).sum(axis=1)`` for an ``(m, n)`` array, bitwise.
+
+    Below eight columns numpy adds a row's squares in column order, so they
+    are accumulated the same way, one column at a time through two buffers,
+    which is faster than a reduction over a short axis.  From eight columns
+    on numpy sums pairwise, and the reduction itself is kept.
+    """
+    n = points.shape[1]
+    if n >= _PAIRWISE_COLUMNS:
+        return ((points - center) ** 2).sum(axis=1)
+    total = np.subtract(points[:, 0], center[0])
+    total *= total
+    term = np.empty_like(total)
+    for k in range(1, n):
+        np.subtract(points[:, k], center[k], out=term)
+        term *= term
+        total += term
+    return total
+
 
 @lru_cache(maxsize=64)
 def _legendre_rule(count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -101,10 +125,15 @@ class Domain:
         """Vectorized :meth:`contains` over an ``(m, n)`` array."""
         pts = self._check_points(points)
         if self.shape == BALL:
-            d2 = ((pts - self.center) ** 2).sum(axis=1)
-            return d2 <= self.radius * self.radius
+            return squared_distances(pts, self.center) <= self.radius * self.radius
         lo, hi = self.bounding_box()
-        return np.logical_and(pts >= lo, pts <= hi).all(axis=1)
+        # by column: numpy's broadcast over a short last axis is slow
+        inside = np.ones(len(pts), dtype=bool)
+        for k in range(self.dimension):
+            column = pts[:, k]
+            inside &= column >= lo[k]
+            inside &= column <= hi[k]
+        return inside
 
     def escape_distance(self, points: np.ndarray) -> np.ndarray:
         """How far each point lies outside the domain (0 inside).
@@ -117,7 +146,7 @@ class Domain:
         if self.shape == TRUNCATED:
             return np.zeros(len(pts))
         if self.shape == BALL:
-            dist = np.sqrt(((pts - self.center) ** 2).sum(axis=1))
+            dist = np.sqrt(squared_distances(pts, self.center))
             return np.maximum(dist - self.radius, 0.0)
         excess_low = np.maximum(self.lower - pts, 0.0)
         excess_high = np.maximum(pts - self.upper, 0.0)
@@ -150,7 +179,7 @@ class Domain:
         if self.shape == TRUNCATED:
             return np.zeros(len(offsets))
         if self.shape == BALL:
-            return np.sqrt(((matrices @ self.center + offsets - self.center) ** 2).sum(axis=1))
+            return np.sqrt(squared_distances(matrices @ self.center + offsets, self.center))
         lo, hi = self.image_bounds(matrices, offsets)
         return np.maximum(self.lower - lo, hi - self.upper).clip(min=0.0).max(axis=1)
 
@@ -181,22 +210,48 @@ class Domain:
         Deterministic for a fixed seed.  Returns an ``(count, n)`` array
         whose rows all satisfy :meth:`contains`.
         """
+        return np.concatenate(list(self.sample_blocks(count, seed, count)))
+
+    def sample_blocks(self, count: int, seed: int, block: int):
+        """The rows of :meth:`sample_uniform` as a stream of fresh arrays.
+
+        Yields arrays of at most ``block`` rows whose concatenation is
+        bitwise ``sample_uniform(count, seed)``, so a caller that reduces each
+        block holds O(block) memory.  Box windows give full blocks and a
+        shorter last one; balls give the accepted rows of each block of
+        draws.  The caller may modify each block in place.
+        """
         if count < 1:
             raise ValueError(f"count must be >= 1, got {count}")
         rng = np.random.default_rng(seed)
         lo, hi = self.bounding_box()
+        span = hi - lo
+
+        def draws(rows):
+            # rng.uniform(lo, hi, (rows, n)) in blocks: one double per entry,
+            # in row-major order, scaled as lo + (hi - lo) * u.  Scaling by
+            # column avoids numpy's slow broadcast over a short last axis.
+            for start in range(0, rows, block):
+                u = rng.random((min(block, rows - start), self.dimension))
+                for k in range(self.dimension):
+                    column = u[:, k]
+                    column *= span[k]
+                    column += lo[k]
+                yield u
+
         if self.shape != BALL:
-            return rng.uniform(lo, hi, size=(count, self.dimension))
+            yield from draws(count)
+            return
         # acceptance ratio vol(ball)/vol(box) shrinks with dimension; fine at desk scale
-        out = np.empty((count, self.dimension))
         got = 0
         while got < count:
-            batch = rng.uniform(lo, hi, size=(2 * (count - got) + 16, self.dimension))
-            keep = batch[self.contains_many(batch)]
-            take = min(len(keep), count - got)
-            out[got : got + take] = keep[:take]
-            got += take
-        return out
+            for batch in draws(2 * (count - got) + 16):
+                keep = batch[self.contains_many(batch)][: count - got]
+                got += len(keep)
+                if len(keep):
+                    yield keep
+                if got == count:
+                    return
 
 
 def ball(center, radius: float) -> Domain:

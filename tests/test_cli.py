@@ -6,6 +6,8 @@ import pytest
 
 from hausdorff_op.cli import (
     EXPERIMENT_NAMES,
+    MAX_LEGENDRE_NODES,
+    MAX_PRESERVATION_SAMPLES,
     ConfigError,
     _is_fatal,
     main,
@@ -227,6 +229,82 @@ def test_necessity_witness_is_capped_at_parse_time():
     parse_config(json.dumps(_necessity_config(endpoints=[25_000, 100_000])))
     with pytest.raises(ConfigError, match="1000008 witness members"):
         parse_config(json.dumps(_necessity_config(endpoints=[25_000, 100_000.5])))
+
+
+def _shift_measure_config(scheme, count):
+    return _minimal_config(
+        domain={"shape": "truncated_space", "halfwidth": 8.0},
+        family={"kind": "shifts", "from_measure": True},
+        measure={"scheme": scheme, "interval": [0.0, 1.0], "count": count},
+    )
+
+
+def _preservation_config(samples):
+    return _minimal_config(experiments=["measure_preservation"],
+                           experiment_options={"preservation_samples": samples})
+
+
+# (config at the cap, the same one step past it, the message past it)
+_CAPPED_INPUTS = {
+    "resolution": (
+        _minimal_config(resolution=MAX_LEGENDRE_NODES),
+        _minimal_config(resolution=MAX_LEGENDRE_NODES + 1),
+        f"resolution {MAX_LEGENDRE_NODES + 1} asks for a Gauss-Legendre rule of more "
+        f"than {MAX_LEGENDRE_NODES} nodes",
+    ),
+    "gauss_legendre_count": (
+        _shift_measure_config("gauss_legendre", MAX_LEGENDRE_NODES),
+        _shift_measure_config("gauss_legendre", MAX_LEGENDRE_NODES + 1),
+        f"measure: count {MAX_LEGENDRE_NODES + 1} asks for a Gauss-Legendre rule of "
+        f"more than {MAX_LEGENDRE_NODES} nodes",
+    ),
+    "points_per_panel": (
+        _necessity_config(endpoints=[1.0, 2.0], points_per_panel=MAX_LEGENDRE_NODES),
+        _necessity_config(endpoints=[1.0, 2.0], points_per_panel=MAX_LEGENDRE_NODES + 1),
+        f"experiment_options.necessity: points_per_panel {MAX_LEGENDRE_NODES + 1} asks "
+        f"for a Gauss-Legendre rule of more than {MAX_LEGENDRE_NODES} nodes",
+    ),
+    "monte_carlo_count": (
+        _shift_measure_config("monte_carlo", GROUP_SIZE_CAP),
+        _shift_measure_config("monte_carlo", GROUP_SIZE_CAP + 1),
+        f"measure: count {GROUP_SIZE_CAP + 1} exceeds the family size cap of "
+        f"{GROUP_SIZE_CAP}",
+    ),
+    "preservation_samples": (
+        _preservation_config(MAX_PRESERVATION_SAMPLES),
+        _preservation_config(MAX_PRESERVATION_SAMPLES + 1),
+        f"experiment_options: preservation_samples {MAX_PRESERVATION_SAMPLES + 1} "
+        f"exceeds the cap of {MAX_PRESERVATION_SAMPLES} per member",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CAPPED_INPUTS))
+def test_unbounded_inputs_are_capped_at_parse_time(name):
+    at_cap, past_cap, message = _CAPPED_INPUTS[name]
+    parse_config(json.dumps(at_cap))
+    with pytest.raises(ConfigError) as exc:
+        parse_config(json.dumps(past_cap))
+    assert exc.value.errors == [message]
+
+
+def test_legendre_cap_keeps_the_fine_rules():
+    assert MAX_LEGENDRE_NODES == 2**15
+    for nodes in (8192, 16384):
+        assert parse_config(json.dumps(_minimal_config(resolution=nodes))).resolution == nodes
+        parse_config(json.dumps(_shift_measure_config("gauss_legendre", nodes)))
+    # no grid is built without a bound or gradient experiment, so no rule either
+    parse_config(json.dumps({**_preservation_config(10), "resolution": 10**6}))
+
+
+@pytest.mark.parametrize("name", sorted(_CAPPED_INPUTS))
+def test_main_past_a_cap_exits_2_without_output(tmp_path, capsys, name):
+    _, past_cap, message = _CAPPED_INPUTS[name]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(past_cap))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_main_oversized_necessity_witness_exits_2(tmp_path, capsys):

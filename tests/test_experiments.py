@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hausdorff_op import experiments, geometry
 from hausdorff_op.experiments import (
     TOLERANCES,
     ExperimentReport,
@@ -19,6 +20,7 @@ from hausdorff_op.field import ScalarField, gaussian, gaussian_times_poly, lp_no
 from hausdorff_op.geometry import ball, box, build_grid_quadrature, truncated_space
 from hausdorff_op.isometry import (
     finite_group_family,
+    haar_orthogonal,
     make_isometry,
     motion_family,
     rotation_family,
@@ -282,6 +284,79 @@ def test_preservation_rejects_empty_sample():
         run_measure_preservation(
             make_isometry(np.eye(2)), box([0.0, 0.0], [1.0, 1.0]), 0, seed=0
         )
+
+
+def _unchunked_preservation(iso, region, samples, seed, window):
+    """lhs, rhs and verdict of the Monte Carlo check from whole sample arrays."""
+    pts = window.sample_uniform(samples, seed)
+    in_region = region.contains_many(pts)
+    in_image = region.contains_many((pts - iso.offset) @ iso.matrix)
+    frequency = float(in_region.mean())
+    sigma = math.sqrt(frequency * (1.0 - frequency) / samples)
+    volume = window.volume()
+    lhs = abs(float(in_image.mean()) - frequency) * volume
+    rhs = TOLERANCES["preservation_sigma"] * sigma * volume
+    return lhs, rhs, lhs <= rhs
+
+
+_STREAM_BLOCK = 7
+
+
+def _preservation_case(n, shape, window_shape="box"):
+    center = np.linspace(0.2, -0.1, n)
+    if shape == "ball":
+        region = ball(center, 0.8)
+    else:
+        region = box(center - 0.6, center + np.linspace(0.4, 0.7, n))
+    iso = make_isometry(haar_orthogonal(n, seed=50 + n), 0.1 * np.arange(1.0, n + 1))
+    if window_shape == "ball":
+        window = ball(np.zeros(n), 2.5)
+    else:
+        window = box(np.full(n, -2.0), np.full(n, 2.5))
+    return iso, region, window
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("shape", ["ball", "box"])
+@pytest.mark.parametrize("samples", [1, _STREAM_BLOCK, 2 * _STREAM_BLOCK,
+                                     2 * _STREAM_BLOCK + 1, 1000])
+def test_streamed_preservation_matches_unchunked_reference(monkeypatch, n, shape, samples):
+    monkeypatch.setattr(experiments, "_SAMPLE_BLOCK", _STREAM_BLOCK)
+    for window_shape in ("box", "ball"):
+        iso, region, window = _preservation_case(n, shape, window_shape)
+        report = run_measure_preservation(iso, region, samples, seed=n, window=window)
+        assert (report.lhs, report.rhs, report.passed) == _unchunked_preservation(
+            iso, region, samples, n, window), window_shape
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("window_shape", ["box", "ball"])
+def test_streamed_preimages_keep_the_bits_of_the_whole_product(monkeypatch, n, window_shape):
+    # A lone row must not take the matrix-vector kernel: at n = 4 that moves
+    # the last bit of about half the preimages.  A box window of 2 blocks + 1
+    # samples ends in a lone row; a ball window yields the accepted rows of
+    # each block of draws, often just one.
+    monkeypatch.setattr(experiments, "_SAMPLE_BLOCK", _STREAM_BLOCK)
+    tested = []
+    contains_many = geometry.Domain.contains_many
+
+    def recording(self, points):
+        if self is region:
+            tested.append(np.array(points))
+        return contains_many(self, points)
+
+    monkeypatch.setattr(geometry.Domain, "contains_many", recording)
+    iso, region, window = _preservation_case(n, "ball", window_shape)
+    samples = 2 * _STREAM_BLOCK + 1 if window_shape == "box" else 200
+    for seed in range(6):
+        tested.clear()
+        run_measure_preservation(iso, region, samples, seed=seed, window=window)
+        pts = window.sample_uniform(samples, seed=seed)
+        assert [len(t) for t in tested[0::2]] == [len(t) for t in tested[1::2]]
+        assert np.array_equal(np.concatenate(tested[0::2]), pts)
+        preimages = (pts - iso.offset) @ iso.matrix
+        assert np.array_equal(np.concatenate(tested[1::2]).view(np.uint64),
+                              preimages.view(np.uint64)), seed
 
 
 # necessity divergence

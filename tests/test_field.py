@@ -142,6 +142,21 @@ def test_builtin_and_composite_values_and_gradients_bitwise():
         assert np.array_equal(one_grad[0], grads[k])
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_gaussian_keeps_the_bits_of_the_row_reduction(n):
+    rng = np.random.default_rng(60 + n)
+    center = rng.uniform(-0.5, 0.5, n)
+    width = 0.8
+    pts = rng.normal(size=(4099, n))
+    values = np.exp(-((pts - center) ** 2).sum(axis=1) / (width * width))
+    grads = (-2.0 / (width * width)) * (pts - center) * values[:, None]
+    f = gaussian(center, width)
+    both = f.values_and_gradients(pts)
+    for got, want in ((f.values(pts), values), (f.gradients(pts), grads),
+                      (both[0], values), (both[1], grads)):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_values_and_gradients_needs_a_gradient():
     f = custom_field(1, lambda pts: np.abs(pts[:, 0]))
     with pytest.raises(ValueError, match="has no gradient"):

@@ -10,8 +10,13 @@ from hausdorff_op.geometry import (
     box,
     build_grid_quadrature,
     gauss_legendre_rule,
+    squared_distances,
     truncated_space,
 )
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def test_contains_ball_center_boundary_outside():
@@ -25,6 +30,20 @@ def test_contains_box():
     d = box([0.0, 0.0], [1.0, 1.0])
     assert d.contains([0.5, 0.5])
     assert not d.contains([0.5, 2.0])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_box_contains_many_matches_the_broadcast_test(n):
+    rng = np.random.default_rng(30 + n)
+    lo, hi = -rng.uniform(0.5, 1.0, n), rng.uniform(0.5, 1.0, n)
+    pts = rng.uniform(-1.2, 1.2, (5000, n))
+    pts[:50] = np.where(rng.random((50, n)) < 0.5, lo, hi)  # corners: closed
+    pts[50, 0] = np.nan
+    for d in (box(lo, hi), truncated_space(0.75, n)):
+        lower, upper = d.bounding_box()
+        want = np.logical_and(pts >= lower, pts <= upper).all(axis=1)
+        assert np.array_equal(d.contains_many(pts), want)
+    assert box(lo, hi).contains_many(pts[:50]).all()
 
 
 def test_contains_dimension_mismatch():
@@ -121,6 +140,46 @@ def test_sample_uniform_deterministic_and_contained():
         b = domain.sample_uniform(500, seed=77)
         assert np.array_equal(a, b)
         assert domain.contains_many(a).all()
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_squared_distances_match_the_row_reduction_bitwise(n):
+    rng = np.random.default_rng(40 + n)
+    pts = 3.0 * rng.standard_normal((10**5, n))
+    center = rng.standard_normal(n)
+    assert _same_bits(squared_distances(pts, center), ((pts - center) ** 2).sum(axis=1))
+
+
+@pytest.mark.parametrize("domain", [
+    box([-1.0, 0.5, 2.0], [0.5, 3.0, 2.25]),
+    ball([0.2, -0.1, 0.3], 0.7),
+    truncated_space(1.5, 1),
+], ids=["box", "ball", "truncated"])
+@pytest.mark.parametrize("count", [1, 7, 8, 1000])
+def test_sample_blocks_concatenate_to_sample_uniform(domain, count):
+    whole = domain.sample_uniform(count, seed=21)
+    for block in (1, 2, 7, count):
+        blocks = list(domain.sample_blocks(count, 21, block))
+        assert all(1 <= len(b) <= block for b in blocks)
+        assert _same_bits(np.concatenate(blocks), whole)
+    assert _same_bits(whole, _whole_array_sample(domain, count, 21))
+
+
+def _whole_array_sample(domain, count, seed):
+    """rng.uniform over the bounding box, with rejection for balls, in whole arrays."""
+    rng = np.random.default_rng(seed)
+    lo, hi = domain.bounding_box()
+    if domain.shape != geometry.BALL:
+        return rng.uniform(lo, hi, size=(count, domain.dimension))
+    out = np.empty((count, domain.dimension))
+    got = 0
+    while got < count:
+        batch = rng.uniform(lo, hi, size=(2 * (count - got) + 16, domain.dimension))
+        keep = batch[((batch - domain.center) ** 2).sum(axis=1) <= domain.radius * domain.radius]
+        take = min(len(keep), count - got)
+        out[got : got + take] = keep[:take]
+        got += take
+    return out
 
 
 def test_escape_distance():
