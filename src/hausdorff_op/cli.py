@@ -73,8 +73,10 @@ _BOUND_EXPERIMENTS = ("lp_bound", "sobolev_bound")
 # largest grid a run may build; its nodes, field values and gradients must
 # fit in memory next to each other
 MAX_GRID_NODES = 1 << 22
-# largest Gauss-Legendre rule a run may build: scipy's roots_legendre takes
-# time quadratic in the node count
+# largest Gauss-Legendre rule a run may build.  Rules above
+# geometry.LEGENDRE_SCIPY_MAX_NODES are built in O(n), about 20 ms at this
+# size, so the cap bounds the size of a grid axis, of a measure that becomes a
+# shift family and of a witness panel, not the time of the rule
 MAX_LEGENDRE_NODES = 1 << 15
 # largest preservation sample per member; the check streams its samples in
 # blocks, so this bounds time, not memory

@@ -263,7 +263,8 @@ def run_measure_preservation(
 
     Uniform samples are drawn on a window covering the region and its image;
     the two hit frequencies must agree within the binomial 3 sigma band, and
-    |det V| must equal 1 to roundoff.  The samples are
+    |det V| must equal 1 to roundoff.  A given window is checked in closed
+    form and rejected unless it holds both.  The samples are
     ``window.sample_uniform(samples, seed)``, drawn and tested in blocks of
     ``_SAMPLE_BLOCK`` rows that keep only hit counts, so memory stays flat in
     ``samples`` and every count is the one the whole array would give.
@@ -278,9 +279,14 @@ def run_measure_preservation(
     hi = np.maximum(hi_r, hi_i)
     if window is None:
         window = geometry.box(lo - 0.5, hi + 0.5)
-    else:
-        if np.any(lo < window.bounding_box()[0]) or np.any(hi > window.bounding_box()[1]):
+    elif window.shape == geometry.BALL:
+        # B(c, R) holds the image iff the region lies in B(V^T (c - b), R)
+        centers = (window.center, (window.center - iso.offset) @ iso.matrix)
+        if not all(region.max_distance(q) <= window.radius for q in centers):
             raise ValueError("region or its image escapes the window")
+    elif np.any(lo < window.bounding_box()[0]) or np.any(hi > window.bounding_box()[1]):
+        # exact for box windows: the image bounds are attained
+        raise ValueError("region or its image escapes the window")
     volume = window.volume()
     region_hits = image_hits = 0
     for pts in window.sample_blocks(samples, seed, _SAMPLE_BLOCK):

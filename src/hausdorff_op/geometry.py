@@ -16,11 +16,12 @@ resolution grows.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_legendre
+from scipy.special import eval_legendre, roots_legendre
 
 BALL = "ball"
 BOX = "box"
@@ -53,9 +54,118 @@ def squared_distances(points: np.ndarray, center: np.ndarray) -> np.ndarray:
     return total
 
 
+# Rules of up to this many nodes come from scipy's roots_legendre (at most
+# 3 ms), larger ones from the O(n) construction below.  The crossover only
+# keeps the bits of small rules: the benchmark compares round-off-sized
+# gradient_check rows at 1e-9 relative, and a 64-node measure rebuilt in O(n)
+# moves them.  It goes once that check tolerates round-off (ROADMAP item 1).
+LEGENDRE_SCIPY_MAX_NODES = 256
+
+# terms of the Stieltjes expansion, valid to round-off where 2 n sin(theta)
+# reaches _STIELTJES_MIN_ARG; nearer the ends (about 10 nodes each) the
+# three-term recurrence is used
+_STIELTJES_TERMS = 20
+_STIELTJES_MIN_ARG = 60.0
+_NEWTON_STEPS = 10
+
+
+def _stieltjes_scale(n: int) -> float:
+    """``C_n = (2 / sqrt(pi)) Gamma(n + 1) / Gamma(n + 3/2)`` to a few ulp.
+
+    The series of log(Gamma(n + 1) / Gamma(n + 1/2)) - log(n) / 2 in odd
+    powers of 1/n; its first omitted term is below 1e-22 for n > 256.
+    scipy's beta and gammaln lose up to 1e-11 here.
+    """
+    series = 1 / (8 * n) - 1 / (192 * n**3) + 1 / (640 * n**5) - 17 / (14336 * n**7)
+    return 2 / math.sqrt(math.pi) * math.sqrt(n) / (n + 0.5) * math.exp(series)
+
+
+def _stieltjes(n: int, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``P_n(cos theta)`` and its theta-derivative, both over
+    ``C_n (2 sin theta)^(-1/2)``, by the Stieltjes expansion (Szego 8.21.5)
+    ``sum_m h_m cos(a_m) / (2 sin theta)^m`` with
+    ``a_m = (n + m + 1/2) theta - (m + 1/2) pi / 2``.
+    """
+    sin, cos = np.sin(theta), np.cos(theta)
+    cot = cos / sin
+    two_sin = 2 * sin
+    alpha = (n + 0.5) * theta - 0.25 * np.pi
+    cos_a, sin_a = np.cos(alpha), np.sin(alpha)
+    term = np.ones_like(theta)  # h_m / (2 sin theta)^m
+    value = np.zeros_like(theta)
+    slope = np.zeros_like(theta)
+    for m in range(_STIELTJES_TERMS):
+        value += term * cos_a
+        slope -= term * ((n + m + 0.5) * sin_a + (m + 0.5) * cot * cos_a)
+        term *= (m + 0.5) ** 2 / ((m + 1) * (n + m + 1.5))
+        term /= two_sin
+        # a_{m+1} = a_m + theta - pi/2
+        cos_a, sin_a = sin_a * cos + cos_a * sin, sin_a * sin - cos_a * cos
+    return value, slope
+
+
+def _recurrence(n: int, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``P_n(cos theta)`` and its theta-derivative by scipy's recurrence.
+
+    The recurrence sees ``x = cos theta`` rounded, which stands for the angle
+    ``arccos(x)``, up to 1e-16 / sin(theta) away: near the ends that moves a
+    weight by 1e-9.  Both values are carried back to ``theta`` by a Taylor
+    step, with ``P'' = -cot(theta) P' - n (n + 1) P`` from Legendre's equation.
+    """
+    x = np.cos(theta)
+    seen = np.arccos(x)
+    value = eval_legendre(n, x)
+    slope = n * (x * value - eval_legendre(n - 1, x)) / np.sin(seen)
+    shift = theta - seen
+    curvature = -slope / np.tan(seen) - n * (n + 1) * value
+    return value + slope * shift, slope + curvature * shift
+
+
+def _newton(evaluate, n: int, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Roots of ``evaluate(n, .)[0]`` by Newton in theta, and the slope there."""
+    for _ in range(_NEWTON_STEPS):
+        value, slope = evaluate(n, theta)
+        step = value / slope
+        theta = theta - step
+        # convergence is quadratic: what this step left is below 1e-20 theta
+        if np.all(np.abs(step) <= 1e-10 * theta):
+            return theta, evaluate(n, theta)[1]
+    raise RuntimeError(f"Newton did not converge for the {n}-node Gauss-Legendre rule")
+
+
+def _asymptotic_legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-node Gauss-Legendre rule in O(n) (Hale & Townsend, SIAM J. Sci.
+    Comput. 35(2), 2013), ascending.
+
+    Nodes ``x_k = cos theta_k`` with ``theta <= pi/2`` are found by Newton
+    in theta from Tricomi's initial guesses, and mirrored; an odd rule has an
+    exact 0 in the middle.  Weights are ``2 / (dP_n/dtheta)^2``, which has no
+    ``1 - x^2`` to cancel near the ends.
+    """
+    k = np.arange(1, (n + 1) // 2 + 1)
+    phi = (k - 0.25) * np.pi / (n + 0.5)
+    # Tricomi: x_k ~ (1 - (n - 1) / 8n^3 - (39 - 28 / sin^2 phi) / 384n^4) cos phi
+    scale = 1 - (n - 1) / (8 * n**3) - (39 - 28 / np.sin(phi) ** 2) / (384 * n**4)
+    theta = np.arccos(scale * np.cos(phi))
+    slope = np.empty_like(theta)
+    inner = 2 * n * np.sin(theta) >= _STIELTJES_MIN_ARG
+    theta[inner], slope[inner] = _newton(_stieltjes, n, theta[inner])
+    slope[inner] *= _stieltjes_scale(n) / np.sqrt(2 * np.sin(theta[inner]))
+    theta[~inner], slope[~inner] = _newton(_recurrence, n, theta[~inner])
+    x = np.cos(theta)
+    weights = 2 / slope**2
+    if n % 2:
+        x[-1] = 0.0
+    m = n // 2
+    return np.concatenate([-x[:m], x[::-1]]), np.concatenate([weights[:m], weights[::-1]])
+
+
 @lru_cache(maxsize=64)
 def _legendre_rule(count: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = roots_legendre(count)
+    if count <= LEGENDRE_SCIPY_MAX_NODES:
+        nodes, weights = roots_legendre(count)
+    else:
+        nodes, weights = _asymptotic_legendre_rule(count)
     nodes = np.asarray(nodes, dtype=float)
     weights = np.asarray(weights, dtype=float)
     nodes.setflags(write=False)
@@ -63,16 +173,34 @@ def _legendre_rule(count: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+def _rule_count(count, *endpoints, name: str = "count") -> int:
+    """``count`` as an int >= 1, checking that every endpoint is finite.
+
+    Counts go through ``operator.index``, so numpy integers pass and floats
+    such as 2.5 or 4.0 raise TypeError.
+    """
+    try:
+        count = operator.index(count)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {count!r}") from None
+    if count < 1:
+        raise ValueError(f"need at least one node, got {name}={count}")
+    for value in endpoints:
+        if not math.isfinite(value):
+            raise ValueError(f"interval endpoints must be finite, got {value}")
+    return count
+
+
 def gauss_legendre_rule(lower: float, upper: float, count: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on ``[lower, upper]``.
 
-    Exact for polynomials of degree ``2 * count - 1``.
+    Exact for polynomials of degree ``2 * count - 1``.  ``count`` must be an
+    integer and both ends finite.
     """
-    if count < 1:
-        raise ValueError(f"need at least one node, got count={count}")
+    count = _rule_count(count, lower, upper)
     if not upper > lower:
         raise ValueError(f"empty interval [{lower}, {upper}]")
-    base_nodes, base_weights = _legendre_rule(int(count))
+    base_nodes, base_weights = _legendre_rule(count)
     mid = 0.5 * (lower + upper)
     half = 0.5 * (upper - lower)
     return mid + half * base_nodes, half * base_weights
@@ -182,6 +310,18 @@ class Domain:
             return np.sqrt(squared_distances(matrices @ self.center + offsets, self.center))
         lo, hi = self.image_bounds(matrices, offsets)
         return np.maximum(self.lower - lo, hi - self.upper).clip(min=0.0).max(axis=1)
+
+    def max_distance(self, point) -> float:
+        """The largest distance from ``point`` to the region (closed form).
+
+        A ball B(c, r) reaches ``|c - point| + r``; a box or window reaches
+        it at the corner farthest from ``point``.
+        """
+        q = np.asarray(point, dtype=float)
+        if self.shape == BALL:
+            return float(np.linalg.norm(self.center - q)) + self.radius
+        lo, hi = self.bounding_box()
+        return float(np.linalg.norm(np.maximum(np.abs(lo - q), np.abs(hi - q))))
 
     def volume(self) -> float:
         """Lebesgue volume of the quadrature region (closed form)."""
@@ -329,6 +469,7 @@ def build_grid_quadrature(domain: Domain, resolution: int) -> DomainQuadrature:
     -------
     DomainQuadrature
     """
+    resolution = _rule_count(resolution, name="resolution")
     if resolution < 2:
         raise ValueError(f"resolution must be >= 2, got {resolution}")
     lo, hi = domain.bounding_box()
@@ -347,5 +488,5 @@ def build_grid_quadrature(domain: Domain, resolution: int) -> DomainQuadrature:
     return DomainQuadrature(
         nodes=np.ascontiguousarray(nodes),
         weights=np.ascontiguousarray(weights),
-        resolution=int(resolution),
+        resolution=resolution,
     )

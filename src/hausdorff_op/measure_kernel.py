@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _legendre_rule, gauss_legendre_rule
+from .geometry import _legendre_rule, _rule_count, gauss_legendre_rule
 from .summation import pairwise_sum
 
 EXPLICIT = "explicit"
@@ -112,19 +112,18 @@ def gauss_legendre_panels(
     as folded shifts) resolvable without a huge global rule.
     """
     lo, hi = float(interval[0]), float(interval[1])
+    points_per_panel = _rule_count(points_per_panel, lo, hi, name="points_per_panel")
     if not hi > lo:
         raise ValueError(f"empty interval [{lo}, {hi}]")
     if max_panel_width <= 0:
         raise ValueError(f"panel width must be > 0, got {max_panel_width}")
-    if points_per_panel < 1:
-        raise ValueError(f"need at least one node, got count={points_per_panel}")
     count = int(np.ceil((hi - lo) / max_panel_width))
     edges = lo + (hi - lo) * np.arange(count + 1) / count
     lower, upper = edges[:-1, None], edges[1:, None]
     if not np.all(upper > lower):
         raise ValueError(f"panel edges of [{lo}, {hi}] collapse at width {max_panel_width}")
     # the per-panel affine map of gauss_legendre_rule, over all panels at once
-    base_nodes, base_weights = _legendre_rule(int(points_per_panel))
+    base_nodes, base_weights = _legendre_rule(points_per_panel)
     mid = 0.5 * (lower + upper)
     half = 0.5 * (upper - lower)
     return DiscretizedMeasure(

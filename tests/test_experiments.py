@@ -272,6 +272,25 @@ def test_preservation_window_must_cover_image():
         run_measure_preservation(iso, region, 100, seed=0, window=window)
 
 
+def test_preservation_ball_window_is_checked_exactly():
+    # the bounding boxes of both cases fit the window's, but the balls do not
+    cases = [
+        (box([-0.5, -0.5], [0.5, 0.5]), [0.45, 0.45], ball([0.0, 0.0], 1.0),
+         ball([0.225, 0.225], 1.1)),
+        (ball([0.0, 0.0], 0.5), [0.7, 0.7], ball([0.0, 0.0], 1.3),
+         ball([0.35, 0.35], 1.0)),
+    ]
+    for region, offset, too_small, holding in cases:
+        iso = make_isometry(np.eye(2), offset)
+        lo, hi = too_small.bounding_box()
+        (lo_i,), (hi_i,) = region.image_bounds(iso.matrix[None], iso.offset[None])
+        assert np.all(lo <= lo_i) and np.all(hi_i <= hi)
+        with pytest.raises(ValueError, match="escapes the window"):
+            run_measure_preservation(iso, region, 100, seed=0, window=too_small)
+        report = run_measure_preservation(iso, region, 10**5, seed=0, window=holding)
+        assert report.passed
+
+
 def test_preservation_rejects_unbounded_region():
     with pytest.raises(ValueError, match="bounded ball or box"):
         run_measure_preservation(

@@ -1,8 +1,11 @@
 import itertools
 import math
+import time
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.special import eval_legendre, roots_legendre
 
 from hausdorff_op import geometry
 from hausdorff_op.geometry import (
@@ -67,6 +70,102 @@ def test_gauss_legendre_two_point_rule():
     nodes, weights = gauss_legendre_rule(-1.0, 1.0, 2)
     assert nodes == pytest.approx([-1.0 / math.sqrt(3.0), 1.0 / math.sqrt(3.0)], abs=1e-15)
     assert weights == pytest.approx([1.0, 1.0], abs=1e-15)
+
+
+def _reference_node_and_weight(n, node):
+    """The exact Gauss-Legendre node next to ``node`` and its weight, from a
+    34-digit three-term recurrence at ``node`` and one Newton step.
+
+    ``node`` is within a few ulp of the root, so the step's own error is
+    below 1e-30; the derivative at the root comes from the second derivative
+    by Legendre's equation.
+    """
+    with mpmath.workdps(34):
+        x = mpmath.mpf(float(node))
+        prev, p = mpmath.mpf(1), x
+        for k in range(1, n):
+            prev, p = p, ((2 * k + 1) * x * p - k * prev) / (k + 1)
+        one_minus = 1 - x * x
+        slope = n * (prev - x * p) / one_minus
+        curvature = (2 * x * slope - n * (n + 1) * p) / one_minus
+        step = p / slope
+        root = x - step
+        weight = 2 / ((1 - root * root) * (slope - curvature * step) ** 2)
+        return root, weight
+
+
+@pytest.mark.parametrize("n", [257, 1000, 8192, 20000])
+def test_large_rule_matches_a_34_digit_recurrence(n):
+    nodes, weights = geometry._legendre_rule(n)
+    # the ends by recurrence (0, 1, 9), the switch to the expansion (10, 11),
+    # and the expansion up to the middle
+    sampled = [0, 1, 9, 10, 11, 49, n // 2 - 1, n // 2]
+    scipy_nodes, scipy_weights = roots_legendre(n) if n <= 8192 else (None, None)
+    for i in sampled:
+        root, weight = _reference_node_and_weight(n, nodes[i])
+        # within 2 ulp of 0.5, the spacing of every node past +-0.5
+        assert abs(float(nodes[i] - root)) <= 2 * np.spacing(0.5), i
+        error = abs(float(weights[i] / weight - 1))
+        assert error <= 1e-9, i
+        if scipy_nodes is not None:
+            assert error <= max(abs(float(scipy_weights[i] / weight - 1)), 1e-15), i
+
+
+@pytest.mark.parametrize("n", [257, 258, 1000, 1001, 8192, 8193, 20000, 32768])
+def test_large_rule_is_ascending_symmetric_and_sums_to_two(n):
+    nodes, weights = geometry._legendre_rule(n)
+    assert len(nodes) == len(weights) == n
+    assert np.all(np.diff(nodes) > 0)
+    assert nodes[0] > -1.0 and nodes[-1] < 1.0
+    half = n // 2
+    assert _same_bits(nodes[:half], -nodes[::-1][:half])
+    assert _same_bits(weights, weights[::-1])
+    if n % 2:
+        assert _same_bits(nodes[half:half + 1], np.zeros(1))
+    assert abs(weights.sum() - 2.0) <= 1e-14
+    assert not nodes.flags.writeable and not weights.flags.writeable
+
+
+@pytest.mark.parametrize("n", [257, 1000, 4097])
+def test_large_rule_is_exact_to_degree_2n_minus_1(n):
+    nodes, weights = geometry._legendre_rule(n)
+    # the integral of P_k over [-1, 1] is 0 for k >= 1
+    for k in (1, 2, 3, n, 2 * n - 2, 2 * n - 1):
+        assert abs(weights @ eval_legendre(k, nodes)) <= 1e-13, k
+    # and P_2n is where exactness ends: P_n^2 integrates to 2 / (2n + 1)
+    assert abs(weights @ eval_legendre(2 * n, nodes)) > 1e-3
+
+
+def test_small_rules_are_scipy_bitwise():
+    for n in range(1, geometry.LEGENDRE_SCIPY_MAX_NODES + 1):
+        nodes, weights = geometry._legendre_rule(n)
+        scipy_nodes, scipy_weights = roots_legendre(n)
+        assert _same_bits(nodes, scipy_nodes) and _same_bits(weights, scipy_weights), n
+
+
+def test_large_rule_builds_in_linear_time():
+    # scipy's quadratic roots_legendre took about 40 s at this size
+    start = time.perf_counter()
+    geometry._asymptotic_legendre_rule(1 << 15)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_rule_arguments_are_checked():
+    with pytest.raises(TypeError, match="count must be an integer"):
+        gauss_legendre_rule(0.0, 1.0, 2.5)
+    with pytest.raises(TypeError, match="count must be an integer"):
+        gauss_legendre_rule(0.0, 1.0, 4.0)
+    for lower, upper in ((0.0, math.inf), (-math.inf, 0.0), (0.0, math.nan)):
+        with pytest.raises(ValueError, match="must be finite"):
+            gauss_legendre_rule(lower, upper, 4)
+    nodes, weights = gauss_legendre_rule(0.0, 1.0, np.int64(3))
+    assert np.array_equal(nodes, gauss_legendre_rule(0.0, 1.0, 3)[0])
+    with pytest.raises(TypeError, match="resolution must be an integer"):
+        build_grid_quadrature(truncated_space(1.0, 1), 7.9)
+    with pytest.raises(ValueError, match="must be finite"):
+        build_grid_quadrature(box([0.0], [math.inf]), 4)
+    quad = build_grid_quadrature(truncated_space(1.0, 1), np.int32(7))
+    assert quad.resolution == 7 and type(quad.resolution) is int
 
 
 def test_box_weight_sum_exact():
@@ -220,6 +319,19 @@ def test_image_escape_ball_matches_dense_boundary():
 def test_image_escape_of_truncated_space_is_zero():
     v, b = _motions(2, 5, seed=6)
     assert np.array_equal(truncated_space(1.0, 2).image_escape(v, 100.0 * b), np.zeros(5))
+
+
+def test_max_distance_is_attained_on_the_boundary():
+    q = np.array([0.3, -1.2])
+    angles = np.linspace(0.0, 2 * np.pi, 100_001)
+    circle = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    b = ball([0.5, 0.25], 0.75)
+    dense = np.linalg.norm(b.center + 0.75 * circle - q, axis=1).max()
+    assert b.max_distance(q) == pytest.approx(dense, rel=1e-9)
+    for d in (box([-1.0, 0.0], [2.0, 0.5]), truncated_space(0.5, 2)):
+        lo, hi = d.bounding_box()
+        corners = np.array(list(itertools.product(*zip(lo, hi))))
+        assert d.max_distance(q) == np.linalg.norm(corners - q, axis=1).max()
 
 
 def test_volume():

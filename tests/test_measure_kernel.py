@@ -67,6 +67,20 @@ def test_gauss_legendre_empty_interval():
         gauss_legendre_measure((0.0, 1.0), 0)
 
 
+def test_legendre_measures_check_their_arguments():
+    with pytest.raises(TypeError, match="count must be an integer"):
+        gauss_legendre_measure((0.0, 1.0), 3.7)
+    with pytest.raises(TypeError, match="points_per_panel must be an integer"):
+        gauss_legendre_panels((0.0, 2.0), points_per_panel=2.5)
+    for interval in ((0.0, math.inf), (math.nan, 1.0)):
+        with pytest.raises(ValueError, match="must be finite"):
+            gauss_legendre_panels(interval, points_per_panel=4)
+        with pytest.raises(ValueError, match="must be finite"):
+            gauss_legendre_measure(interval, 4)
+    m = gauss_legendre_panels((0.0, 2.0), points_per_panel=np.int64(4))
+    assert np.array_equal(m.nodes, gauss_legendre_panels((0.0, 2.0), points_per_panel=4).nodes)
+
+
 def test_monte_carlo_measure():
     m = monte_carlo_measure((0.0, 1.0), 4, seed=3)
     assert len(m) == 4
