@@ -74,9 +74,9 @@ _BOUND_EXPERIMENTS = ("lp_bound", "sobolev_bound")
 # fit in memory next to each other
 MAX_GRID_NODES = 1 << 22
 # largest Gauss-Legendre rule a run may build.  Rules above
-# geometry.LEGENDRE_SCIPY_MAX_NODES are built in O(n), about 20 ms at this
-# size, so the cap bounds the size of a grid axis, of a measure that becomes a
-# shift family and of a witness panel, not the time of the rule
+# geometry.LEGENDRE_GOLUB_WELSCH_MAX_NODES are built in O(n), about 0.4 s at
+# this size, so the cap bounds the size of a grid axis, of a measure that
+# becomes a shift family and of a witness panel, not the time of the rule
 MAX_LEGENDRE_NODES = 1 << 15
 # largest preservation sample per member; the check streams its samples in
 # blocks, so this bounds time, not memory

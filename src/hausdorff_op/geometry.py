@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import eval_legendre, roots_legendre
 
 BALL = "ball"
 BOX = "box"
@@ -54,12 +53,13 @@ def squared_distances(points: np.ndarray, center: np.ndarray) -> np.ndarray:
     return total
 
 
-# Rules of up to this many nodes come from scipy's roots_legendre (at most
-# 3 ms), larger ones from the O(n) construction below.  The crossover only
-# keeps the bits of small rules: the benchmark compares round-off-sized
-# gradient_check rows at 1e-9 relative, and a 64-node measure rebuilt in O(n)
-# moves them.  It goes once that check tolerates round-off (ROADMAP item 1).
-LEGENDRE_SCIPY_MAX_NODES = 256
+# Rules of up to this many nodes come from the Golub-Welsch eigenvalue method
+# (at most 12 ms), larger ones from the O(n) construction below.  The
+# crossover only keeps the bits of small rules: the benchmark compares
+# round-off-sized gradient_check rows at 1e-9 relative, and a 64-node measure
+# rebuilt in O(n) moves them.  It goes once that check tolerates round-off
+# (ROADMAP item 1).
+LEGENDRE_GOLUB_WELSCH_MAX_NODES = 256
 
 # terms of the Stieltjes expansion, valid to round-off where 2 n sin(theta)
 # reaches _STIELTJES_MIN_ARG; nearer the ends (about 10 nodes each) the
@@ -67,6 +67,62 @@ LEGENDRE_SCIPY_MAX_NODES = 256
 _STIELTJES_TERMS = 20
 _STIELTJES_MIN_ARG = 60.0
 _NEWTON_STEPS = 10
+
+
+def _legendre_pair(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(P_{n-1}(x), P_n(x))`` for ``n >= 1``, in one pass of the three-term
+    recurrence.
+
+    The recurrence runs in ``d = P_k - P_{k-1}``, as
+    ``d = ((2k + 1) / (k + 1)) (x - 1) P_k + (k / (k + 1)) d``, in the order
+    of scipy's ``eval_legendre``, so both values are bitwise scipy's wherever
+    ``|x| >= 1e-5``.  Nearer 0 scipy sums a power series instead.
+    """
+    prev = np.ones_like(x)
+    p = x.copy()
+    x_minus_one = x - 1
+    d = x - 1
+    term = np.empty_like(x)
+    for k in range(1, n):
+        np.multiply(x_minus_one, (2 * k + 1) / (k + 1), out=term)
+        term *= p
+        d *= k / (k + 1)
+        d += term
+        # P_{k+1} = P_k + d goes into the buffer of P_{k-1}
+        np.add(p, d, out=prev)
+        prev, p = p, prev
+    return prev, p
+
+
+def _golub_welsch_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-node Gauss-Legendre rule by Golub & Welsch (Math. Comp. 23,
+    1969), ascending: scipy's ``roots_legendre`` step for step.
+
+    The nodes are the eigenvalues of the Jacobi matrix, polished by one Newton
+    step; the weights are ``1 / (P_{n-1} P_n')`` with both factors scaled by
+    the geometric midpoint of their range, symmetrised and normalised to sum
+    to 2.  ``eigvalsh`` reduces the (already tridiagonal) matrix with
+    ``dsytrd``, which leaves it unchanged, and then calls ``dsterf`` as
+    scipy's ``eigvals_banded`` does, so the nodes, and the weights of even
+    rules, are bitwise scipy's.  Odd weights differ by up to 16 ulp, because
+    scipy evaluates ``P_{n-1}`` at the middle node 0 from its gamma function.
+    """
+    k = np.arange(1, n, dtype=float)
+    off_diagonal = k * np.sqrt(1.0 / (4 * k * k - 1))
+    x = np.linalg.eigvalsh(np.diag(off_diagonal, -1))
+    below, value = _legendre_pair(n, x)
+    dy = (-n * x * value + n * below) / (1 - x**2)
+    x -= value / dy
+    fm = _legendre_pair(n, x)[0]
+    log_fm = np.log(np.abs(fm))
+    log_dy = np.log(np.abs(dy))
+    fm /= np.exp((log_fm.max() + log_fm.min()) / 2.0)
+    dy /= np.exp((log_dy.max() + log_dy.min()) / 2.0)
+    w = 1.0 / (fm * dy)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2.0 / w.sum()
+    return x, w
 
 
 def _stieltjes_scale(n: int) -> float:
@@ -104,41 +160,64 @@ def _stieltjes(n: int, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return value, slope
 
 
-def _recurrence(n: int, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``P_n(cos theta)`` and its theta-derivative by scipy's recurrence.
+def _recurrence(n: int, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``P_n(cos theta)`` and its first two theta-derivatives by the
+    three-term recurrence (:func:`_legendre_pair`).
 
     The recurrence sees ``x = cos theta`` rounded, which stands for the angle
     ``arccos(x)``, up to 1e-16 / sin(theta) away: near the ends that moves a
-    weight by 1e-9.  Both values are carried back to ``theta`` by a Taylor
-    step, with ``P'' = -cot(theta) P' - n (n + 1) P`` from Legendre's equation.
+    weight by 1e-9.  Value and slope are carried back to ``theta`` by a
+    Taylor step, with ``P'' = -cot(theta) P' - n (n + 1) P`` from Legendre's
+    equation; that ``P''`` is the third result.
     """
     x = np.cos(theta)
     seen = np.arccos(x)
-    value = eval_legendre(n, x)
-    slope = n * (x * value - eval_legendre(n - 1, x)) / np.sin(seen)
+    below, value = _legendre_pair(n, x)
+    slope = n * (x * value - below) / np.sin(seen)
     shift = theta - seen
     curvature = -slope / np.tan(seen) - n * (n + 1) * value
-    return value + slope * shift, slope + curvature * shift
+    return value + slope * shift, slope + curvature * shift, curvature
 
 
-def _newton(evaluate, n: int, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Roots of ``evaluate(n, .)[0]`` by Newton in theta, and the slope there."""
+def _newton(n: int, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Roots of ``P_n(cos .)`` by Newton in theta on :func:`_stieltjes`, and
+    the slope there (scaled as there)."""
     for _ in range(_NEWTON_STEPS):
-        value, slope = evaluate(n, theta)
+        value, slope = _stieltjes(n, theta)
         step = value / slope
         theta = theta - step
         # convergence is quadratic: what this step left is below 1e-20 theta
         if np.all(np.abs(step) <= 1e-10 * theta):
-            return theta, evaluate(n, theta)[1]
+            return theta, _stieltjes(n, theta)[1]
     raise RuntimeError(f"Newton did not converge for the {n}-node Gauss-Legendre rule")
+
+
+def _halley(n: int, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Roots of ``P_n(cos .)`` near the ends by two Halley steps in theta on
+    :func:`_recurrence`, and the slope there.
+
+    Each step costs one O(n) pass of the recurrence, so the slope at the root
+    comes from a Taylor step, not from a third pass.
+    """
+    for _ in range(2):
+        value, slope, curvature = _recurrence(n, theta)
+        step = value / slope
+        step /= 1 - step * curvature / (2 * slope)
+        theta = theta - step
+    # convergence is cubic: Tricomi's guesses are within 7e-4 theta of the
+    # roots here, the second step is near 3e-10 theta and leaves below 1e-20
+    if not np.all(np.abs(step) <= 1e-7 * theta):
+        raise RuntimeError(f"Halley did not converge for the {n}-node Gauss-Legendre rule")
+    return theta, slope - curvature * step
 
 
 def _asymptotic_legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The n-node Gauss-Legendre rule in O(n) (Hale & Townsend, SIAM J. Sci.
     Comput. 35(2), 2013), ascending.
 
-    Nodes ``x_k = cos theta_k`` with ``theta <= pi/2`` are found by Newton
-    in theta from Tricomi's initial guesses, and mirrored; an odd rule has an
+    Nodes ``x_k = cos theta_k`` with ``theta <= pi/2`` are found in theta
+    from Tricomi's initial guesses, by Newton on the Stieltjes expansion and,
+    near the ends, by Halley on the recurrence, and mirrored; an odd rule has an
     exact 0 in the middle.  Weights are ``2 / (dP_n/dtheta)^2``, which has no
     ``1 - x^2`` to cancel near the ends.
     """
@@ -149,9 +228,9 @@ def _asymptotic_legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     theta = np.arccos(scale * np.cos(phi))
     slope = np.empty_like(theta)
     inner = 2 * n * np.sin(theta) >= _STIELTJES_MIN_ARG
-    theta[inner], slope[inner] = _newton(_stieltjes, n, theta[inner])
+    theta[inner], slope[inner] = _newton(n, theta[inner])
     slope[inner] *= _stieltjes_scale(n) / np.sqrt(2 * np.sin(theta[inner]))
-    theta[~inner], slope[~inner] = _newton(_recurrence, n, theta[~inner])
+    theta[~inner], slope[~inner] = _halley(n, theta[~inner])
     x = np.cos(theta)
     weights = 2 / slope**2
     if n % 2:
@@ -162,12 +241,10 @@ def _asymptotic_legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=64)
 def _legendre_rule(count: int) -> tuple[np.ndarray, np.ndarray]:
-    if count <= LEGENDRE_SCIPY_MAX_NODES:
-        nodes, weights = roots_legendre(count)
+    if count <= LEGENDRE_GOLUB_WELSCH_MAX_NODES:
+        nodes, weights = _golub_welsch_rule(count)
     else:
         nodes, weights = _asymptotic_legendre_rule(count)
-    nodes = np.asarray(nodes, dtype=float)
-    weights = np.asarray(weights, dtype=float)
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
@@ -397,8 +474,11 @@ class Domain:
 def ball(center, radius: float) -> Domain:
     """Closed Euclidean ball."""
     c = np.asarray(center, dtype=float).reshape(-1).copy()
-    if radius <= 0:
-        raise ValueError(f"radius must be > 0, got {radius}")
+    if not np.all(np.isfinite(c)):
+        raise ValueError(f"center must be finite, got {c}")
+    # written so that NaN fails
+    if not 0 < radius < math.inf:
+        raise ValueError(f"radius must be finite and > 0, got {radius}")
     c.setflags(write=False)
     return Domain(dimension=len(c), shape=BALL, center=c, radius=float(radius))
 
@@ -409,6 +489,8 @@ def box(lower, upper) -> Domain:
     hi = np.asarray(upper, dtype=float).reshape(-1).copy()
     if lo.shape != hi.shape:
         raise ValueError(f"corner shapes differ: {lo.shape} vs {hi.shape}")
+    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+        raise ValueError(f"box corners must be finite, got {lo} and {hi}")
     if np.any(hi <= lo):
         raise ValueError("box needs upper > lower componentwise")
     lo.setflags(write=False)
@@ -418,8 +500,8 @@ def box(lower, upper) -> Domain:
 
 def truncated_space(halfwidth: float, dimension: int) -> Domain:
     """The box ``[-h, h]^n`` marking a finite window onto all of R^n."""
-    if halfwidth <= 0:
-        raise ValueError(f"halfwidth must be > 0, got {halfwidth}")
+    if not 0 < halfwidth < math.inf:
+        raise ValueError(f"halfwidth must be finite and > 0, got {halfwidth}")
     if dimension < 1:
         raise ValueError(f"dimension must be >= 1, got {dimension}")
     h = float(halfwidth)

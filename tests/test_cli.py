@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -488,6 +492,32 @@ def test_necessity_artifacts(tmp_path):
 
 
 # entry point
+
+
+def test_run_does_not_import_scipy(tmp_path):
+    # a Gauss-Legendre measure (16 nodes) and a 300-node grid axis cover
+    # both ways of building a rule
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(_minimal_config(
+        domain={"shape": "truncated_space", "halfwidth": 8.0},
+        family={"kind": "shifts", "from_measure": True},
+        measure={"scheme": "gauss_legendre", "interval": [0.0, 1.0], "count": 16},
+        fields=[{"kind": "gaussian", "center": [0.0], "width": 2.4}],
+        resolution=300,
+        experiments=["lp_bound", "gradient_check"],
+    )))
+    script = (
+        "import sys\n"
+        "import hausdorff_op\n"
+        "from hausdorff_op import cli\n"
+        f"code = cli.main(['run', {str(config)!r}, '--out', {str(tmp_path / 'out')!r}])\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n")[-2] == "0 []"
 
 
 def test_main_list_experiments(capsys):
