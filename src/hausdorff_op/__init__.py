@@ -34,10 +34,7 @@ from .isometry import (
     check_domain_preserving,
     finite_group_family,
     finite_group_size,
-    haar_orthogonal,
     haar_orthogonal_sample,
-    isometry_defect,
-    make_family,
     make_isometry,
     motion_family,
     orthogonality_defect,

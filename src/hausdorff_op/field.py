@@ -7,12 +7,11 @@ than surfacing as a loose bound three modules later.  Custom fields skip the
 check and may omit the gradient entirely; Sobolev norms then refuse them.
 
 :meth:`ScalarField.values_and_gradients` returns both arrays from one
-evaluation: built-in kinds share their factors (one ``exp`` per gaussian
-point, one set of power tables per polynomial point), sums and scalar
-multiples combine their parts' single evaluations, and custom and composed
-fields fall back to ``values`` and ``gradients``.  Either way the arrays are
-bitwise equal to the separate calls.  Polynomial power tables take powers 0
-and 1 without a float ``pow``.
+evaluation, and :meth:`ScalarField.gradients` is its second output: built-in
+kinds share their factors (one ``exp`` per gaussian point, one set of power
+tables per polynomial point), sums and scalar multiples combine their parts'
+single evaluations, and a custom field pairs its two callables.  Polynomial
+power tables take powers 0 and 1 without a float ``pow``.
 
 All norms integrate with a supplied :class:`~.geometry.DomainQuadrature` and
 reduce in deterministic pairwise order; :func:`lp_norm_of_values` and
@@ -21,6 +20,7 @@ reduce in deterministic pairwise order; :func:`lp_norm_of_values` and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,25 +40,23 @@ FD_CHECK_SEED = 1812
 class ScalarField:
     """A scalar function with vectorized evaluation and optional gradient.
 
-    ``values`` maps an (m, n) point array to an (m,) array; ``gradients``
-    maps it to (m, n).  ``both_fn``, when given, returns both from one
-    evaluation and must agree with them bitwise.  Fields compose with
-    isometries and form a vector space under + and scalar *.
+    ``values_fn`` maps an (m, n) point array to an (m,) array.  ``both_fn``,
+    when given, maps it to the values and the (m, n) gradients from one
+    evaluation; its values must agree with ``values_fn`` bitwise.  Fields form
+    a vector space under + and scalar *.
     """
 
-    def __init__(self, dimension: int, values_fn, gradients_fn=None, kind: str = "custom",
-                 both_fn=None):
+    def __init__(self, dimension: int, values_fn, both_fn=None, kind: str = "custom"):
         if dimension < 1:
             raise ValueError(f"dimension must be >= 1, got {dimension}")
         self.dimension = int(dimension)
         self.kind = kind
         self._values_fn = values_fn
-        self._gradients_fn = gradients_fn
-        self._both_fn = both_fn if gradients_fn is not None else None
+        self._both_fn = both_fn
 
     @property
     def has_gradient(self) -> bool:
-        return self._gradients_fn is not None
+        return self._both_fn is not None
 
     def _check_points(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -91,24 +89,19 @@ class ScalarField:
         return self._checked_values(self._values_fn(pts), pts)
 
     def gradients(self, points) -> np.ndarray:
-        if not self.has_gradient:
-            raise ValueError(f"field kind {self.kind!r} has no gradient")
-        pts = self._check_points(points)
-        return self._checked_gradients(self._gradients_fn(pts), pts)
+        """The (m, n) gradients: ``values_and_gradients(points)[1]``."""
+        return self.values_and_gradients(points)[1]
 
     def values_and_gradients(self, points) -> tuple[np.ndarray, np.ndarray]:
-        """``(values(points), gradients(points))`` from one evaluation where possible."""
+        """``(values(points), gradients(points))`` from one evaluation."""
         if self._both_fn is None:
-            return self.values(points), self.gradients(points)
+            raise ValueError(f"field kind {self.kind!r} has no gradient")
         pts = self._check_points(points)
         values, grads = self._both_fn(pts)
         return self._checked_values(values, pts), self._checked_gradients(grads, pts)
 
     def __call__(self, x) -> float:
         return float(self.values(np.atleast_2d(np.asarray(x, dtype=float)))[0])
-
-    def grad(self, x) -> np.ndarray:
-        return self.gradients(np.atleast_2d(np.asarray(x, dtype=float)))[0]
 
     def __add__(self, other: "ScalarField") -> "ScalarField":
         if not isinstance(other, ScalarField):
@@ -117,9 +110,6 @@ class ScalarField:
             raise ValueError(
                 f"cannot add fields of dimension {self.dimension} and {other.dimension}"
             )
-        grads = None
-        if self.has_gradient and other.has_gradient:
-            grads = lambda pts: self.gradients(pts) + other.gradients(pts)
 
         def both(pts):
             v1, g1 = self.values_and_gradients(pts)
@@ -129,47 +119,28 @@ class ScalarField:
         return ScalarField(
             self.dimension,
             lambda pts: self.values(pts) + other.values(pts),
-            grads,
+            both if self.has_gradient and other.has_gradient else None,
             kind="sum",
-            both_fn=both,
         )
 
     def __mul__(self, scalar) -> "ScalarField":
         c = float(scalar)
-        grads = None
-        if self.has_gradient:
-            grads = lambda pts: c * self.gradients(pts)
 
         def both(pts):
             v, g = self.values_and_gradients(pts)
             return c * v, c * g
 
         return ScalarField(
-            self.dimension, lambda pts: c * self.values(pts), grads, kind="scaled",
-            both_fn=both,
+            self.dimension,
+            lambda pts: c * self.values(pts),
+            both if self.has_gradient else None,
+            kind="scaled",
         )
 
     __rmul__ = __mul__
 
     def __sub__(self, other: "ScalarField") -> "ScalarField":
         return self + (-1.0) * other
-
-    def compose(self, iso) -> "ScalarField":
-        """The pullback x -> f(Vx + b); gradient gains the factor V^T."""
-        if iso.dimension != self.dimension:
-            raise ValueError(
-                f"isometry dimension {iso.dimension} vs field dimension {self.dimension}"
-            )
-        grads = None
-        if self.has_gradient:
-            # chain rule: grad of f(Vx+b) at x is V^T grad f(Vx+b)
-            grads = lambda pts: self.gradients(iso.apply_many(pts)) @ iso.matrix
-        return ScalarField(
-            self.dimension,
-            lambda pts: self.values(iso.apply_many(pts)),
-            grads,
-            kind="composed",
-        )
 
 
 def _fd_gradient(f: ScalarField, points: np.ndarray, step: float) -> np.ndarray:
@@ -197,9 +168,12 @@ def _self_check(f: ScalarField, points: np.ndarray):
 def gaussian(center, width: float) -> ScalarField:
     """f(x) = exp(-||x - center||^2 / width^2)."""
     c = np.asarray(center, dtype=float).reshape(-1).copy()
+    if not np.isfinite(c).all():
+        raise ValueError(f"center must be finite, got {c}")
     w = float(width)
-    if w <= 0:
-        raise ValueError(f"width must be > 0, got {width}")
+    # written so that NaN fails
+    if not 0.0 < w < math.inf:
+        raise ValueError(f"width must be finite and > 0, got {width}")
     n = len(c)
 
     def values(pts):
@@ -209,7 +183,7 @@ def gaussian(center, width: float) -> ScalarField:
         v = values(pts)
         return v, (-2.0 / (w * w)) * (pts - c) * v[:, None]
 
-    f = ScalarField(n, values, lambda pts: both(pts)[1], kind="gaussian", both_fn=both)
+    f = ScalarField(n, values, both, kind="gaussian")
     rng = np.random.default_rng(FD_CHECK_SEED)
     _self_check(f, c + w * rng.standard_normal((FD_CHECK_POINTS, n)))
     return f
@@ -278,11 +252,7 @@ def polynomial(coeffs, dimension: int | None = None) -> ScalarField:
         return _values(tables, len(pts)), _gradients(tables, len(pts))
 
     f = ScalarField(
-        n,
-        lambda pts: _values(_power_tables(pts), len(pts)),
-        lambda pts: _gradients(_power_tables(pts), len(pts)),
-        kind="polynomial",
-        both_fn=both,
+        n, lambda pts: _values(_power_tables(pts), len(pts)), both, kind="polynomial"
     )
     rng = np.random.default_rng(FD_CHECK_SEED + 1)
     _self_check(f, rng.uniform(-1.0, 1.0, (FD_CHECK_POINTS, n)))
@@ -307,9 +277,7 @@ def gaussian_times_poly(center, width: float, coeffs) -> ScalarField:
         gv, gg = g.values_and_gradients(pts)
         return pv * gv, pg * gv[:, None] + pv[:, None] * gg
 
-    f = ScalarField(
-        g.dimension, values, lambda pts: both(pts)[1], kind="gaussian_times_poly", both_fn=both
-    )
+    f = ScalarField(g.dimension, values, both, kind="gaussian_times_poly")
     rng = np.random.default_rng(FD_CHECK_SEED + 2)
     _self_check(
         f, np.asarray(center, dtype=float) + width * rng.standard_normal((FD_CHECK_POINTS, g.dimension))
@@ -319,7 +287,10 @@ def gaussian_times_poly(center, width: float, coeffs) -> ScalarField:
 
 def custom_field(dimension: int, values_fn, gradients_fn=None) -> ScalarField:
     """Wrap caller-supplied vectorized callables; no construction check."""
-    return ScalarField(dimension, values_fn, gradients_fn, kind="custom")
+    both = None
+    if gradients_fn is not None:
+        both = lambda pts: (values_fn(pts), gradients_fn(pts))
+    return ScalarField(dimension, values_fn, both, kind="custom")
 
 
 @dataclass(frozen=True)
@@ -382,10 +353,6 @@ def lp_norm(f: ScalarField, p: float, quad: DomainQuadrature) -> float:
 def sobolev_norm(f: ScalarField, p: float, quad: DomainQuadrature) -> NormReport:
     """W^{1,p} norm: ||f||_p plus the sum of per-axis derivative L^p norms."""
     _check_p(p)
-    if not f.has_gradient:
-        raise ValueError(
-            f"sobolev_norm needs a gradient but field kind {f.kind!r} has none"
-        )
     return sobolev_norm_of_arrays(*f.values_and_gradients(quad.nodes), p, quad)
 
 

@@ -61,16 +61,6 @@ class Isometry:
     def apply_many(self, points: np.ndarray) -> np.ndarray:
         return np.asarray(points, dtype=float) @ self.matrix.T + self.offset
 
-    def inverse(self) -> "Isometry":
-        return Isometry(matrix=self.matrix.T.copy(), offset=-(self.matrix.T @ self.offset))
-
-    def compose(self, other: "Isometry") -> "Isometry":
-        # self after other: x -> V1 (V2 x + b2) + b1
-        return Isometry(
-            matrix=self.matrix @ other.matrix,
-            offset=self.matrix @ other.offset + self.offset,
-        )
-
 
 def make_isometry(matrix, offset=None) -> Isometry:
     v = np.asarray(matrix, dtype=float).copy()
@@ -83,30 +73,6 @@ def make_isometry(matrix, offset=None) -> Isometry:
 def orthogonality_defect(matrix: np.ndarray) -> float:
     v = np.asarray(matrix, dtype=float)
     return float(np.abs(v.T @ v - np.eye(v.shape[0])).max())
-
-
-def affine_map_defect(matrix, offset, pairs: np.ndarray) -> float:
-    """Worst |d(Ax, Ay) - d(x, y)| of the affine map over an (m, 2, n) array.
-
-    Operates on raw (V, b) so deliberately corrupted matrices can be
-    measured; Isometry construction would reject them.
-    """
-    v = np.asarray(matrix, dtype=float)
-    b = np.asarray(offset, dtype=float)
-    pts = np.asarray(pairs, dtype=float)
-    if pts.ndim != 3 or pts.shape[1] != 2:
-        raise ValueError(f"pairs must have shape (m, 2, n), got {pts.shape}")
-    x, y = pts[:, 0, :], pts[:, 1, :]
-    before = np.sqrt(((x - y) ** 2).sum(axis=1))
-    ax = x @ v.T + b
-    ay = y @ v.T + b
-    after = np.sqrt(((ax - ay) ** 2).sum(axis=1))
-    return float(np.abs(after - before).max())
-
-
-def isometry_defect(iso: Isometry, pairs: np.ndarray) -> float:
-    """Distance-preservation defect of a validated isometry (roundoff-level)."""
-    return affine_map_defect(iso.matrix, iso.offset, pairs)
 
 
 class IsometryFamily:
@@ -164,18 +130,6 @@ class IsometryFamily:
         return self._offsets
 
 
-def make_family(members) -> IsometryFamily:
-    """Family stacking the given :class:`Isometry` members."""
-    members = tuple(members)
-    if not members:
-        raise ValueError("family needs at least one member")
-    dims = {m.dimension for m in members}
-    if len(dims) != 1:
-        raise ValueError(f"members mix dimensions {sorted(dims)}")
-    return IsometryFamily(np.stack([m.matrix for m in members]),
-                          np.stack([m.offset for m in members]))
-
-
 def haar_orthogonal_sample(dimension: int, count: int, seed: int) -> np.ndarray:
     """Haar-uniform draws from O(n) as a (count, n, n) array.
 
@@ -194,11 +148,6 @@ def haar_orthogonal_sample(dimension: int, count: int, seed: int) -> np.ndarray:
     return q * signs[:, None, :]
 
 
-def haar_orthogonal(dimension: int, seed: int) -> np.ndarray:
-    """One Haar-uniform orthogonal matrix."""
-    return haar_orthogonal_sample(dimension, 1, seed)[0]
-
-
 def rotation_family(dimension: int, count: int, seed: int) -> IsometryFamily:
     """Family of Haar-random orthogonal motions with zero offsets."""
     return IsometryFamily(haar_orthogonal_sample(dimension, count, seed),
@@ -215,9 +164,14 @@ def shift_family(offsets) -> IsometryFamily:
 
 def motion_family(members) -> IsometryFamily:
     """Family from explicit (matrix, offset) pairs or Isometry objects."""
-    return make_family(
-        m if isinstance(m, Isometry) else make_isometry(m[0], m[1]) for m in members
-    )
+    members = [m if isinstance(m, Isometry) else make_isometry(m[0], m[1]) for m in members]
+    if not members:
+        raise ValueError("family needs at least one member")
+    dims = {m.dimension for m in members}
+    if len(dims) != 1:
+        raise ValueError(f"members mix dimensions {sorted(dims)}")
+    return IsometryFamily(np.stack([m.matrix for m in members]),
+                          np.stack([m.offset for m in members]))
 
 
 # finite subgroups

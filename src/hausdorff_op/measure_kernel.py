@@ -214,6 +214,11 @@ def kernel_form(name: str, **params: float) -> KernelForm:
         raise ValueError(
             f"kernel form {name!r} takes parameters {keys}, got {tuple(sorted(params))}"
         )
+    for key in keys:
+        if not np.isfinite(params[key]):
+            raise ValueError(
+                f"kernel form {name!r} needs a finite {key}, got {key}={params[key]}"
+            )
     if name in ("exp_decay", "power") and params["a"] <= 0:
         raise ValueError(f"kernel form {name!r} needs a > 0, got a={params['a']}")
     if name == "indicator" and not params["hi"] > params["lo"]:

@@ -14,13 +14,13 @@ on the downstream gradient.
 One pass over the members serves both outputs: each image V_i x + b_i is
 formed once, for a block of members at a time from the family's stacked
 matrices and offsets, and the field is called once per block of images
-(at most ``_FIELD_ROWS`` rows).  When both outputs are wanted the field's
+(at most ``_FIELD_ROWS`` rows).  With gradients the field's
 :meth:`~.field.ScalarField.values_and_gradients` fills the value and the
-gradient terms together (:meth:`HausdorffOperator.apply_and_gradient_many`).
-``apply_many`` and ``apply_gradient_many`` are the one-output views of that
-pass and agree with it bitwise, whatever the block boundaries: every
-matrix product goes through :func:`_rows_times`, which gives a row the same
-bits alone as inside a larger block.
+gradient terms together (:meth:`HausdorffOperator.apply_and_gradient_many`,
+whose second output is ``apply_gradient_many``).  ``apply_many`` runs the
+same pass without gradients and agrees with it bitwise, whatever the block
+boundaries: every matrix product goes through :func:`_rows_times`, which
+gives a row the same bits alone as inside a larger block.
 
 Every evaluation point must lie in the domain.  The constructor checks
 exactly, once, that every member maps the domain into itself
@@ -109,19 +109,19 @@ class HausdorffOperator:
         return pts
 
     def _accumulate(
-        self, f: ScalarField, pts: np.ndarray, coeff: np.ndarray, values: bool, gradients: bool
-    ) -> tuple[np.ndarray | None, np.ndarray | None]:
+        self, f: ScalarField, pts: np.ndarray, coeff: np.ndarray, gradients: bool
+    ) -> tuple[np.ndarray, np.ndarray | None]:
         count = len(self.family)
         n = self.dimension
         # the value and gradient term blocks together hold count x block x (n + 1)
         per_point = n + 1 if gradients else 1
         block = max(1, min(_FIELD_ROWS, _BLOCK_ELEMENTS // (count * per_point)))
-        value_out = np.empty(len(pts)) if values else None
+        value_out = np.empty(len(pts))
         grad_out = np.empty((len(pts), n)) if gradients else None
         for start in range(0, len(pts), block):
             chunk = pts[start : start + block]
             rows = slice(start, start + len(chunk))
-            value_terms = np.empty((count, len(chunk))) if values else None
+            value_terms = np.empty((count, len(chunk)))
             grad_terms = np.empty((count, len(chunk), n)) if gradients else None
             # one field call per member block: its images stacked member-major
             step = max(1, _FIELD_ROWS // len(chunk))
@@ -130,19 +130,14 @@ class HausdorffOperator:
                 mats = self._matrices[members]
                 images = _rows_times(chunk, mats.transpose(0, 2, 1)) + self._offsets[members, None]
                 images = images.reshape(-1, n)
-                if values and gradients:
-                    v, g = f.values_and_gradients(images)
-                elif values:
-                    v = f.values(images)
-                else:
-                    g = f.gradients(images)
-                if values:
-                    value_terms[members] = coeff[members, None] * v.reshape(len(mats), -1)
                 if gradients:
+                    v, g = f.values_and_gradients(images)
                     g = _rows_times(g.reshape(len(mats), -1, n), mats)
                     grad_terms[members] = coeff[members, None, None] * g
-            if values:
-                value_out[rows] = pairwise_sum(value_terms, axis=0)
+                else:
+                    v = f.values(images)
+                value_terms[members] = coeff[members, None] * v.reshape(len(mats), -1)
+            value_out[rows] = pairwise_sum(value_terms, axis=0)
             if gradients:
                 grad_out[rows] = pairwise_sum(grad_terms, axis=0)
         return value_out, grad_out
@@ -151,7 +146,7 @@ class HausdorffOperator:
         """(Hf) at each row of ``points``; rows must lie in the domain."""
         pts = self._check_inputs(f, points)
         coeff = self._abs_coeff if absolute_kernel else self._coeff
-        return self._accumulate(f, pts, coeff, values=True, gradients=False)[0]
+        return self._accumulate(f, pts, coeff, gradients=False)[0]
 
     def apply(self, f: ScalarField, x, absolute_kernel: bool = False) -> float:
         """(Hf)(x) for a single point."""
@@ -159,28 +154,23 @@ class HausdorffOperator:
 
     def apply_gradient_many(self, f: ScalarField, points) -> np.ndarray:
         """Gradient of Hf at each row of ``points`` via the analytic formula."""
-        pts = self._check_inputs(f, points)
-        return self._accumulate(f, pts, self._coeff, values=False, gradients=True)[1]
+        return self.apply_and_gradient_many(f, points)[1]
 
     def apply_and_gradient_many(self, f: ScalarField, points) -> tuple[np.ndarray, np.ndarray]:
         """``(apply_many(f, points), apply_gradient_many(f, points))`` from one pass."""
         pts = self._check_inputs(f, points)
-        return self._accumulate(f, pts, self._coeff, values=True, gradients=True)
+        return self._accumulate(f, pts, self._coeff, gradients=True)
 
     def apply_gradient(self, f: ScalarField, x) -> np.ndarray:
         return self.apply_gradient_many(f, np.atleast_2d(np.asarray(x, dtype=float)))[0]
 
     def push(self, f: ScalarField) -> ScalarField:
         """Hf as a lazily evaluated field (nothing is precomputed)."""
-        grads = None
+        both = None
         if f.has_gradient:
-            grads = lambda pts: self.apply_gradient_many(f, pts)
+            both = lambda pts: self.apply_and_gradient_many(f, pts)
         return ScalarField(
-            self.dimension,
-            lambda pts: self.apply_many(f, pts),
-            grads,
-            kind="pushforward",
-            both_fn=lambda pts: self.apply_and_gradient_many(f, pts),
+            self.dimension, lambda pts: self.apply_many(f, pts), both, kind="pushforward"
         )
 
 

@@ -20,7 +20,7 @@ from hausdorff_op.field import ScalarField, gaussian, gaussian_times_poly, lp_no
 from hausdorff_op.geometry import ball, box, build_grid_quadrature, truncated_space
 from hausdorff_op.isometry import (
     finite_group_family,
-    haar_orthogonal,
+    haar_orthogonal_sample,
     make_isometry,
     motion_family,
     rotation_family,
@@ -327,7 +327,8 @@ def _preservation_case(n, shape, window_shape="box"):
         region = ball(center, 0.8)
     else:
         region = box(center - 0.6, center + np.linspace(0.4, 0.7, n))
-    iso = make_isometry(haar_orthogonal(n, seed=50 + n), 0.1 * np.arange(1.0, n + 1))
+    matrix = haar_orthogonal_sample(n, 1, seed=50 + n)[0]
+    iso = make_isometry(matrix, 0.1 * np.arange(1.0, n + 1))
     if window_shape == "ball":
         window = ball(np.zeros(n), 2.5)
     else:

@@ -13,7 +13,9 @@ from hausdorff_op.field import (
     sobolev_norm,
 )
 from hausdorff_op.geometry import ball, box, build_grid_quadrature, truncated_space
-from hausdorff_op.isometry import make_isometry
+from hausdorff_op.isometry import motion_family
+from hausdorff_op.measure_kernel import explicit_measure, kernel_from_values
+from hausdorff_op.operator import HausdorffOperator
 from hausdorff_op.summation import pairwise_sum
 
 
@@ -26,6 +28,17 @@ def _dense_trapezoid(fn, lo, hi, steps=10**6):
 def _rotation(theta):
     c, s = math.cos(theta), math.sin(theta)
     return np.array([[c, -s], [s, c]])
+
+
+def _pullback(f, matrix, offset, domain):
+    """x -> f(V x + b) on ``domain``: the operator of one member with weight 1."""
+    op = HausdorffOperator(
+        measure=explicit_measure([0.0], [1.0]),
+        kernel=kernel_from_values([1.0]),
+        family=motion_family([(matrix, offset)]),
+        domain=domain,
+    )
+    return op.push(f)
 
 
 # field evaluation
@@ -73,10 +86,10 @@ def test_field_algebra():
 
 def test_compose_with_motion_chain_rule():
     f = gaussian([0.3, 0.1], 0.8)
-    iso = make_isometry(_rotation(0.7), [0.05, -0.1])
-    fa = f.compose(iso)
+    v, b = _rotation(0.7), np.array([0.05, -0.1])
+    fa = _pullback(f, v, b, truncated_space(4.0, 2))
     pts = np.random.default_rng(2).normal(scale=0.5, size=(25, 2))
-    assert fa.values(pts) == pytest.approx(f.values(iso.apply_many(pts)), rel=1e-14)
+    assert fa.values(pts) == pytest.approx(f.values(pts @ v.T + b), rel=1e-14)
     step = 1e-6
     for j in range(2):
         e = np.zeros(2)
@@ -187,10 +200,25 @@ def test_non_finite_coefficients_rejected(bad):
 
 
 def test_self_check_fails_on_nan_defect():
-    # a NaN center makes every defect NaN, which no comparison with the
-    # tolerance may let through
-    with pytest.raises(ValueError, match="relative defect nan"):
-        gaussian([math.nan, 0.0], 1.0)
+    # 2 * 1e308 overflows, so the analytic derivative is inf where the finite
+    # difference is finite or inf too, and the defect is NaN, which no
+    # comparison with the tolerance may let through
+    with pytest.raises(ValueError, match="relative defect nan"), np.errstate(all="ignore"):
+        polynomial([0.0, 0.0, 1e308])
+
+
+@pytest.mark.parametrize("center, width, message", [
+    ([math.nan, 0.0], 1.0, "center must be finite"),
+    ([0.0, -math.inf], 1.0, "center must be finite"),
+    ([0.0, 0.0], math.nan, "width must be finite and > 0"),
+    ([0.0, 0.0], math.inf, "width must be finite and > 0"),
+    ([0.0, 0.0], 0.0, "width must be finite and > 0"),
+])
+def test_gaussian_rejects_non_finite_center_and_width(center, width, message):
+    with pytest.raises(ValueError, match=message):
+        gaussian(center, width)
+    with pytest.raises(ValueError, match=message):
+        gaussian_times_poly(center, width, [[1.0, 0.5], [0.2, 0.0]])
 
 
 def test_lp_constant_field_unit_box():
@@ -256,11 +284,12 @@ def test_lp_p_range_validation():
 
 def test_lp_composition_invariance_under_refinement():
     f = gaussian([0.4, 0.0], 0.8)
-    iso = make_isometry(_rotation(1.0))
+    domain = ball([0.0, 0.0], 2.0)
+    rotated = _pullback(f, _rotation(1.0), None, domain)
     gaps = []
     for res in (16, 32, 64):
-        quad = build_grid_quadrature(ball([0.0, 0.0], 2.0), res)
-        gaps.append(abs(lp_norm(f.compose(iso), 2.0, quad) - lp_norm(f, 2.0, quad)))
+        quad = build_grid_quadrature(domain, res)
+        gaps.append(abs(lp_norm(rotated, 2.0, quad) - lp_norm(f, 2.0, quad)))
     assert gaps[0] > gaps[1] > gaps[2]
 
 
@@ -327,12 +356,11 @@ def test_hajlasz_square_field_with_identity_witness():
 def test_hajlasz_witness_transport_under_motion():
     f = gaussian([0.2, 0.0], 1.0)
     g = polynomial([[2.0]])  # generous constant witness
-    iso = make_isometry(_rotation(0.9), [0.1, -0.3])
+    v, b = _rotation(0.9), np.array([0.1, -0.3])
+    window = truncated_space(4.0, 2)
     pairs = np.random.default_rng(6).uniform(-1, 1, (200, 2, 2))
     original = hajlasz_defect(f, g, pairs)
-    inv = iso.inverse()
-    pulled = np.stack(
-        [inv.apply_many(pairs[:, 0, :]), inv.apply_many(pairs[:, 1, :])], axis=1
-    )
-    transported = hajlasz_defect(f.compose(iso), g.compose(iso), pulled)
+    # x -> V^T (x - b) inverts the motion; the row form of V^T y is y @ V
+    pulled = (pairs - b) @ v
+    transported = hajlasz_defect(_pullback(f, v, b, window), _pullback(g, v, b, window), pulled)
     assert abs(transported - original) <= 1e-12

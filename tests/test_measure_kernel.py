@@ -153,6 +153,18 @@ def test_kernel_form_validation():
         kernel_form("indicator", lo=1.0, hi=0.0)
 
 
+@pytest.mark.parametrize("name, params, key", [
+    ("indicator", {"lo": 0.0, "hi": math.inf}, "hi"),
+    ("indicator", {"lo": -math.inf, "hi": 1.0}, "lo"),
+    ("power", {"a": math.nan}, "a"),
+    ("exp_decay", {"a": math.inf}, "a"),
+    ("constant", {"c": math.nan}, "c"),
+])
+def test_kernel_form_rejects_non_finite_parameters(name, params, key):
+    with pytest.raises(ValueError, match=f"kernel form '{name}' needs a finite {key}"):
+        kernel_form(name, **params)
+
+
 def test_kernel_values_validation():
     with pytest.raises(ValueError):
         kernel_from_values([])
