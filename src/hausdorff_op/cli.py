@@ -74,10 +74,14 @@ _BOUND_EXPERIMENTS = ("lp_bound", "sobolev_bound")
 # fit in memory next to each other
 MAX_GRID_NODES = 1 << 22
 # largest Gauss-Legendre rule a run may build.  Rules above
-# geometry.LEGENDRE_GOLUB_WELSCH_MAX_NODES are built in O(n), about 0.4 s at
+# geometry.LEGENDRE_GOLUB_WELSCH_MAX_NODES are built in O(n), about 0.1 s at
 # this size, so the cap bounds the size of a grid axis, of a measure that
 # becomes a shift family and of a witness panel, not the time of the rule
 MAX_LEGENDRE_NODES = 1 << 15
+# most draws from its bounding box that sampling a ball by rejection may be
+# expected to take; the acceptance rate vol(ball) / vol(box) falls faster
+# than exponentially with the dimension (3.6e-6 at n = 16)
+MAX_BALL_DRAWS = 10**7
 # largest preservation sample per member; the check streams its samples in
 # blocks, so this bounds time, not memory
 MAX_PRESERVATION_SAMPLES = 10**8
@@ -154,6 +158,19 @@ def _check_legendre_nodes(count: int, where: str, errors: list) -> None:
         errors.append(
             f"{where} {count} asks for a Gauss-Legendre rule of more than "
             f"{MAX_LEGENDRE_NODES} nodes"
+        )
+
+
+def _check_ball_draws(n: int, count: int, where: str, errors: list) -> None:
+    # log of vol(ball) / vol(bounding box) = pi^(n/2) / (Gamma(n/2 + 1) 2^n)
+    log_rate = n / 2 * math.log(math.pi) - math.lgamma(n / 2 + 1) - n * math.log(2)
+    log10_draws = (math.log(count) - log_rate) / math.log(10)
+    if log10_draws > math.log10(MAX_BALL_DRAWS):
+        exponent = math.floor(log10_draws)
+        errors.append(
+            f"{where} {count} on a ball in dimension {n} expects "
+            f"{10 ** (log10_draws - exponent):.2f}e{exponent} rejection-sampling "
+            f"draws, more than the cap of {MAX_BALL_DRAWS}"
         )
 
 
@@ -549,6 +566,13 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
 
     options = raw.get("experiment_options", {})
     _validate_options(options, n, errors)
+    domain = raw.get("domain")
+    if ("gradient_check" in experiments and isinstance(domain, dict)
+            and domain.get("shape") == geometry.BALL and isinstance(options, dict)):
+        count = options.get("gradient_points", 50)
+        if _is_int(count) and count >= 1:
+            # the gradient check samples its points from the ball by rejection
+            _check_ball_draws(n, count, "experiment_options: gradient_points", errors)
 
     output = raw.get("output")
     if output is not None and not isinstance(output, str):

@@ -10,8 +10,13 @@ check and may omit the gradient entirely; Sobolev norms then refuse them.
 evaluation, and :meth:`ScalarField.gradients` is its second output: built-in
 kinds share their factors (one ``exp`` per gaussian point, one set of power
 tables per polynomial point), sums and scalar multiples combine their parts'
-single evaluations, and a custom field pairs its two callables.  Polynomial
-power tables take powers 0 and 1 without a float ``pow``.
+single evaluations, and a custom field pairs its two callables.  Built-in
+kernels work one coordinate column at a time, because numpy is slow to
+broadcast over a short last axis, with the same operations per element as
+the row formulas: the gaussian forms each ``x_k - c_k`` once for its
+distance and its gradient, the product rule goes column by column, and
+polynomial power tables are column views, power 1 being the coordinate
+itself, without a float ``pow``.
 
 All norms integrate with a supplied :class:`~.geometry.DomainQuadrature` and
 reduce in deterministic pairwise order; :func:`lp_norm_of_values` and
@@ -180,8 +185,15 @@ def gaussian(center, width: float) -> ScalarField:
         return np.exp(-squared_distances(pts, c) / (w * w))
 
     def both(pts):
-        v = values(pts)
-        return v, (-2.0 / (w * w)) * (pts - c) * v[:, None]
+        # the differences x_k - c_k serve the distance and, scaled in place
+        # column by column, the gradient
+        grads = np.empty_like(pts)
+        v = np.exp(-squared_distances(pts, c, grads) / (w * w))
+        for k in range(n):
+            column = grads[:, k]
+            column *= -2.0 / (w * w)
+            column *= v
+        return v, grads
 
     f = ScalarField(n, values, both, kind="gaussian")
     rng = np.random.default_rng(FD_CHECK_SEED)
@@ -208,32 +220,37 @@ def polynomial(coeffs, dimension: int | None = None) -> ScalarField:
     degrees = [s - 1 for s in c.shape]
 
     def _power_tables(pts):
-        # tables[k][:, d] = x_k ** d.  Degrees 0 and 1 need no float pow,
-        # which makes them cheap.  Higher degrees keep the pow table: x * x
-        # differs from pow(x, 2) in the last bit for a few percent of x, and
-        # those bits move the round-off-sized gradient-check defect that
-        # bench/reference.json records to 1e-9.
+        # tables[k][d] = x_k ** d for d >= 1, as column views (power 0 is
+        # never read).  Degree 1 needs no float pow, which makes it cheap.
+        # Higher degrees keep the pow table: x * x differs from pow(x, 2) in
+        # the last bit for a few percent of x, and those bits move the
+        # round-off-sized gradient-check defect that bench/reference.json
+        # records to 1e-9.  The exponents stay one array from 0: numpy takes
+        # its x * x fast path for an exponent array of one element.
         tables = []
         for k in range(n):
-            x = pts[:, k][:, None]
+            x = pts[:, k]
             if degrees[k] <= 1:
-                tables.append(np.hstack([np.ones_like(x), x])[:, : degrees[k] + 1])
+                tables.append((None, x))
             else:
-                tables.append(x ** np.arange(degrees[k] + 1))
+                tables.append((x[:, None] ** np.arange(degrees[k] + 1)).T)
         return tables
 
-    def _monomial(tables, scale, powers, m):
-        term = np.full(m, scale)
-        for k, d in enumerate(powers):
-            if d:  # a factor x ** 0 = 1 changes nothing
-                term *= tables[k][:, d]
+    def _monomial(tables, scale, powers):
+        # a factor x ** 0 = 1 changes nothing, and a constant stays a scalar
+        factors = [tables[k][d] for k, d in enumerate(powers) if d]
+        if not factors:
+            return scale
+        term = scale * factors[0]
+        for factor in factors[1:]:
+            term *= factor
         return term
 
     def _values(tables, m):
         out = np.zeros(m)
         for alpha in np.ndindex(c.shape):
             if c[alpha] != 0.0:
-                out += _monomial(tables, c[alpha], alpha, m)
+                out += _monomial(tables, c[alpha], alpha)
         return out
 
     def _gradients(tables, m):
@@ -244,7 +261,7 @@ def polynomial(coeffs, dimension: int | None = None) -> ScalarField:
             for j in range(n):
                 if alpha[j]:
                     powers = alpha[:j] + (alpha[j] - 1,) + alpha[j + 1:]
-                    out[:, j] += _monomial(tables, c[alpha] * alpha[j], powers, m)
+                    out[:, j] += _monomial(tables, c[alpha] * alpha[j], powers)
         return out
 
     def both(pts):
@@ -275,7 +292,12 @@ def gaussian_times_poly(center, width: float, coeffs) -> ScalarField:
     def both(pts):
         pv, pg = p.values_and_gradients(pts)
         gv, gg = g.values_and_gradients(pts)
-        return pv * gv, pg * gv[:, None] + pv[:, None] * gg
+        # the product rule one column at a time, into the polynomial's gradients
+        for k in range(g.dimension):
+            column = pg[:, k]
+            column *= gv
+            column += pv * gg[:, k]
+        return pv * gv, pg
 
     f = ScalarField(g.dimension, values, both, kind="gaussian_times_poly")
     rng = np.random.default_rng(FD_CHECK_SEED + 2)

@@ -32,23 +32,30 @@ _SHAPES = (BALL, BOX, TRUNCATED)
 _PAIRWISE_COLUMNS = 8
 
 
-def squared_distances(points: np.ndarray, center: np.ndarray) -> np.ndarray:
+def squared_distances(
+    points: np.ndarray, center: np.ndarray, differences: np.ndarray | None = None
+) -> np.ndarray:
     """``((points - center) ** 2).sum(axis=1)`` for an ``(m, n)`` array, bitwise.
 
     Below eight columns numpy adds a row's squares in column order, so they
     are accumulated the same way, one column at a time through two buffers,
     which is faster than a reduction over a short axis.  From eight columns
-    on numpy sums pairwise, and the reduction itself is kept.
+    on numpy sums pairwise, and the reduction itself is kept.  An ``(m, n)``
+    array ``differences``, when given, receives ``points - center``.
     """
     n = points.shape[1]
     if n >= _PAIRWISE_COLUMNS:
-        return ((points - center) ** 2).sum(axis=1)
-    total = np.subtract(points[:, 0], center[0])
-    total *= total
+        return (np.subtract(points, center, out=differences) ** 2).sum(axis=1)
+    first = np.subtract(
+        points[:, 0], center[0], out=None if differences is None else differences[:, 0]
+    )
+    # squared in place unless the differences are kept
+    total = np.multiply(first, first, out=first if differences is None else None)
     term = np.empty_like(total)
     for k in range(1, n):
-        np.subtract(points[:, k], center[k], out=term)
-        term *= term
+        column = term if differences is None else differences[:, k]
+        np.subtract(points[:, k], center[k], out=column)
+        np.multiply(column, column, out=term)
         total += term
     return total
 
@@ -69,6 +76,12 @@ _STIELTJES_MIN_ARG = 60.0
 _NEWTON_STEPS = 10
 
 
+# up to this many points the recurrence runs on Python floats, one point at a
+# time; numpy's per-call cost pays off from about 32 points on (the ends of a
+# large rule pass about 9, a Golub-Welsch rule all n)
+_FLOAT_RECURRENCE_MAX_POINTS = 16
+
+
 def _legendre_pair(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(P_{n-1}(x), P_n(x))`` for ``n >= 1``, in one pass of the three-term
     recurrence.
@@ -76,8 +89,12 @@ def _legendre_pair(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     The recurrence runs in ``d = P_k - P_{k-1}``, as
     ``d = ((2k + 1) / (k + 1)) (x - 1) P_k + (k / (k + 1)) d``, in the order
     of scipy's ``eval_legendre``, so both values are bitwise scipy's wherever
-    ``|x| >= 1e-5``.  Nearer 0 scipy sums a power series instead.
+    ``|x| >= 1e-5``.  Nearer 0 scipy sums a power series instead.  Short
+    arrays go through :func:`_legendre_pair_floats`, which makes the same
+    operations in the same order.
     """
+    if len(x) <= _FLOAT_RECURRENCE_MAX_POINTS:
+        return _legendre_pair_floats(n, x)
     prev = np.ones_like(x)
     p = x.copy()
     x_minus_one = x - 1
@@ -92,6 +109,20 @@ def _legendre_pair(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         np.add(p, d, out=prev)
         prev, p = p, prev
     return prev, p
+
+
+def _legendre_pair_floats(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_legendre_pair` on Python floats, one point at a time, bitwise."""
+    ratios = [((2 * k + 1) / (k + 1), k / (k + 1)) for k in range(1, n)]
+    below, value = np.ones_like(x), x.copy()
+    for i, xi in enumerate(x.tolist()):
+        prev, p = 1.0, xi
+        x_minus_one = d = xi - 1
+        for a, b in ratios:
+            d = d * b + x_minus_one * a * p
+            prev, p = p, p + d
+        below[i], value[i] = prev, p
+    return below, value
 
 
 def _golub_welsch_rule(n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -22,6 +22,15 @@ same pass without gradients and agrees with it bitwise, whatever the block
 boundaries: every matrix product goes through :func:`_rows_times`, which
 gives a row the same bits alone as inside a larger block.
 
+The member sum streams.  Points go in blocks of up to ``_FIELD_ROWS``, and
+the members of a point block in aligned blocks of a power-of-two size, each
+exactly one subtree of the pairwise sum over all members.  Each member
+block's weighted terms are reduced with :func:`~.summation.pairwise_sum` and
+pushed onto a :class:`~.summation.PairwiseStack`, which merges them as that
+sum's tree does, so the result is bitwise ``pairwise_sum`` over all members
+while memory stays O(block x (n + 1) x log2(members)), with no
+(members x block) term array.
+
 Every evaluation point must lie in the domain.  The constructor checks
 exactly, once, that every member maps the domain into itself
 (:func:`~.isometry.check_domain_preserving`), so a mispaired family and
@@ -43,12 +52,10 @@ from .measure_kernel import (
     kernel_from_values,
     kernel_l1_norm,
 )
-from .summation import pairwise_sum
+from .summation import PairwiseStack, pairwise_sum
 
-# cap on the transient (members x points) term block, in elements
-_BLOCK_ELEMENTS = 1 << 22
-# cap on the image rows (members x points) handed to one field call; the
-# field's temporaries grow with it
+# cap on the points of one block and on the image rows (members x points)
+# handed to one field call; the field's temporaries grow with it
 _FIELD_ROWS = 1 << 14
 
 
@@ -113,33 +120,36 @@ class HausdorffOperator:
     ) -> tuple[np.ndarray, np.ndarray | None]:
         count = len(self.family)
         n = self.dimension
-        # the value and gradient term blocks together hold count x block x (n + 1)
-        per_point = n + 1 if gradients else 1
-        block = max(1, min(_FIELD_ROWS, _BLOCK_ELEMENTS // (count * per_point)))
         value_out = np.empty(len(pts))
         grad_out = np.empty((len(pts), n)) if gradients else None
-        for start in range(0, len(pts), block):
-            chunk = pts[start : start + block]
+        for start in range(0, len(pts), _FIELD_ROWS):
+            chunk = pts[start : start + _FIELD_ROWS]
             rows = slice(start, start + len(chunk))
-            value_terms = np.empty((count, len(chunk)))
-            grad_terms = np.empty((count, len(chunk), n)) if gradients else None
-            # one field call per member block: its images stacked member-major
-            step = max(1, _FIELD_ROWS // len(chunk))
+            # one field call per aligned power-of-two member block, each block
+            # one subtree of the pairwise sum over all members
+            step = 1 << ((_FIELD_ROWS // len(chunk)).bit_length() - 1)
+            value_sum = PairwiseStack()
+            grad_sum = PairwiseStack()
             for lo in range(0, count, step):
                 members = slice(lo, min(lo + step, count))
                 mats = self._matrices[members]
-                images = _rows_times(chunk, mats.transpose(0, 2, 1)) + self._offsets[members, None]
+                images = _rows_times(chunk, mats.transpose(0, 2, 1))
+                offsets = self._offsets[members, None]
+                # by column: numpy broadcasts slowly over a short last axis
+                for k in range(n):
+                    images[..., k] += offsets[..., k]
                 images = images.reshape(-1, n)
                 if gradients:
                     v, g = f.values_and_gradients(images)
-                    g = _rows_times(g.reshape(len(mats), -1, n), mats)
-                    grad_terms[members] = coeff[members, None, None] * g
+                    g = coeff[members, None, None] * _rows_times(g.reshape(len(mats), -1, n), mats)
+                    grad_sum.push(len(mats), pairwise_sum(g, axis=0))
                 else:
                     v = f.values(images)
-                value_terms[members] = coeff[members, None] * v.reshape(len(mats), -1)
-            value_out[rows] = pairwise_sum(value_terms, axis=0)
+                terms = coeff[members, None] * v.reshape(len(mats), -1)
+                value_sum.push(len(mats), pairwise_sum(terms, axis=0))
+            value_out[rows] = value_sum.total()
             if gradients:
-                grad_out[rows] = pairwise_sum(grad_terms, axis=0)
+                grad_out[rows] = grad_sum.total()
         return value_out, grad_out
 
     def apply_many(self, f: ScalarField, points, absolute_kernel: bool = False) -> np.ndarray:

@@ -10,6 +10,7 @@ import pytest
 
 from hausdorff_op.cli import (
     EXPERIMENT_NAMES,
+    MAX_BALL_DRAWS,
     MAX_LEGENDRE_NODES,
     MAX_PRESERVATION_SAMPLES,
     ConfigError,
@@ -248,8 +249,30 @@ def _preservation_config(samples):
                            experiment_options={"preservation_samples": samples})
 
 
+def _ball_gradient_config(dimension, **options):
+    config = _minimal_config(
+        dimension=dimension,
+        domain={"shape": "ball", "center": [0.0] * dimension, "radius": 1.0},
+        family={"kind": "finite_group", "group": "sign_flips"},
+        fields=[{"kind": "gaussian", "center": [0.0] * dimension, "width": 1.0}],
+        experiments=["gradient_check"],
+        resolution=2,
+        experiment_options=options,
+    )
+    del config["measure"]  # a finite group carries its own
+    return config
+
+
 # (config at the cap, the same one step past it, the message past it)
 _CAPPED_INPUTS = {
+    # a 16-D ball takes 3.59e-6 of its bounding-box draws: 35 points expect
+    # 9.75e6 draws, 36 expect 1.0025e7
+    "ball_gradient_points": (
+        _ball_gradient_config(16, gradient_points=35),
+        _ball_gradient_config(16, gradient_points=36),
+        "experiment_options: gradient_points 36 on a ball in dimension 16 expects "
+        f"1.00e7 rejection-sampling draws, more than the cap of {MAX_BALL_DRAWS}",
+    ),
     "resolution": (
         _minimal_config(resolution=MAX_LEGENDRE_NODES),
         _minimal_config(resolution=MAX_LEGENDRE_NODES + 1),
@@ -299,6 +322,20 @@ def test_legendre_cap_keeps_the_fine_rules():
         parse_config(json.dumps(_shift_measure_config("gauss_legendre", nodes)))
     # no grid is built without a bound or gradient experiment, so no rule either
     parse_config(json.dumps({**_preservation_config(10), "resolution": 10**6}))
+
+
+def test_ball_rejection_sampling_that_would_not_finish_is_rejected_at_once():
+    assert parse_config(json.dumps(_ball_gradient_config(3))).dimension == 3
+    # 50 points (the default) in 16-D expect 1.4e7 draws; sampling them took
+    # 23.5 s, and 15-D (4.3e6 draws) 7.3 s
+    start = time.perf_counter()
+    with pytest.raises(ConfigError, match="ball in dimension 16 expects 1.39e7"):
+        parse_config(json.dumps(_ball_gradient_config(16)))
+    assert time.perf_counter() - start < 0.1
+    # a box samples without rejection
+    box16 = {**_ball_gradient_config(16),
+             "domain": {"shape": "box", "lower": [-1.0] * 16, "upper": [1.0] * 16}}
+    assert parse_config(json.dumps(box16)).dimension == 16
 
 
 @pytest.mark.parametrize("name", sorted(_CAPPED_INPUTS))

@@ -153,6 +153,20 @@ def test_builtin_and_composite_values_and_gradients_bitwise():
         one_value, one_grad = gp.values_and_gradients(pts[k])
         assert one_value[0] == values[k]
         assert np.array_equal(one_grad[0], grads[k])
+    # from 8 axes on the gaussian's distance is numpy's row reduction
+    for n in (2, 8, 9):
+        pts = rng.normal(size=(300, n))
+        center = rng.uniform(-0.3, 0.3, n)
+        coeffs = np.zeros((2,) * n)
+        coeffs[(0,) * n], coeffs[(1,) + (0,) * (n - 1)], coeffs[(1,) * n] = 1.0, 0.5, -0.2
+        g = gaussian(center, 0.9)
+        gp = gaussian_times_poly(center, 0.9, coeffs)
+        for f in (g, gp, g + gp, 2.5 * gp):
+            _assert_values_and_gradients_bitwise(f, pts)
+        # the product rule, column by column, has the bits of the broadcast form
+        pv, pg = polynomial(coeffs).values_and_gradients(pts)
+        gv, gg = g.values_and_gradients(pts)
+        assert np.array_equal(gp.gradients(pts), pg * gv[:, None] + pv[:, None] * gg)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8])

@@ -112,6 +112,21 @@ def _reference_node_and_weight(n, node):
         return root, weight
 
 
+def test_float_recurrence_matches_the_numpy_loop_bitwise(monkeypatch):
+    rng = np.random.default_rng(8)
+    cases = [(n, rng.uniform(-1.0, 1.0, 5)) for n in (1, 2, 3, 64, 255, 300)]
+    cases += [(int(n), rng.uniform(-1.0, 1.0, 3)) for n in rng.integers(1, 301, 10)]
+    # the end nodes of a large rule, where the float loop runs
+    nodes = geometry._legendre_rule(8192)[0]
+    cases.append((8192, np.concatenate([nodes[:9], nodes[-9:]])))
+    floats = [geometry._legendre_pair_floats(n, x) for n, x in cases]
+    monkeypatch.setattr(geometry, "_FLOAT_RECURRENCE_MAX_POINTS", 0)
+    for (n, x), (below, value) in zip(cases, floats):
+        want_below, want_value = geometry._legendre_pair(n, x)
+        assert _same_bits(below, want_below), n
+        assert _same_bits(value, want_value), n
+
+
 @pytest.mark.parametrize("n", [257, 1000, 8192, 20000])
 def test_large_rule_matches_a_34_digit_recurrence(n):
     nodes, weights = geometry._legendre_rule(n)
@@ -311,6 +326,10 @@ def test_squared_distances_match_the_row_reduction_bitwise(n):
     pts = 3.0 * rng.standard_normal((10**5, n))
     center = rng.standard_normal(n)
     assert _same_bits(squared_distances(pts, center), ((pts - center) ** 2).sum(axis=1))
+    differences = np.empty_like(pts)
+    total = squared_distances(pts, center, differences)
+    assert _same_bits(total, ((pts - center) ** 2).sum(axis=1))
+    assert _same_bits(differences, pts - center)
 
 
 @pytest.mark.parametrize("domain", [

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -257,7 +258,7 @@ def test_fused_pass_matches_one_output_views_bitwise(n, monkeypatch):
     values = op.apply_many(f, pts)
     grads = op.apply_gradient_many(f, pts)
     # blocks of 7 points, the last one holding 3, in the fused and one-output passes
-    monkeypatch.setattr(operator_module, "_BLOCK_ELEMENTS", len(op) * (n + 1) * 7)
+    monkeypatch.setattr(operator_module, "_FIELD_ROWS", 7)
     fused_values, fused_grads = op.apply_and_gradient_many(f, pts)
     assert np.array_equal(fused_values, values)
     assert np.array_equal(fused_grads, grads)
@@ -266,6 +267,21 @@ def test_fused_pass_matches_one_output_views_bitwise(n, monkeypatch):
     pushed = op.push(f).values_and_gradients(pts)
     assert np.array_equal(pushed[0], values)
     assert np.array_equal(pushed[1], grads)
+
+
+def test_fused_pass_memory_does_not_grow_with_the_members():
+    op = _rotation_operator(3, count=64)
+    f = gaussian_times_poly([0.1, -0.2, 0.0], 0.9, np.full((3, 3, 3), 0.2))
+    pts = op.domain.shrink(0.05).sample_uniform(1 << 14, 3)
+    tracemalloc.start()
+    try:
+        op.apply_and_gradient_many(f, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the member sum holds log2(64) + 1 partial sums per output, not the
+    # 64 x 2^14 x 4 terms (33.5 MB)
+    assert peak < 16e6, peak
 
 
 def _per_member_reference(op, f, pts, coeff):
@@ -295,10 +311,9 @@ def test_member_blocks_match_the_per_member_loop_bitwise(n, monkeypatch):
     coeff = op.measure.weights * op.kernel.values
     want_values, want_grads = _per_member_reference(op, f, pts, coeff)
     abs_values, _ = _per_member_reference(op, f, pts, np.abs(coeff))
-    # point blocks of 7 with gradients (the last holds 3) and of 14, 20 or 20
-    # without; 20-row field calls split the 7 members unevenly in each
-    monkeypatch.setattr(operator_module, "_BLOCK_ELEMENTS", len(op) * (n + 1) * 7)
-    monkeypatch.setattr(operator_module, "_FIELD_ROWS", 20)
+    # point blocks of 7, the last holding 3, whose 7 members go to 7-row
+    # field calls one at a time and two at a time (2, 2, 2, 1) in the last
+    monkeypatch.setattr(operator_module, "_FIELD_ROWS", 7)
     rows = []
     values_fn = type(f).values
 
@@ -309,7 +324,8 @@ def test_member_blocks_match_the_per_member_loop_bitwise(n, monkeypatch):
 
     monkeypatch.setattr(type(f), "values", counted)
     assert np.array_equal(op.apply_many(f, pts), want_values)
-    assert max(rows) <= 20 and sum(rows) == len(op) * len(pts)
+    assert max(rows) <= 7 and sum(rows) == len(op) * len(pts)
+    assert rows[-4:] == [6, 6, 6, 3]
     assert np.array_equal(op.apply_many(f, pts, absolute_kernel=True), abs_values)
     assert np.array_equal(op.apply_gradient_many(f, pts), want_grads)
     fused_values, fused_grads = op.apply_and_gradient_many(f, pts)

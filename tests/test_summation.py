@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hausdorff_op.summation import pairwise_sum
+from hausdorff_op.summation import PairwiseStack, pairwise_sum
 
 
 def test_matches_fsum_on_ill_conditioned_data():
@@ -32,6 +32,22 @@ def test_axis_reduction_matches_scalar_path_bitwise():
     for col in range(50):
         for j in range(3):
             assert stacked[col, j] == pairwise_sum(terms[:, col, j])
+
+
+def test_stack_of_aligned_blocks_matches_pairwise_sum_bitwise():
+    rng = np.random.default_rng(13)
+    for count in range(1, 301):
+        # magnitudes spread over 16 decades, so any other grouping rounds differently
+        terms = rng.normal(size=(count, 3)) * 10.0 ** rng.integers(-8, 8, (count, 1))
+        want = pairwise_sum(terms, axis=0)
+        for block in (1, 2, 4, 8, 32, 64, 512):
+            stack = PairwiseStack()
+            for lo in range(0, count, block):
+                rows = terms[lo : lo + block]
+                stack.push(len(rows), pairwise_sum(rows, axis=0))
+            assert np.array_equal(stack.total(), want), (count, block)
+    with pytest.raises(ValueError, match="no blocks"):
+        PairwiseStack().total()
 
 
 def test_single_and_two_elements():
