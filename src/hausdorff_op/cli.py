@@ -74,9 +74,9 @@ _BOUND_EXPERIMENTS = ("lp_bound", "sobolev_bound")
 # fit in memory next to each other
 MAX_GRID_NODES = 1 << 22
 # largest Gauss-Legendre rule a run may build.  Rules above
-# geometry.LEGENDRE_GOLUB_WELSCH_MAX_NODES are built in O(n), about 0.1 s at
-# this size, so the cap bounds the size of a grid axis, of a measure that
-# becomes a shift family and of a witness panel, not the time of the rule
+# geometry.LEGENDRE_GOLUB_WELSCH_MAX_NODES are built in closed form, about
+# 4 ms at this size, so the cap bounds the size of a grid axis, of a measure
+# that becomes a shift family and of a witness panel, not the time of the rule
 MAX_LEGENDRE_NODES = 1 << 15
 # most draws from its bounding box that sampling a ball by rejection may be
 # expected to take; the acceptance rate vol(ball) / vol(box) falls faster
@@ -145,6 +145,18 @@ def _is_number(x) -> bool:
 def _is_vector(x, length: int) -> bool:
     return (isinstance(x, list) and len(x) == length
             and all(_is_number(v) for v in x))
+
+
+def _is_number_tree(x) -> bool:
+    """Whether ``x`` is a JSON number, finite or not, or nested lists of them."""
+    stack = [x]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, list):
+            stack.extend(item)
+        elif isinstance(item, bool) or not isinstance(item, (int, float)):
+            return False
+    return True
 
 
 def _check_keys(spec: dict, allowed: set, where: str, errors: list) -> None:
@@ -402,10 +414,17 @@ def _validate_field(spec, n: int, index: int, errors: list) -> None:
         if not (_is_number(spec.get("width")) and spec["width"] > 0):
             errors.append(f"{where}: width must be a positive number")
     if needs_poly:
-        try:
-            coeffs = np.asarray(spec.get("coeffs"), dtype=float)
-        except (ValueError, TypeError):
+        # numpy would turn JSON strings and booleans into numbers
+        if not _is_number_tree(spec.get("coeffs")):
             errors.append(f"{where}: coeffs must be a (nested) list of numbers")
+            return
+        try:
+            coeffs = np.asarray(spec["coeffs"], dtype=float)
+        except ValueError:
+            errors.append(f"{where}: coeffs must be a (nested) list of numbers")
+            return
+        except OverflowError:
+            errors.append(f"{where}: coeffs must be finite numbers")
             return
         if coeffs.ndim != n or coeffs.size == 0:
             errors.append(
@@ -680,8 +699,6 @@ def _thread_count() -> int:
 
 def run(config: RunConfig, out_dir) -> int:
     """Execute the configured experiments and write artifacts into out_dir."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     n = config.dimension
     domain = _build_domain(config.domain, n)
     fields = [(f"{i}:{spec['kind']}", _build_field(spec, n))
@@ -774,6 +791,9 @@ def run(config: RunConfig, out_dir) -> int:
 
     header = "experiment,p,lhs,rhs,bound_constant,margin,resolution,seed,passed"
     rows = [header] + [_report_row(r) for _, r in reports]
+    # only now, so that a run that fails leaves no empty directory behind
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     (out / "results.csv").write_text("\n".join(rows) + "\n", encoding="utf-8", newline="\n")
 
     if divergences:

@@ -61,25 +61,13 @@ def squared_distances(
 
 
 # Rules of up to this many nodes come from the Golub-Welsch eigenvalue method
-# (at most 12 ms), larger ones from the O(n) construction below.  The
-# crossover only keeps the bits of small rules: the benchmark compares
-# round-off-sized gradient_check rows at 1e-9 relative, and a 64-node measure
-# rebuilt in O(n) moves them.  It goes once that check tolerates round-off
-# (ROADMAP item 1).
+# (at most 12 ms), larger ones from the closed form below (0.2 ms at 257
+# nodes, 0.8 ms at 8192 and 4 ms at 2^15 on a 2-vCPU Xeon VM).  The closed
+# form's omitted terms fall as n^-6 and are below 3e-16 relative from 257
+# nodes on.  The crossover also keeps the bits of small rules: the benchmark
+# compares round-off-sized gradient_check rows at 1e-9 relative, and a 64-node
+# measure rebuilt another way moves them (ROADMAP item 1).
 LEGENDRE_GOLUB_WELSCH_MAX_NODES = 256
-
-# terms of the Stieltjes expansion, valid to round-off where 2 n sin(theta)
-# reaches _STIELTJES_MIN_ARG; nearer the ends (about 10 nodes each) the
-# three-term recurrence is used
-_STIELTJES_TERMS = 20
-_STIELTJES_MIN_ARG = 60.0
-_NEWTON_STEPS = 10
-
-
-# up to this many points the recurrence runs on Python floats, one point at a
-# time; numpy's per-call cost pays off from about 32 points on (the ends of a
-# large rule pass about 9, a Golub-Welsch rule all n)
-_FLOAT_RECURRENCE_MAX_POINTS = 16
 
 
 def _legendre_pair(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -89,12 +77,8 @@ def _legendre_pair(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     The recurrence runs in ``d = P_k - P_{k-1}``, as
     ``d = ((2k + 1) / (k + 1)) (x - 1) P_k + (k / (k + 1)) d``, in the order
     of scipy's ``eval_legendre``, so both values are bitwise scipy's wherever
-    ``|x| >= 1e-5``.  Nearer 0 scipy sums a power series instead.  Short
-    arrays go through :func:`_legendre_pair_floats`, which makes the same
-    operations in the same order.
+    ``|x| >= 1e-5``.  Nearer 0 scipy sums a power series instead.
     """
-    if len(x) <= _FLOAT_RECURRENCE_MAX_POINTS:
-        return _legendre_pair_floats(n, x)
     prev = np.ones_like(x)
     p = x.copy()
     x_minus_one = x - 1
@@ -109,20 +93,6 @@ def _legendre_pair(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         np.add(p, d, out=prev)
         prev, p = p, prev
     return prev, p
-
-
-def _legendre_pair_floats(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_legendre_pair` on Python floats, one point at a time, bitwise."""
-    ratios = [((2 * k + 1) / (k + 1), k / (k + 1)) for k in range(1, n)]
-    below, value = np.ones_like(x), x.copy()
-    for i, xi in enumerate(x.tolist()):
-        prev, p = 1.0, xi
-        x_minus_one = d = xi - 1
-        for a, b in ratios:
-            d = d * b + x_minus_one * a * p
-            prev, p = p, p + d
-        below[i], value[i] = prev, p
-    return below, value
 
 
 def _golub_welsch_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -156,114 +126,75 @@ def _golub_welsch_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _stieltjes_scale(n: int) -> float:
-    """``C_n = (2 / sqrt(pi)) Gamma(n + 1) / Gamma(n + 3/2)`` to a few ulp.
+# The first 20 zeros j_{0,k} of the Bessel function J_0 and J_1(j_{0,k})^2,
+# from mpmath at 40 digits, rounded to double
+_BESSEL_J0_ZEROS = (
+    2.404825557695773, 5.520078110286311, 8.653727912911013, 11.791534439014281,
+    14.930917708487787, 18.071063967910924, 21.21163662987926, 24.352471530749302,
+    27.493479132040253, 30.634606468431976, 33.77582021357357, 36.917098353664045,
+    40.05842576462824, 43.19979171317673, 46.341188371661815, 49.482609897397815,
+    52.624051841115, 55.76551075501998, 58.90698392608094, 62.048469190227166,
+)
+_BESSEL_J1_SQUARED = (
+    0.2695141239419169, 0.11578013858220369, 0.07368635113640822, 0.05403757319811628,
+    0.04266142901724309, 0.0352421034909961, 0.030021070103054673, 0.02614739149530809,
+    0.023159121824691393, 0.02078382912226786, 0.01885045066931767, 0.017246157569665008,
+    0.0158935181059236, 0.01473762609647219, 0.013738465145387117, 0.012866181737615133,
+    0.012098051548626797, 0.011416471224491609, 0.010807592791180204, 0.010260372926280762,
+)
 
-    The series of log(Gamma(n + 1) / Gamma(n + 1/2)) - log(n) / 2 in odd
-    powers of 1/n; its first omitted term is below 1e-22 for n > 256.
-    scipy's beta and gammaln lose up to 1e-11 here.
+
+def _bessel_zeros(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """``j_{0,k}`` and ``J_1(j_{0,k})^2`` for ``k = 1 .. count``, ``count >= 20``.
+
+    Past the tables, the zeros come from McMahon's expansion (DLMF 10.21.19)
+    and ``J_1(j)^2 = 2 / (pi j S)`` from the Hankel expansion (DLMF 10.5.2,
+    10.18.17); both are within 4e-16 relative from k = 21 on.
     """
-    series = 1 / (8 * n) - 1 / (192 * n**3) + 1 / (640 * n**5) - 17 / (14336 * n**7)
-    return 2 / math.sqrt(math.pi) * math.sqrt(n) / (n + 0.5) * math.exp(series)
-
-
-def _stieltjes(n: int, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``P_n(cos theta)`` and its theta-derivative, both over
-    ``C_n (2 sin theta)^(-1/2)``, by the Stieltjes expansion (Szego 8.21.5)
-    ``sum_m h_m cos(a_m) / (2 sin theta)^m`` with
-    ``a_m = (n + m + 1/2) theta - (m + 1/2) pi / 2``.
-    """
-    sin, cos = np.sin(theta), np.cos(theta)
-    cot = cos / sin
-    two_sin = 2 * sin
-    alpha = (n + 0.5) * theta - 0.25 * np.pi
-    cos_a, sin_a = np.cos(alpha), np.sin(alpha)
-    term = np.ones_like(theta)  # h_m / (2 sin theta)^m
-    value = np.zeros_like(theta)
-    slope = np.zeros_like(theta)
-    for m in range(_STIELTJES_TERMS):
-        value += term * cos_a
-        slope -= term * ((n + m + 0.5) * sin_a + (m + 0.5) * cot * cos_a)
-        term *= (m + 0.5) ** 2 / ((m + 1) * (n + m + 1.5))
-        term /= two_sin
-        # a_{m+1} = a_m + theta - pi/2
-        cos_a, sin_a = sin_a * cos + cos_a * sin, sin_a * sin - cos_a * cos
-    return value, slope
-
-
-def _recurrence(n: int, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``P_n(cos theta)`` and its first two theta-derivatives by the
-    three-term recurrence (:func:`_legendre_pair`).
-
-    The recurrence sees ``x = cos theta`` rounded, which stands for the angle
-    ``arccos(x)``, up to 1e-16 / sin(theta) away: near the ends that moves a
-    weight by 1e-9.  Value and slope are carried back to ``theta`` by a
-    Taylor step, with ``P'' = -cot(theta) P' - n (n + 1) P`` from Legendre's
-    equation; that ``P''`` is the third result.
-    """
-    x = np.cos(theta)
-    seen = np.arccos(x)
-    below, value = _legendre_pair(n, x)
-    slope = n * (x * value - below) / np.sin(seen)
-    shift = theta - seen
-    curvature = -slope / np.tan(seen) - n * (n + 1) * value
-    return value + slope * shift, slope + curvature * shift, curvature
-
-
-def _newton(n: int, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Roots of ``P_n(cos .)`` by Newton in theta on :func:`_stieltjes`, and
-    the slope there (scaled as there)."""
-    for _ in range(_NEWTON_STEPS):
-        value, slope = _stieltjes(n, theta)
-        step = value / slope
-        theta = theta - step
-        # convergence is quadratic: what this step left is below 1e-20 theta
-        if np.all(np.abs(step) <= 1e-10 * theta):
-            return theta, _stieltjes(n, theta)[1]
-    raise RuntimeError(f"Newton did not converge for the {n}-node Gauss-Legendre rule")
-
-
-def _halley(n: int, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Roots of ``P_n(cos .)`` near the ends by two Halley steps in theta on
-    :func:`_recurrence`, and the slope there.
-
-    Each step costs one O(n) pass of the recurrence, so the slope at the root
-    comes from a Taylor step, not from a third pass.
-    """
-    for _ in range(2):
-        value, slope, curvature = _recurrence(n, theta)
-        step = value / slope
-        step /= 1 - step * curvature / (2 * slope)
-        theta = theta - step
-    # convergence is cubic: Tricomi's guesses are within 7e-4 theta of the
-    # roots here, the second step is near 3e-10 theta and leaves below 1e-20
-    if not np.all(np.abs(step) <= 1e-7 * theta):
-        raise RuntimeError(f"Halley did not converge for the {n}-node Gauss-Legendre rule")
-    return theta, slope - curvature * step
+    table = len(_BESSEL_J0_ZEROS)
+    b = (np.arange(table + 1, count + 1) - 0.25) * np.pi
+    r = 1 / (8 * b)
+    r2 = r * r
+    j = b + r * (1 - r2 * (124 / 3 - r2 * (120928 / 15 - r2 * (401743168 / 105))))
+    jj = 1 / (j * j)
+    s = 1 + jj * (-1 / 8 + jj * (27 / 128 + jj * (-1125 / 1024 + jj * (1157625 / 98304))))
+    squares = 2 / (np.pi * j * s)
+    return np.concatenate([_BESSEL_J0_ZEROS, j]), np.concatenate([_BESSEL_J1_SQUARED, squares])
 
 
 def _asymptotic_legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The n-node Gauss-Legendre rule in O(n) (Hale & Townsend, SIAM J. Sci.
-    Comput. 35(2), 2013), ascending.
+    """The n-node Gauss-Legendre rule in closed form, ascending: Bogaert's
+    expansion (SIAM J. Sci. Comput. 36(3), 2014) in powers of
+    ``nu = n + 1/2``.
 
-    Nodes ``x_k = cos theta_k`` with ``theta <= pi/2`` are found in theta
-    from Tricomi's initial guesses, by Newton on the Stieltjes expansion and,
-    near the ends, by Halley on the recurrence, and mirrored; an odd rule has an
-    exact 0 in the middle.  Weights are ``2 / (dP_n/dtheta)^2``, which has no
-    ``1 - x^2`` to cancel near the ends.
+    The k-th node from the right is ``cos theta_k`` with
+    ``theta_k = a + F1/nu^2 + F2/nu^4 + F3/nu^6``, ``a = j_{0,k} / nu``; its
+    weight is ``2 sin(a) / (nu^2 a J_1(j_{0,k})^2 (1 + W1/nu^2 + W2/nu^4))``.
+    The F and W are polynomials in ``u = cot a`` and ``1/a``.  The right
+    half is mirrored; an odd rule has an exact 0 in the middle.  For
+    n > 256 the first omitted terms are below 3e-16 relative.
     """
-    k = np.arange(1, (n + 1) // 2 + 1)
-    phi = (k - 0.25) * np.pi / (n + 0.5)
-    # Tricomi: x_k ~ (1 - (n - 1) / 8n^3 - (39 - 28 / sin^2 phi) / 384n^4) cos phi
-    scale = 1 - (n - 1) / (8 * n**3) - (39 - 28 / np.sin(phi) ** 2) / (384 * n**4)
-    theta = np.arccos(scale * np.cos(phi))
-    slope = np.empty_like(theta)
-    inner = 2 * n * np.sin(theta) >= _STIELTJES_MIN_ARG
-    theta[inner], slope[inner] = _newton(n, theta[inner])
-    slope[inner] *= _stieltjes_scale(n) / np.sqrt(2 * np.sin(theta[inner]))
-    theta[~inner], slope[~inner] = _halley(n, theta[~inner])
-    x = np.cos(theta)
-    weights = 2 / slope**2
+    j, j1_squared = _bessel_zeros((n + 1) // 2)
+    nu = n + 0.5
+    v = 1 / (nu * nu)
+    a = j / nu
+    u = 1 / np.tan(a)
+    u2 = u * u
+    r = 1 / a
+    f1 = (u - r) / 8
+    f2 = (6 * (1 + u2) * r + 25 * r**3 - u * (31 * u2 + 33)) / 384
+    f3 = (
+        u * (2595 + 6350 * u2 + 3779 * u2 * u2) / 15360
+        - 1073 / 5120 * r**5
+        + (1 + u2) * (-(31 * u2 + 11) / 1024 * r + u / 512 * r**2 - 25 / 3072 * r**3)
+    )
+    w1 = (1 + (u * a - 1) * r * r) / 8
+    w2 = (
+        -27 - 84 * u2 - 56 * u2 * u2 + 6 * u * r + (6 * u2 - 3) * r**2
+        - 31 * u * r**3 + 81 * r**4
+    ) / 384
+    x = np.cos(a + v * (f1 + v * (f2 + v * f3)))
+    weights = 2 * np.sin(a) / (nu * nu * a * j1_squared * (1 + v * (w1 + v * w2)))
     if n % 2:
         x[-1] = 0.0
     m = n // 2
@@ -328,7 +259,6 @@ class Domain:
     radius: float | None = None
     lower: np.ndarray | None = None
     upper: np.ndarray | None = None
-    halfwidth: float | None = None
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -348,10 +278,7 @@ class Domain:
         """Componentwise (lower, upper) corners of the quadrature window."""
         if self.shape == BALL:
             return self.center - self.radius, self.center + self.radius
-        if self.shape == BOX:
-            return self.lower.copy(), self.upper.copy()
-        h = self.halfwidth
-        return np.full(self.dimension, -h), np.full(self.dimension, h)
+        return self.lower.copy(), self.upper.copy()
 
     def contains(self, x: np.ndarray) -> bool:
         """Closed membership of a single point in the quadrature region."""
@@ -540,9 +467,7 @@ def truncated_space(halfwidth: float, dimension: int) -> Domain:
     hi = np.full(dimension, h)
     lo.setflags(write=False)
     hi.setflags(write=False)
-    return Domain(
-        dimension=dimension, shape=TRUNCATED, lower=lo, upper=hi, halfwidth=h
-    )
+    return Domain(dimension=dimension, shape=TRUNCATED, lower=lo, upper=hi)
 
 
 @dataclass(frozen=True)

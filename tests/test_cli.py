@@ -144,13 +144,17 @@ def test_finite_group_rejects_non_object_measure(measure):
         parse_config(json.dumps(config))
 
 
-@pytest.mark.parametrize("bad", ["Infinity", "-Infinity", "NaN"])
+@pytest.mark.parametrize("bad", [
+    "Infinity", "-Infinity", "NaN", pytest.param("1" + "0" * 400, id="10**400"), '"1"', "true",
+])
 def test_non_finite_coefficients_rejected(bad):
-    # json.loads accepts these non-standard literals
+    # json.loads accepts these non-standard literals, and an int past the
+    # double range; numpy would turn a string or a boolean into a number
     text = json.dumps(_minimal_config()).replace("[0.0, 1.0]", f"[0.0, {bad}]")
     with pytest.raises(ConfigError) as exc:
         parse_config(text)
-    assert exc.value.errors == ["fields[0]: coeffs must be finite numbers"]
+    message = "a (nested) list of numbers" if bad in ('"1"', "true") else "finite numbers"
+    assert exc.value.errors == [f"fields[0]: coeffs must be {message}"]
 
 
 def test_grid_size_is_capped():
@@ -626,6 +630,7 @@ def test_main_surfaces_runtime_value_errors(tmp_path, capsys):
     path.write_text(json.dumps(config))
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
     assert "leaves the domain" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 # failure tiers

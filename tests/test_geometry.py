@@ -112,26 +112,32 @@ def _reference_node_and_weight(n, node):
         return root, weight
 
 
-def test_float_recurrence_matches_the_numpy_loop_bitwise(monkeypatch):
-    rng = np.random.default_rng(8)
-    cases = [(n, rng.uniform(-1.0, 1.0, 5)) for n in (1, 2, 3, 64, 255, 300)]
-    cases += [(int(n), rng.uniform(-1.0, 1.0, 3)) for n in rng.integers(1, 301, 10)]
-    # the end nodes of a large rule, where the float loop runs
-    nodes = geometry._legendre_rule(8192)[0]
-    cases.append((8192, np.concatenate([nodes[:9], nodes[-9:]])))
-    floats = [geometry._legendre_pair_floats(n, x) for n, x in cases]
-    monkeypatch.setattr(geometry, "_FLOAT_RECURRENCE_MAX_POINTS", 0)
-    for (n, x), (below, value) in zip(cases, floats):
-        want_below, want_value = geometry._legendre_pair(n, x)
-        assert _same_bits(below, want_below), n
-        assert _same_bits(value, want_value), n
+def test_bessel_tables_match_mpmath_bitwise():
+    with mpmath.workdps(40):
+        zeros = [mpmath.besseljzero(0, k) for k in range(1, 21)]
+        squares = [mpmath.besselj(1, z) ** 2 for z in zeros]
+    assert geometry._BESSEL_J0_ZEROS == tuple(float(z) for z in zeros)
+    assert geometry._BESSEL_J1_SQUARED == tuple(float(v) for v in squares)
+
+
+@pytest.mark.parametrize("n", [257, 1000])
+def test_large_rule_is_accurate_to_round_off(n):
+    nodes, weights = geometry._legendre_rule(n)
+    # both ends, the last tabled Bessel zero and the first from McMahon's
+    # expansion (19, 20), and a spread through the middle
+    sampled = set(range(12)) | set(range(n - 12, n)) | {19, 20}
+    sampled |= set(np.linspace(12, n - 13, 30).astype(int).tolist())
+    for i in sorted(sampled):
+        root, weight = _reference_node_and_weight(n, nodes[i])
+        assert abs(float(nodes[i] - root)) <= 2 * np.spacing(1.0), i
+        assert abs(float(weights[i] / weight - 1)) <= 1e-15, i
 
 
 @pytest.mark.parametrize("n", [257, 1000, 8192, 20000])
 def test_large_rule_matches_a_34_digit_recurrence(n):
     nodes, weights = geometry._legendre_rule(n)
-    # the ends by recurrence (0, 1, 9), the switch to the expansion (10, 11),
-    # and the expansion up to the middle
+    # end nodes from the tabled Bessel zeros (0, 1, 9, 10, 11), one from
+    # McMahon's expansion of the zeros (49), and the middle
     sampled = [0, 1, 9, 10, 11, 49, n // 2 - 1, n // 2]
     scipy_nodes, scipy_weights = roots_legendre(n) if n <= 8192 else (None, None)
     for i in sampled:
