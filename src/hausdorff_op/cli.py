@@ -138,8 +138,13 @@ def _is_int(x) -> bool:
 
 
 def _is_number(x) -> bool:
+    # written so that NaN, the infinities and ints past the double range fail
     return (isinstance(x, (int, float)) and not isinstance(x, bool)
-            and math.isfinite(x))
+            and abs(x) <= sys.float_info.max)
+
+
+def _is_seed(x) -> bool:
+    return _is_int(x) and x >= 0
 
 
 def _is_vector(x, length: int) -> bool:
@@ -230,8 +235,8 @@ def _validate_family(spec, n: int, errors: list) -> int | None:
         if not (_is_int(spec.get("count")) and 1 <= spec["count"] <= GROUP_SIZE_CAP):
             errors.append(f"family: count must be an integer in [1, {GROUP_SIZE_CAP}]")
             return None
-        if "seed" in spec and not _is_int(spec["seed"]):
-            errors.append("family: seed must be an integer")
+        if "seed" in spec and not _is_seed(spec["seed"]):
+            errors.append("family: seed must be an integer >= 0")
         return spec["count"]
     if kind == "finite_group":
         _check_keys(spec, {"kind", "group", "order"}, "family", errors)
@@ -352,8 +357,8 @@ def _validate_measure(spec, family_spec, family_count, errors: list) -> None:
                 errors.append(
                     f"measure: count {count} exceeds the family size cap of {GROUP_SIZE_CAP}"
                 )
-        if "seed" in spec and not _is_int(spec["seed"]):
-            errors.append("measure: seed must be an integer")
+        if "seed" in spec and not _is_seed(spec["seed"]):
+            errors.append("measure: seed must be an integer >= 0")
     elif scheme == "finite_group_uniform":
         errors.append("measure: finite_group_uniform requires a finite_group family")
     else:
@@ -553,8 +558,8 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
         errors.append("resolution must be an integer >= 2")
         resolution = 64
     seed = raw.get("seed", 0)
-    if not _is_int(seed):
-        errors.append("seed must be an integer")
+    if not _is_seed(seed):
+        errors.append("seed must be an integer >= 0")
         seed = 0
 
     experiments = raw.get("experiments")
@@ -573,11 +578,11 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
     else:
         experiments = []
     # min(n, 64) keeps the power small for any n: 2 ** 64 already exceeds the cap
-    needs_grid = any(name in _GRID_EXPERIMENTS for name in experiments)
-    if needs_grid:
+    grid_fits = resolution ** min(n, 64) <= MAX_GRID_NODES
+    if any(name in _GRID_EXPERIMENTS for name in experiments):
         # every grid axis is one Gauss-Legendre rule of `resolution` nodes
         _check_legendre_nodes(resolution, "resolution", errors)
-        if resolution ** min(n, 64) > MAX_GRID_NODES:
+        if not grid_fits:
             errors.append(
                 f"resolution {resolution} in dimension {n} gives more than "
                 f"{MAX_GRID_NODES} grid nodes"
@@ -586,7 +591,8 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
     options = raw.get("experiment_options", {})
     _validate_options(options, n, errors)
     domain = raw.get("domain")
-    if ("gradient_check" in experiments and isinstance(domain, dict)
+    # a grid that fits has n <= 22, so the draw estimate's floats cannot overflow
+    if ("gradient_check" in experiments and grid_fits and isinstance(domain, dict)
             and domain.get("shape") == geometry.BALL and isinstance(options, dict)):
         count = options.get("gradient_points", 50)
         if _is_int(count) and count >= 1:

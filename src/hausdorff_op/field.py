@@ -322,11 +322,9 @@ class NormReport:
     sobolev is exactly lp + sum(per_axis_derivative_lp).
     """
 
-    p: float
     lp: float
     per_axis_derivative_lp: np.ndarray
     sobolev: float
-    resolution: int
 
 
 def _check_p(p: float) -> float:
@@ -359,11 +357,7 @@ def sobolev_norm_of_arrays(
         [_weighted_lp(grads[:, k], quad, p) for k in range(grads.shape[1])]
     )
     return NormReport(
-        p=p,
-        lp=lp,
-        per_axis_derivative_lp=per_axis,
-        sobolev=lp + float(per_axis.sum()),
-        resolution=quad.resolution,
+        lp=lp, per_axis_derivative_lp=per_axis, sobolev=lp + float(per_axis.sum())
     )
 
 

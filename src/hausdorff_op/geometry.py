@@ -346,18 +346,6 @@ class Domain:
         lo, hi = self.image_bounds(matrices, offsets)
         return np.maximum(self.lower - lo, hi - self.upper).clip(min=0.0).max(axis=1)
 
-    def max_distance(self, point) -> float:
-        """The largest distance from ``point`` to the region (closed form).
-
-        A ball B(c, r) reaches ``|c - point| + r``; a box or window reaches
-        it at the corner farthest from ``point``.
-        """
-        q = np.asarray(point, dtype=float)
-        if self.shape == BALL:
-            return float(np.linalg.norm(self.center - q)) + self.radius
-        lo, hi = self.bounding_box()
-        return float(np.linalg.norm(np.maximum(np.abs(lo - q), np.abs(hi - q))))
-
     def volume(self) -> float:
         """Lebesgue volume of the quadrature region (closed form)."""
         if self.shape == BALL:

@@ -2,8 +2,8 @@
 
 V must be orthogonal to 1e-12 at construction, so every member preserves
 distances and Lebesgue measure.  A family is held as stacked matrices and
-offsets, checked in one pass, and carries the two constants the Sobolev
-bound consumes (max |V entry| and max shift length).
+offsets, checked in one pass, and carries the constant the Sobolev bound
+consumes (max |V entry|).
 
 :func:`check_domain_preserving` decides exactly, from V and b alone, whether
 every member maps a domain into itself; operators run it once at
@@ -51,10 +51,6 @@ class Isometry:
         v.setflags(write=False)
         b.setflags(write=False)
 
-    @property
-    def dimension(self) -> int:
-        return self.matrix.shape[0]
-
     def apply(self, x: np.ndarray) -> np.ndarray:
         return self.matrix @ np.asarray(x, dtype=float) + self.offset
 
@@ -83,7 +79,7 @@ class IsometryFamily:
     :class:`Isometry`.  Construction checks every matrix orthogonal to
     ORTHOGONALITY_TOL in one pass over the stack and names the first member
     that fails.  jacobian_bound is max |V[k][j]| over members (at most 1 for
-    orthogonal matrices); translation_bound is max ||b||.
+    orthogonal matrices).
     """
 
     def __init__(self, matrices, offsets):
@@ -109,7 +105,6 @@ class IsometryFamily:
         self._matrices = v
         self._offsets = b
         self.jacobian_bound = float(np.abs(v).max())
-        self.translation_bound = float(np.sqrt((b**2).sum(axis=1)).max())
 
     @property
     def dimension(self) -> int:
@@ -163,15 +158,20 @@ def shift_family(offsets) -> IsometryFamily:
 
 
 def motion_family(members) -> IsometryFamily:
-    """Family from explicit (matrix, offset) pairs or Isometry objects."""
-    members = [m if isinstance(m, Isometry) else make_isometry(m[0], m[1]) for m in members]
-    if not members:
+    """Family from explicit (matrix, offset) pairs or Isometry objects.
+
+    A None offset is zero.  The pairs go to :class:`IsometryFamily` as they
+    are, so each matrix is checked once, in its one pass over the stack.
+    """
+    pairs = [(m.matrix, m.offset) if isinstance(m, Isometry) else m for m in members]
+    if not pairs:
         raise ValueError("family needs at least one member")
-    dims = {m.dimension for m in members}
+    dims = {len(v) for v, _ in pairs}
     if len(dims) != 1:
         raise ValueError(f"members mix dimensions {sorted(dims)}")
-    return IsometryFamily(np.stack([m.matrix for m in members]),
-                          np.stack([m.offset for m in members]))
+    (n,) = dims
+    return IsometryFamily([v for v, _ in pairs],
+                          [np.zeros(n) if b is None else b for _, b in pairs])
 
 
 # finite subgroups

@@ -23,7 +23,6 @@ from .summation import pairwise_sum
 EXPLICIT = "explicit"
 GAUSS_LEGENDRE = "gauss_legendre"
 MONTE_CARLO = "monte_carlo"
-FINITE_GROUP_UNIFORM = "finite_group_uniform"
 
 
 @dataclass(frozen=True)
@@ -31,13 +30,11 @@ class DiscretizedMeasure:
     """Finite nonnegative measure on a 1-D parameter set.
 
     ``nodes`` hold parameter values (member indices for group families) and
-    ``weights`` the measure of each node.  ``scheme`` records how the pair
-    was built.
+    ``weights`` the measure of each node.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
-    scheme: str
 
     def __post_init__(self):
         if self.nodes.ndim != 1 or self.weights.ndim != 1:
@@ -65,18 +62,15 @@ class DiscretizedMeasure:
 
 def explicit_measure(nodes, weights) -> DiscretizedMeasure:
     """Measure from caller-supplied nodes and weights."""
-    return DiscretizedMeasure(
-        nodes=np.asarray(nodes, dtype=float).copy(),
-        weights=np.asarray(weights, dtype=float).copy(),
-        scheme=EXPLICIT,
-    )
+    return DiscretizedMeasure(nodes=np.asarray(nodes, dtype=float).copy(),
+                              weights=np.asarray(weights, dtype=float).copy())
 
 
 def gauss_legendre_measure(interval, count: int) -> DiscretizedMeasure:
     """Gauss-Legendre rule on an interval as a measure."""
     lo, hi = float(interval[0]), float(interval[1])
     nodes, weights = gauss_legendre_rule(lo, hi, count)
-    return DiscretizedMeasure(nodes=nodes.copy(), weights=weights.copy(), scheme=GAUSS_LEGENDRE)
+    return DiscretizedMeasure(nodes=nodes.copy(), weights=weights.copy())
 
 
 def monte_carlo_measure(interval, count: int, seed: int) -> DiscretizedMeasure:
@@ -89,48 +83,39 @@ def monte_carlo_measure(interval, count: int, seed: int) -> DiscretizedMeasure:
     rng = np.random.default_rng(seed)
     nodes = rng.uniform(lo, hi, size=count)
     weights = np.full(count, (hi - lo) / count)
-    return DiscretizedMeasure(nodes=nodes, weights=weights, scheme=MONTE_CARLO)
+    return DiscretizedMeasure(nodes=nodes, weights=weights)
 
 
 def finite_group_uniform_measure(size: int) -> DiscretizedMeasure:
     """Uniform probability on group member indices 0..size-1."""
     if size < 1:
         raise ValueError(f"group size must be >= 1, got {size}")
-    return DiscretizedMeasure(
-        nodes=np.arange(size, dtype=float),
-        weights=np.full(size, 1.0 / size),
-        scheme=FINITE_GROUP_UNIFORM,
-    )
+    return DiscretizedMeasure(nodes=np.arange(size, dtype=float), weights=np.full(size, 1.0 / size))
 
 
-def gauss_legendre_panels(
-    interval, points_per_panel: int = 8, max_panel_width: float = 1.0
-) -> DiscretizedMeasure:
-    """Composite Gauss-Legendre rule on panels of width <= ``max_panel_width``.
+def gauss_legendre_panels(interval, points_per_panel: int = 8) -> DiscretizedMeasure:
+    """Composite Gauss-Legendre rule on ``ceil(hi - lo)`` equal panels of
+    width at most 1.
 
     Composite panels keep integrands that are smooth per unit interval (such
-    as folded shifts) resolvable without a huge global rule.
+    as folded shifts) resolvable without a huge global rule, and intervals
+    [0, e] with integer e share their panels (see :func:`truncation_sequence`).
     """
     lo, hi = float(interval[0]), float(interval[1])
     points_per_panel = _rule_count(points_per_panel, lo, hi, name="points_per_panel")
     if not hi > lo:
         raise ValueError(f"empty interval [{lo}, {hi}]")
-    if max_panel_width <= 0:
-        raise ValueError(f"panel width must be > 0, got {max_panel_width}")
-    count = int(np.ceil((hi - lo) / max_panel_width))
+    count = int(np.ceil(hi - lo))
     edges = lo + (hi - lo) * np.arange(count + 1) / count
     lower, upper = edges[:-1, None], edges[1:, None]
     if not np.all(upper > lower):
-        raise ValueError(f"panel edges of [{lo}, {hi}] collapse at width {max_panel_width}")
+        raise ValueError(f"panel edges of [{lo}, {hi}] collapse at unit width")
     # the per-panel affine map of gauss_legendre_rule, over all panels at once
     base_nodes, base_weights = _legendre_rule(points_per_panel)
     mid = 0.5 * (lower + upper)
     half = 0.5 * (upper - lower)
-    return DiscretizedMeasure(
-        nodes=(mid + half * base_nodes).ravel(),
-        weights=(half * base_weights).ravel(),
-        scheme=EXPLICIT,
-    )
+    return DiscretizedMeasure(nodes=(mid + half * base_nodes).ravel(),
+                              weights=(half * base_weights).ravel())
 
 
 def discretize(spec: dict) -> DiscretizedMeasure:
@@ -234,7 +219,6 @@ class Kernel:
     """Kernel values aligned with a measure's nodes."""
 
     values: np.ndarray
-    description: str = "explicit"
 
     def __post_init__(self):
         if self.values.ndim != 1:
@@ -249,13 +233,13 @@ class Kernel:
         return len(self.values)
 
 
-def kernel_from_values(values, description: str = "explicit") -> Kernel:
-    return Kernel(values=np.asarray(values, dtype=float).copy(), description=description)
+def kernel_from_values(values) -> Kernel:
+    return Kernel(values=np.asarray(values, dtype=float).copy())
 
 
 def kernel_on_measure(form: KernelForm, measure: DiscretizedMeasure) -> Kernel:
     """Evaluate a whitelisted form on a measure's nodes."""
-    return Kernel(values=form(measure.nodes), description=form.description)
+    return Kernel(values=form(measure.nodes))
 
 
 def kernel_l1_norm(kernel: Kernel, measure: DiscretizedMeasure) -> float:

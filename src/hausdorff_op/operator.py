@@ -46,9 +46,9 @@ from .field import ScalarField
 from .geometry import Domain
 from .isometry import IsometryFamily, check_domain_preserving, rotation_family, finite_group_family
 from .measure_kernel import (
-    MONTE_CARLO,
     DiscretizedMeasure,
     Kernel,
+    finite_group_uniform_measure,
     kernel_from_values,
     kernel_l1_norm,
 )
@@ -142,11 +142,11 @@ class HausdorffOperator:
                 if gradients:
                     v, g = f.values_and_gradients(images)
                     g = coeff[members, None, None] * _rows_times(g.reshape(len(mats), -1, n), mats)
-                    grad_sum.push(len(mats), pairwise_sum(g, axis=0))
+                    grad_sum.push(len(mats), pairwise_sum(g))
                 else:
                     v = f.values(images)
                 terms = coeff[members, None] * v.reshape(len(mats), -1)
-                value_sum.push(len(mats), pairwise_sum(terms, axis=0))
+                value_sum.push(len(mats), pairwise_sum(terms))
             value_out[rows] = value_sum.total()
             if gradients:
                 grad_out[rows] = grad_sum.total()
@@ -223,14 +223,10 @@ def averaging_operator(dimension: int, group, domain: Domain) -> HausdorffOperat
     if kind == "haar_mc":
         _, count, seed = spec
         family = rotation_family(dimension, int(count), int(seed))
-        measure = DiscretizedMeasure(
-            nodes=np.arange(len(family), dtype=float),
-            weights=np.full(len(family), 1.0 / len(family)),
-            scheme=MONTE_CARLO,
-        )
+        measure = finite_group_uniform_measure(len(family))
     elif kind == "cyclic_rotation_2d":
         family, measure = finite_group_family(kind, dimension, order=int(spec[1]))
     else:
         family, measure = finite_group_family(kind, dimension)
-    kernel = kernel_from_values(np.ones(len(measure)), description="constant(c=1)")
+    kernel = kernel_from_values(np.ones(len(measure)))
     return HausdorffOperator(measure=measure, kernel=kernel, family=family, domain=domain)

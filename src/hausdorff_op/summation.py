@@ -3,13 +3,13 @@
 Accumulation order must not depend on chunking or thread count, so every
 weighted sum in this package goes through :func:`pairwise_sum` instead of
 ``ndarray.sum``.  The scheme combines adjacent pairs repeatedly (index 0 with
-1, 2 with 3, ...), which is shape-stable along the reduced axis: summing a
-stacked batch column by column gives bitwise the same result as summing each
-column on its own.
+1, 2 with 3, ...) along axis 0, which is shape-stable: summing a stacked
+batch column by column gives bitwise the same result as summing each column
+on its own.
 
-:class:`PairwiseStack` gives the same bits as :func:`pairwise_sum` along axis 0
-while the rows arrive one aligned block at a time, holding O(log N) partial
-sums in place of all N rows.
+:class:`PairwiseStack` gives the same bits as :func:`pairwise_sum` while the
+rows arrive one aligned block at a time, holding O(log N) partial sums in
+place of all N rows.
 """
 
 from __future__ import annotations
@@ -17,29 +17,25 @@ from __future__ import annotations
 import numpy as np
 
 
-def pairwise_sum(values: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Sum ``values`` along ``axis`` with a fixed pairwise order.
+def pairwise_sum(values: np.ndarray) -> np.ndarray:
+    """Sum ``values`` along axis 0 with a fixed pairwise order.
 
     Parameters
     ----------
     values : ndarray
-        Array with at least one element along ``axis``.
-    axis : int
-        Axis to reduce.
+        Array with at least one row.
 
     Returns
     -------
     ndarray or scalar
-        Same shape as ``values`` with ``axis`` removed.  Error grows like
-        O(log N) in the element count, and the result is reproducible
-        bit for bit.
+        One row of ``values``.  Error grows like O(log N) in the row count,
+        and the result is reproducible bit for bit.
     """
     a = np.asarray(values, dtype=float)
     if a.shape == ():
         raise ValueError("pairwise_sum needs an array, got a scalar")
-    if a.shape[axis] == 0:
+    if a.shape[0] == 0:
         raise ValueError("pairwise_sum over an empty axis")
-    a = np.moveaxis(a, axis, 0)
     while a.shape[0] > 1:
         m = a.shape[0] // 2
         paired = a[0 : 2 * m : 2] + a[1 : 2 * m : 2]
@@ -50,9 +46,9 @@ def pairwise_sum(values: np.ndarray, axis: int = 0) -> np.ndarray:
 
 
 class PairwiseStack:
-    """``pairwise_sum(rows, axis=0)`` over rows that arrive in blocks.
+    """``pairwise_sum(rows)`` over rows that arrive in blocks.
 
-    Push the blocks in order, each as ``(count, pairwise_sum(block, axis=0))``.
+    Push the blocks in order, each as ``(count, pairwise_sum(block))``.
     Every block but the last must hold the same power-of-two number of rows;
     the last may hold fewer.  After k levels of :func:`pairwise_sum`, entry i
     is the sum of rows ``[i 2^k, (i + 1) 2^k)`` in that block's own pairwise

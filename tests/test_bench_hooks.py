@@ -4,17 +4,29 @@
 and ``bench/setup_probe.py`` rebuilds what ``cli.run`` builds from public
 calls.  Both run here on a tiny 2-D config, each in a fresh interpreter, so
 renaming or removing a name they use fails this test rather than every
-benchmark run.
+benchmark run.  Each workload also runs once, as ``bench/run.py`` runs it,
+and its outputs must pass that script's own check against
+``bench/reference.json``.
 """
 
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "bench"
+sys.path.insert(0, str(BENCH))
+
+import run as bench_run  # noqa: E402
+import workloads  # noqa: E402
+
+# the input seed of a default `bench/run.py` invocation
+REFERENCE_SEED = 0
 # the package modules the benchmark reports a `<layer>.self_s` for
 LAYERS = ("cli", "experiments", "operator", "field", "geometry",
           "isometry", "measure_kernel", "summation")
@@ -63,3 +75,16 @@ def test_setup_probe_builds_the_config(tmp_path):
     done = _run([BENCH / "setup_probe.py", config], tmp_path)
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("set up 2 field(s)")
+
+
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
+def test_workload_outputs_match_the_reference(tmp_path, workload):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(workloads.make_config(workload, REFERENCE_SEED)))
+    out = tmp_path / "out"
+    _, code, _ = bench_run.run_child(
+        ["-m", "hausdorff_op.cli", "run", str(config), "--out", str(out)],
+        1, tmp_path / "run.log", time.perf_counter() + 120,
+    )
+    reference = json.loads((BENCH / "reference.json").read_text(encoding="utf-8"))
+    assert bench_run.check_run(workload, out, code, reference[workload][str(REFERENCE_SEED)]) == []

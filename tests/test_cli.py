@@ -157,6 +157,122 @@ def test_non_finite_coefficients_rejected(bad):
     assert exc.value.errors == [f"fields[0]: coeffs must be {message}"]
 
 
+_HUGE = 10**400
+
+# (config with an int past the double range in one number field, its one error)
+_HUGE_NUMBERS = {
+    "domain.radius": (
+        _minimal_config(domain={"shape": "ball", "center": [0.0], "radius": _HUGE}),
+        "domain: radius must be a positive number",
+    ),
+    "domain.upper": (
+        _minimal_config(domain={"shape": "box", "lower": [0.0], "upper": [_HUGE]}),
+        "domain: upper must be a list of 1 numbers",
+    ),
+    "measure.interval": (
+        _minimal_config(
+            domain={"shape": "truncated_space", "halfwidth": 8.0},
+            family={"kind": "shifts", "from_measure": True},
+            measure={"scheme": "monte_carlo", "interval": [-_HUGE, 1.0], "count": 4},
+        ),
+        "measure: interval must be [lo, hi] with hi > lo",
+    ),
+    "measure.weights": (
+        _minimal_config(measure={"scheme": "explicit", "nodes": [0.0], "weights": [_HUGE]}),
+        "measure: weights must be a list of numbers",
+    ),
+    "kernel": (
+        _minimal_config(kernel={"name": "constant", "c": _HUGE}),
+        "kernel: kernel parameters must be numbers",
+    ),
+    "fields.center": (
+        _minimal_config(fields=[{"kind": "gaussian", "center": [-_HUGE], "width": 1.0}]),
+        "fields[0]: center must be a list of 1 numbers",
+    ),
+    "p": (_minimal_config(p=[1.0, _HUGE]), "p must be a nonempty list of numbers"),
+    "gradient_step": (
+        _minimal_config(experiments=["gradient_check"],
+                        experiment_options={"gradient_step": _HUGE}),
+        "experiment_options: gradient_step must be a positive number",
+    ),
+    "necessity.endpoints": (
+        _minimal_config(experiments=["necessity_divergence"],
+                        experiment_options={"necessity": {"endpoints": [1.0, _HUGE]}}),
+        "experiment_options.necessity: endpoints must be >= 2 positive increasing numbers",
+    ),
+    "necessity.x0": (
+        _minimal_config(experiments=["necessity_divergence"],
+                        experiment_options={"necessity": {"x0": -_HUGE}}),
+        "experiment_options.necessity: x0 must be a number",
+    ),
+    "motions.matrix": (
+        _minimal_config(family={"kind": "motions", "members": [{"matrix": [[_HUGE]]}]}),
+        "family: member 0 matrix must be 1x1",
+    ),
+    "motions.offset": (
+        _minimal_config(family={"kind": "motions",
+                                "members": [{"matrix": [[1.0]], "offset": [_HUGE]}]}),
+        "family: member 0 offset must be a list of 1 numbers",
+    ),
+    "shifts.offsets": (
+        _minimal_config(domain={"shape": "truncated_space", "halfwidth": 2.0},
+                        family={"kind": "shifts", "offsets": [_HUGE]}),
+        "family: offsets must be a nonempty list of numbers",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_HUGE_NUMBERS))
+def test_ints_past_the_double_range_are_rejected(tmp_path, capsys, name):
+    # math.isfinite would raise OverflowError on such an int
+    config, message = _HUGE_NUMBERS[name]
+    with pytest.raises(ConfigError) as exc:
+        parse_config(json.dumps(config))
+    assert exc.value.errors == [message]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_huge_dimension_skips_the_ball_draw_estimate():
+    # the grid cap rejects the config before the estimate's floats overflow
+    config = {**_minimal_config(experiments=["gradient_check"]), "dimension": _HUGE,
+              "domain": {"shape": "ball", "center": [0.0], "radius": 1.0}}
+    with pytest.raises(ConfigError, match=f"resolution 64 in dimension {_HUGE} gives more than"):
+        parse_config(json.dumps(config))
+
+
+@pytest.mark.parametrize("where, message", [
+    ({"seed": -5}, "seed must be an integer >= 0"),
+    ({"family": {"kind": "rotations_haar", "count": 4, "seed": -1}},
+     "family: seed must be an integer >= 0"),
+    ({"measure": {"scheme": "monte_carlo", "interval": [0.0, 1.0], "count": 4, "seed": -1}},
+     "measure: seed must be an integer >= 0"),
+], ids=["seed", "family.seed", "measure.seed"])
+def test_negative_seeds_are_rejected(where, message):
+    config = _minimal_config(
+        dimension=2,
+        domain={"shape": "ball", "center": [0.0, 0.0], "radius": 3.0},
+        family={"kind": "rotations_haar", "count": 4, "seed": 1},
+        measure={"scheme": "monte_carlo", "interval": [0.0, 1.0], "count": 4},
+        fields=[{"kind": "gaussian", "center": [0.0, 0.0], "width": 0.5}],
+    )
+    assert parse_config(json.dumps(config)).seed == 0
+    with pytest.raises(ConfigError) as exc:
+        parse_config(json.dumps({**config, **where}))
+    assert exc.value.errors == [message]
+
+
+def test_main_negative_seed_override_exits_2(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_minimal_config()))
+    assert main(["run", str(path), "--out", str(tmp_path / "out"), "--seed", "-1"]) == 2
+    assert "seed must be an integer >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_grid_size_is_capped():
     at_cap = _minimal_config(dimension=2, resolution=2048,
                              domain={"shape": "box", "lower": [0.0, 0.0], "upper": [1.0, 1.0]},

@@ -330,8 +330,6 @@ def test_sobolev_report_identity():
     quad = build_grid_quadrature(ball([0.0, 0.0], 2.0), 20)
     report = sobolev_norm(f, 2.0, quad)
     assert report.sobolev == report.lp + float(report.per_axis_derivative_lp.sum())
-    assert report.resolution == 20
-    assert report.p == 2.0
 
 
 def test_sobolev_gaussian_needs_fine_grid_for_derivative_kink():

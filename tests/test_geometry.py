@@ -410,19 +410,6 @@ def test_image_escape_of_truncated_space_is_zero():
     assert np.array_equal(truncated_space(1.0, 2).image_escape(v, 100.0 * b), np.zeros(5))
 
 
-def test_max_distance_is_attained_on_the_boundary():
-    q = np.array([0.3, -1.2])
-    angles = np.linspace(0.0, 2 * np.pi, 100_001)
-    circle = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    b = ball([0.5, 0.25], 0.75)
-    dense = np.linalg.norm(b.center + 0.75 * circle - q, axis=1).max()
-    assert b.max_distance(q) == pytest.approx(dense, rel=1e-9)
-    for d in (box([-1.0, 0.0], [2.0, 0.5]), truncated_space(0.5, 2)):
-        lo, hi = d.bounding_box()
-        corners = np.array(list(itertools.product(*zip(lo, hi))))
-        assert d.max_distance(q) == np.linalg.norm(corners - q, axis=1).max()
-
-
 def test_volume():
     assert ball([0.0, 0.0], 2.0).volume() == pytest.approx(math.pi * 4.0)
     assert ball([0.0, 0.0, 0.0], 1.0).volume() == pytest.approx(4.0 * math.pi / 3.0)

@@ -104,8 +104,8 @@ def test_panels_cover_interval():
 
 @pytest.mark.parametrize("panels", [1, 10, 10_000])
 def test_panels_equal_the_per_panel_rules(panels):
-    lo, hi = -0.25, -0.25 + 0.75 * panels
-    m = gauss_legendre_panels((lo, hi), points_per_panel=5, max_panel_width=0.75)
+    lo, hi = -0.25, -0.25 + panels
+    m = gauss_legendre_panels((lo, hi), points_per_panel=5)
     edges = lo + (hi - lo) * np.arange(panels + 1) / panels
     rules = [gauss_legendre_rule(edges[k], edges[k + 1], 5) for k in range(panels)]
     assert np.array_equal(m.nodes, np.concatenate([nodes for nodes, _ in rules]))

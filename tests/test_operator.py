@@ -300,7 +300,7 @@ def _per_member_reference(op, f, pts, coeff):
         images = times(pts, mats[i].T) + offsets[i]
         value_terms[i] = coeff[i] * f.values(images)
         grad_terms[i] = coeff[i] * times(f.gradients(images), mats[i])
-    return pairwise_sum(value_terms, axis=0), pairwise_sum(grad_terms, axis=0)
+    return pairwise_sum(value_terms), pairwise_sum(grad_terms)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

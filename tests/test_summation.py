@@ -28,7 +28,7 @@ def test_deterministic_and_order_fixed():
 def test_axis_reduction_matches_scalar_path_bitwise():
     rng = np.random.default_rng(11)
     terms = rng.normal(size=(37, 50, 3))
-    stacked = pairwise_sum(terms, axis=0)
+    stacked = pairwise_sum(terms)
     for col in range(50):
         for j in range(3):
             assert stacked[col, j] == pairwise_sum(terms[:, col, j])
@@ -39,12 +39,12 @@ def test_stack_of_aligned_blocks_matches_pairwise_sum_bitwise():
     for count in range(1, 301):
         # magnitudes spread over 16 decades, so any other grouping rounds differently
         terms = rng.normal(size=(count, 3)) * 10.0 ** rng.integers(-8, 8, (count, 1))
-        want = pairwise_sum(terms, axis=0)
+        want = pairwise_sum(terms)
         for block in (1, 2, 4, 8, 32, 64, 512):
             stack = PairwiseStack()
             for lo in range(0, count, block):
                 rows = terms[lo : lo + block]
-                stack.push(len(rows), pairwise_sum(rows, axis=0))
+                stack.push(len(rows), pairwise_sum(rows))
             assert np.array_equal(stack.total(), want), (count, block)
     with pytest.raises(ValueError, match="no blocks"):
         PairwiseStack().total()
