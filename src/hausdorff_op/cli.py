@@ -71,7 +71,8 @@ _GRID_EXPERIMENTS = ("lp_bound", "sobolev_bound", "gradient_check")
 _BOUND_EXPERIMENTS = ("lp_bound", "sobolev_bound")
 
 # largest grid a run may build; its nodes, field values and gradients must
-# fit in memory next to each other
+# fit in memory next to each other.  Also the most gradient_points: the
+# gradient check's point, gradient and difference arrays have a grid's shape
 MAX_GRID_NODES = 1 << 22
 # largest Gauss-Legendre rule a run may build.  Rules above
 # geometry.LEGENDRE_GOLUB_WELSCH_MAX_NODES are built in closed form, about
@@ -383,8 +384,9 @@ def _validate_kernel(spec, where: str, errors: list) -> None:
         )
         return
     params = {k: v for k, v in spec.items() if k != "name"}
-    if not all(_is_number(v) for v in params.values()):
-        errors.append(f"{where}: kernel parameters must be numbers")
+    bad = [k for k, v in params.items() if not _is_number(v)]
+    errors.extend(f"{where}: kernel parameter {k} must be a number" for k in bad)
+    if bad:
         return
     try:
         kernel_form(name, **params)
@@ -447,12 +449,11 @@ def _validate_options(options, n: int, errors: list) -> None:
     for key in ("gradient_points", "preservation_samples", "preservation_members"):
         if key in options and not (_is_int(options[key]) and options[key] >= 1):
             errors.append(f"experiment_options: {key} must be an integer >= 1")
-    samples = options.get("preservation_samples")
-    if _is_int(samples) and samples > MAX_PRESERVATION_SAMPLES:
-        errors.append(
-            f"experiment_options: preservation_samples {samples} exceeds the cap of "
-            f"{MAX_PRESERVATION_SAMPLES} per member"
-        )
+    for key, cap, per in (("gradient_points", MAX_GRID_NODES, ""),
+                          ("preservation_samples", MAX_PRESERVATION_SAMPLES, " per member")):
+        count = options.get(key)
+        if _is_int(count) and count > cap:
+            errors.append(f"experiment_options: {key} {count} exceeds the cap of {cap}{per}")
     for key in ("gradient_step", "gradient_margin"):
         if key in options and not (_is_number(options[key]) and options[key] > 0):
             errors.append(f"experiment_options: {key} must be a positive number")
@@ -595,7 +596,7 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
     if ("gradient_check" in experiments and grid_fits and isinstance(domain, dict)
             and domain.get("shape") == geometry.BALL and isinstance(options, dict)):
         count = options.get("gradient_points", 50)
-        if _is_int(count) and count >= 1:
+        if _is_int(count) and 1 <= count <= MAX_GRID_NODES:
             # the gradient check samples its points from the ball by rejection
             _check_ball_draws(n, count, "experiment_options: gradient_points", errors)
 
@@ -694,13 +695,17 @@ def _is_fatal(report: ExperimentReport) -> bool:
 
 
 def _thread_count() -> int:
+    """``HAUSDORFF_OP_THREADS``, at least 1 and at most the CPUs this process may use."""
     raw = os.environ.get("HAUSDORFF_OP_THREADS", "").strip()
-    if not raw:
-        return 1
     try:
-        return max(1, int(raw))
+        threads = int(raw)
     except ValueError:
         return 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(threads, cpus))
 
 
 def run(config: RunConfig, out_dir) -> int:

@@ -13,6 +13,8 @@ and both checks, reduce those stored arrays, so a field is evaluated once
 per (operator, field, quadrature).  The reductions are the ones
 :func:`~.field.lp_norm` and :func:`~.field.sobolev_norm` use, so each side
 is bitwise equal to ``lp_norm(operator.push(f), p, quad)`` and its kin.
+The gradient check takes central differences of ``operator.push(f)`` with
+the loop that checks the built-in fields' gradients at construction.
 
 The divergence experiment is the odd one out: it reports a sequence (one
 value per truncation endpoint) and checks growth rather than a bound, so it
@@ -31,6 +33,7 @@ from . import geometry
 # module: bench/tracing.py wraps them under this module's name
 from .field import (
     ScalarField,
+    _fd_gradient,
     gaussian,
     lp_norm,  # noqa: F401
     lp_norm_of_values,
@@ -42,6 +45,7 @@ from .isometry import Isometry, shift_family
 # gauss_legendre_panels and kernel_on_measure are not called here but stay
 # importable from this module: bench/tracing.py wraps them under its name
 from .measure_kernel import (
+    Kernel,
     KernelForm,
     gauss_legendre_panels,  # noqa: F401
     kernel_l1_norm,
@@ -220,20 +224,13 @@ def run_gradient_check(
     if step is None:
         step = TOLERANCES["gradient_step"]
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    n = operator.dimension
     safe = operator.domain.shrink(2.0 * step).contains_many(pts)
     skipped = int((~safe).sum())
     pts = pts[safe]
     if len(pts) == 0:
         raise ValueError("no points remain after skipping near-boundary ones")
     analytic = operator.apply_gradient_many(f, pts)
-    fd = np.empty_like(analytic)
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = step
-        upper = operator.apply_many(f, pts + e)
-        lower = operator.apply_many(f, pts - e)
-        fd[:, j] = (upper - lower) / (2.0 * step)
+    fd = _fd_gradient(operator.push(f), pts, step)
     defect = np.abs(analytic - fd) / (1.0 + np.abs(fd))
     lhs = float(defect.max())
     rhs = TOLERANCES["gradient_check"]
@@ -314,7 +311,8 @@ def run_necessity_divergence(
     The kernel is truncated to [0, endpoint_k]; shifts are folded into [0, 1)
     (so the translation bound is 1), and the witness field is the unit
     gaussian.  Because the folded integrand is pointwise at least
-    L = exp(-2 (x0^2 + 1)) times |phi|, every ratio H_k / S_k must clear L.
+    L = exp(-2 (x0^2 + 1)) times |phi|, and H_k is the operator built on
+    |phi|, every ratio H_k / S_k must clear L.
     For integer endpoints the unit panels are nested, so every increment of
     kernel mass raises the operator value by at least L times that increment:
     H_{k+1} - H_k >= L (S_{k+1} - S_k), and S_k -> inf drives H_k -> inf.
@@ -341,14 +339,16 @@ def run_necessity_divergence(
     pairs = truncation_sequence(form, ends, points_per_panel=points_per_panel)
     for k, (kernel, measure) in enumerate(pairs):
         folded = measure.nodes - np.floor(measure.nodes)
+        # built before the |phi| kernel, so that its temporaries are gone then
+        family = shift_family(folded)
         operator = HausdorffOperator(
             measure=measure,
-            kernel=kernel,
-            family=shift_family(folded),
+            kernel=Kernel(values=np.abs(kernel.values)),
+            family=family,
             domain=domain,
         )
         l1_norms[k] = kernel_l1_norm(kernel, measure)
-        values[k] = operator.apply(witness, [x0], absolute_kernel=True)
+        values[k] = operator.apply_many(witness, [[x0]])[0]
     ratios = values / l1_norms
     ratio_ok = bool(np.all(ratios >= lower_bound - TOLERANCES["necessity_ratio_slack"]))
     increasing = bool(np.all(np.diff(values) > 0))

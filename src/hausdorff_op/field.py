@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import DomainQuadrature, squared_distances
+from .geometry import DomainQuadrature, check_points, squared_distances
 from .summation import pairwise_sum
 
 P_MIN = 1.0
@@ -63,14 +63,6 @@ class ScalarField:
     def has_gradient(self) -> bool:
         return self._both_fn is not None
 
-    def _check_points(self, points) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if pts.shape[1] != self.dimension:
-            raise ValueError(
-                f"points have dimension {pts.shape[1]}, field has dimension {self.dimension}"
-            )
-        return pts
-
     @staticmethod
     def _checked_values(out, pts: np.ndarray) -> np.ndarray:
         out = np.asarray(out, dtype=float)
@@ -90,7 +82,7 @@ class ScalarField:
         return out
 
     def values(self, points) -> np.ndarray:
-        pts = self._check_points(points)
+        pts = check_points(points, self.dimension, "field")
         return self._checked_values(self._values_fn(pts), pts)
 
     def gradients(self, points) -> np.ndarray:
@@ -101,12 +93,9 @@ class ScalarField:
         """``(values(points), gradients(points))`` from one evaluation."""
         if self._both_fn is None:
             raise ValueError(f"field kind {self.kind!r} has no gradient")
-        pts = self._check_points(points)
+        pts = check_points(points, self.dimension, "field")
         values, grads = self._both_fn(pts)
         return self._checked_values(values, pts), self._checked_gradients(grads, pts)
-
-    def __call__(self, x) -> float:
-        return float(self.values(np.atleast_2d(np.asarray(x, dtype=float)))[0])
 
     def __add__(self, other: "ScalarField") -> "ScalarField":
         if not isinstance(other, ScalarField):
@@ -143,9 +132,6 @@ class ScalarField:
         )
 
     __rmul__ = __mul__
-
-    def __sub__(self, other: "ScalarField") -> "ScalarField":
-        return self + (-1.0) * other
 
 
 def _fd_gradient(f: ScalarField, points: np.ndarray, step: float) -> np.ndarray:

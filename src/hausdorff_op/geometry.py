@@ -60,6 +60,20 @@ def squared_distances(
     return total
 
 
+def check_points(points, dimension: int, owner: str) -> np.ndarray:
+    """``points`` as an ``(m, n)`` float array; a single point becomes one row.
+
+    Raises ValueError unless ``n == dimension``, naming the ``owner`` (a
+    field, domain or operator) whose dimension it is.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.shape[1] != dimension:
+        raise ValueError(
+            f"points have dimension {pts.shape[1]}, {owner} has dimension {dimension}"
+        )
+    return pts
+
+
 # Rules of up to this many nodes come from the Golub-Welsch eigenvalue method
 # (at most 12 ms), larger ones from the closed form below (0.2 ms at 257
 # nodes, 0.8 ms at 8192 and 4 ms at 2^15 on a 2-vCPU Xeon VM).  The closed
@@ -266,27 +280,15 @@ class Domain:
         if self.shape not in _SHAPES:
             raise ValueError(f"unknown shape {self.shape!r}, expected one of {_SHAPES}")
 
-    def _check_points(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if pts.shape[1] != self.dimension:
-            raise ValueError(
-                f"points have dimension {pts.shape[1]}, domain has dimension {self.dimension}"
-            )
-        return pts
-
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         """Componentwise (lower, upper) corners of the quadrature window."""
         if self.shape == BALL:
             return self.center - self.radius, self.center + self.radius
         return self.lower.copy(), self.upper.copy()
 
-    def contains(self, x: np.ndarray) -> bool:
-        """Closed membership of a single point in the quadrature region."""
-        return bool(self.contains_many(np.atleast_2d(np.asarray(x, dtype=float)))[0])
-
     def contains_many(self, points: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`contains` over an ``(m, n)`` array."""
-        pts = self._check_points(points)
+        """Closed membership in the quadrature region of each row of an ``(m, n)`` array."""
+        pts = check_points(points, self.dimension, "domain")
         if self.shape == BALL:
             return squared_distances(pts, self.center) <= self.radius * self.radius
         lo, hi = self.bounding_box()
@@ -305,7 +307,7 @@ class Domain:
         metadata and every point of R^n belongs to the underlying domain.
         Balls use the Euclidean excess, boxes the max componentwise excess.
         """
-        pts = self._check_points(points)
+        pts = check_points(points, self.dimension, "domain")
         if self.shape == TRUNCATED:
             return np.zeros(len(pts))
         if self.shape == BALL:
@@ -371,7 +373,7 @@ class Domain:
         """Uniform sample of ``count`` points, rejection sampling for balls.
 
         Deterministic for a fixed seed.  Returns an ``(count, n)`` array
-        whose rows all satisfy :meth:`contains`.
+        whose rows all lie in the domain (:meth:`contains_many`).
         """
         return np.concatenate(list(self.sample_blocks(count, seed, count)))
 

@@ -51,12 +51,6 @@ class Isometry:
         v.setflags(write=False)
         b.setflags(write=False)
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.matrix @ np.asarray(x, dtype=float) + self.offset
-
-    def apply_many(self, points: np.ndarray) -> np.ndarray:
-        return np.asarray(points, dtype=float) @ self.matrix.T + self.offset
-
 
 def make_isometry(matrix, offset=None) -> Isometry:
     v = np.asarray(matrix, dtype=float).copy()

@@ -5,8 +5,11 @@ of motions, and the domain everything lives on:
 
     (Hf)(x) = sum_i w_i * phi_i * f(V_i x + b_i)
 
-Sums run in node-index order with pairwise reduction, so results are
-reproducible bit for bit and identical between scalar and batched paths.
+Every evaluation is batched: ``apply_many``, ``apply_gradient_many`` and
+``apply_and_gradient_many`` take an ``(m, n)`` array of points, and a single
+point is a one-row batch.  Sums run in node-index order with pairwise
+reduction, so results are reproducible bit for bit, and a point gives the
+same bits alone as inside a larger batch.
 The gradient applies the chain rule through each motion: component j picks up
 sum_k (df/dy_k)(V_i x + b_i) * V_i[k][j], i.e. the transposed matrix acting
 on the downstream gradient.
@@ -43,8 +46,8 @@ from __future__ import annotations
 import numpy as np
 
 from .field import ScalarField
-from .geometry import Domain
-from .isometry import IsometryFamily, check_domain_preserving, rotation_family, finite_group_family
+from .geometry import Domain, check_points
+from .isometry import IsometryFamily, check_domain_preserving
 from .measure_kernel import (
     DiscretizedMeasure,
     Kernel,
@@ -83,7 +86,6 @@ class HausdorffOperator:
         self.family = family
         self.domain = domain
         self._coeff = measure.weights * kernel.values
-        self._abs_coeff = measure.weights * np.abs(kernel.values)
         self._matrices = family.matrices()
         self._offsets = family.offsets()
 
@@ -102,22 +104,18 @@ class HausdorffOperator:
             raise ValueError(
                 f"field dimension {f.dimension} vs operator dimension {self.dimension}"
             )
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if pts.shape[1] != self.dimension:
-            raise ValueError(
-                f"points have dimension {pts.shape[1]}, operator has dimension {self.dimension}"
-            )
+        pts = check_points(points, self.dimension, "operator")
         inside = self.domain.contains_many(pts)
         if not inside.all():
             k = int(np.argmin(inside))
-            raise ValueError(
-                f"evaluation point {pts[k]} lies outside the domain"
-            )
+            raise ValueError(f"evaluation point {pts[k]} lies outside the domain")
         return pts
 
     def _accumulate(
-        self, f: ScalarField, pts: np.ndarray, coeff: np.ndarray, gradients: bool
+        self, f: ScalarField, points, gradients: bool
     ) -> tuple[np.ndarray, np.ndarray | None]:
+        pts = self._check_inputs(f, points)
+        coeff = self._coeff
         count = len(self.family)
         n = self.dimension
         value_out = np.empty(len(pts))
@@ -152,15 +150,9 @@ class HausdorffOperator:
                 grad_out[rows] = grad_sum.total()
         return value_out, grad_out
 
-    def apply_many(self, f: ScalarField, points, absolute_kernel: bool = False) -> np.ndarray:
+    def apply_many(self, f: ScalarField, points) -> np.ndarray:
         """(Hf) at each row of ``points``; rows must lie in the domain."""
-        pts = self._check_inputs(f, points)
-        coeff = self._abs_coeff if absolute_kernel else self._coeff
-        return self._accumulate(f, pts, coeff, gradients=False)[0]
-
-    def apply(self, f: ScalarField, x, absolute_kernel: bool = False) -> float:
-        """(Hf)(x) for a single point."""
-        return float(self.apply_many(f, np.atleast_2d(np.asarray(x, dtype=float)), absolute_kernel)[0])
+        return self._accumulate(f, points, gradients=False)[0]
 
     def apply_gradient_many(self, f: ScalarField, points) -> np.ndarray:
         """Gradient of Hf at each row of ``points`` via the analytic formula."""
@@ -168,11 +160,7 @@ class HausdorffOperator:
 
     def apply_and_gradient_many(self, f: ScalarField, points) -> tuple[np.ndarray, np.ndarray]:
         """``(apply_many(f, points), apply_gradient_many(f, points))`` from one pass."""
-        pts = self._check_inputs(f, points)
-        return self._accumulate(f, pts, self._coeff, gradients=True)
-
-    def apply_gradient(self, f: ScalarField, x) -> np.ndarray:
-        return self.apply_gradient_many(f, np.atleast_2d(np.asarray(x, dtype=float)))[0]
+        return self._accumulate(f, points, gradients=True)
 
     def push(self, f: ScalarField) -> ScalarField:
         """Hf as a lazily evaluated field (nothing is precomputed)."""
@@ -202,31 +190,16 @@ def _rows_times(x: np.ndarray, matrices: np.ndarray) -> np.ndarray:
     return x @ matrices
 
 
-def averaging_operator(dimension: int, group, domain: Domain) -> HausdorffOperator:
-    """Uniform averaging over an orthogonal group, kernel identically 1.
+def averaging_operator(family: IsometryFamily, domain: Domain) -> HausdorffOperator:
+    """Uniform averaging over a family of motions, kernel identically 1.
 
-    ``group`` is a finite-group kind name (``"sign_flips"``,
-    ``"signed_permutations"``), a tuple ``("cyclic_rotation_2d", order)``,
-    or ``("haar_mc", count, seed)`` for Monte Carlo averaging over the full
-    rotation group.  Every group member must map the domain into itself,
-    as for a ball centered at the origin or a truncated space.
+    Each member weighs ``1 / len(family)``: pass a finite group,
+    ``finite_group_family(kind, n)[0]``, or Haar draws from
+    :func:`~.isometry.rotation_family` for Monte Carlo averaging over the
+    full rotation group.  Every member must map the domain into itself, as
+    an orthogonal one does for a ball centered at the origin or a truncated
+    space.
     """
-    if domain.dimension != dimension:
-        raise ValueError(
-            f"domain dimension {domain.dimension} does not match {dimension}"
-        )
-    if isinstance(group, str):
-        spec: tuple = (group,)
-    else:
-        spec = tuple(group)
-    kind = spec[0]
-    if kind == "haar_mc":
-        _, count, seed = spec
-        family = rotation_family(dimension, int(count), int(seed))
-        measure = finite_group_uniform_measure(len(family))
-    elif kind == "cyclic_rotation_2d":
-        family, measure = finite_group_family(kind, dimension, order=int(spec[1]))
-    else:
-        family, measure = finite_group_family(kind, dimension)
+    measure = finite_group_uniform_measure(len(family))
     kernel = kernel_from_values(np.ones(len(measure)))
     return HausdorffOperator(measure=measure, kernel=kernel, family=family, domain=domain)

@@ -11,10 +11,12 @@ import pytest
 from hausdorff_op.cli import (
     EXPERIMENT_NAMES,
     MAX_BALL_DRAWS,
+    MAX_GRID_NODES,
     MAX_LEGENDRE_NODES,
     MAX_PRESERVATION_SAMPLES,
     ConfigError,
     _is_fatal,
+    _thread_count,
     main,
     parse_config,
     run,
@@ -89,6 +91,19 @@ def test_unknown_kernel_lists_whitelist():
     assert "unknown kernel 'gauss'" in message
     for name in ("exp_decay", "power", "constant", "indicator"):
         assert name in message
+
+
+def test_bad_kernel_parameters_are_named():
+    for where, config in (
+        ("kernel", _minimal_config(kernel={"name": "indicator", "lo": "0", "hi": True})),
+        ("experiment_options.necessity.kernel",
+         _necessity_config(kernel={"name": "indicator", "lo": 0.0, "hi": "1"})),
+    ):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(json.dumps(config))
+        bad = ("lo", "hi") if where == "kernel" else ("hi",)
+        assert exc.value.errors == [f"{where}: kernel parameter {key} must be a number"
+                                    for key in bad]
 
 
 def test_all_violations_are_collected():
@@ -183,7 +198,7 @@ _HUGE_NUMBERS = {
     ),
     "kernel": (
         _minimal_config(kernel={"name": "constant", "c": _HUGE}),
-        "kernel: kernel parameters must be numbers",
+        "kernel: kernel parameter c must be a number",
     ),
     "fields.center": (
         _minimal_config(fields=[{"kind": "gaussian", "center": [-_HUGE], "width": 1.0}]),
@@ -393,6 +408,16 @@ _CAPPED_INPUTS = {
         "experiment_options: gradient_points 36 on a ball in dimension 16 expects "
         f"1.00e7 rejection-sampling draws, more than the cap of {MAX_BALL_DRAWS}",
     ),
+    # a box samples without rejection; the points, their gradients and
+    # differences are (count, n) arrays
+    "box_gradient_points": (
+        _minimal_config(experiments=["gradient_check"],
+                        experiment_options={"gradient_points": MAX_GRID_NODES}),
+        _minimal_config(experiments=["gradient_check"],
+                        experiment_options={"gradient_points": MAX_GRID_NODES + 1}),
+        f"experiment_options: gradient_points {MAX_GRID_NODES + 1} exceeds the cap of "
+        f"{MAX_GRID_NODES}",
+    ),
     "resolution": (
         _minimal_config(resolution=MAX_LEGENDRE_NODES),
         _minimal_config(resolution=MAX_LEGENDRE_NODES + 1),
@@ -587,6 +612,16 @@ def _two_field_grid_config(experiments):
         experiments=experiments,
         experiment_options={"gradient_points": 6},
     )
+
+
+def test_thread_count_is_clamped_to_the_available_cpus(monkeypatch):
+    # the pool is never started: each job of a million-member preservation
+    # check could otherwise get an OS thread
+    monkeypatch.setenv("HAUSDORFF_OP_THREADS", "1000000")
+    assert _thread_count() == len(os.sched_getaffinity(0))
+    for raw in ("abc", "0", "-3", ""):
+        monkeypatch.setenv("HAUSDORFF_OP_THREADS", raw)
+        assert _thread_count() == 1
 
 
 def test_output_does_not_depend_on_thread_count(tmp_path, monkeypatch):

