@@ -14,12 +14,10 @@ the exit code.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -789,6 +787,7 @@ def run(config: RunConfig, out_dir) -> int:
 
     threads = _thread_count()
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor  # not loaded by a 1-thread run
         with ThreadPoolExecutor(max_workers=threads) as pool:
             futures = [pool.submit(fn) for fn in jobs]
             results = [f.result() for f in futures]
@@ -868,6 +867,7 @@ def run(config: RunConfig, out_dir) -> int:
 
 
 def main(argv=None) -> int:
+    import argparse  # not loaded by `import hausdorff_op.cli`
     parser = argparse.ArgumentParser(
         prog="hausdorff-op",
         description="Run bound-verification experiments from a JSON config.",

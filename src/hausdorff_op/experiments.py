@@ -273,7 +273,8 @@ def run_measure_preservation(
     region_hits = image_hits = 0
     for pts in window.sample_blocks(samples, seed, _SAMPLE_BLOCK):
         region_hits += int(np.count_nonzero(region.contains_many(pts)))
-        for k in range(region.dimension):  # pts -= b, by column
+        # pts -= b by column, skipping zeros: x - 0 is x up to a zero's sign
+        for k in np.flatnonzero(iso.offset):
             column = pts[:, k]
             column -= iso.offset[k]
         # the preimages (pts - b) V; a lone row keeps the bits it has in a block

@@ -31,6 +31,9 @@ _SHAPES = (BALL, BOX, TRUNCATED)
 # from this many columns on, numpy's row reduction sums pairwise
 _PAIRWISE_COLUMNS = 8
 
+# rows of the tiles that Domain.sample_blocks scales its draws against
+_TILE_ROWS = 1 << 14
+
 
 def squared_distances(
     points: np.ndarray, center: np.ndarray, differences: np.ndarray | None = None
@@ -42,21 +45,24 @@ def squared_distances(
     which is faster than a reduction over a short axis.  From eight columns
     on numpy sums pairwise, and the reduction itself is kept.  An ``(m, n)``
     array ``differences``, when given, receives ``points - center``.
+    Without it, a column whose centre component is zero is squared as it
+    stands: ``x - 0`` is ``x`` up to the sign of a zero, which squaring drops.
     """
     n = points.shape[1]
     if n >= _PAIRWISE_COLUMNS:
         return (np.subtract(points, center, out=differences) ** 2).sum(axis=1)
-    first = np.subtract(
-        points[:, 0], center[0], out=None if differences is None else differences[:, 0]
-    )
-    # squared in place unless the differences are kept
-    total = np.multiply(first, first, out=first if differences is None else None)
-    term = np.empty_like(total)
-    for k in range(1, n):
-        column = term if differences is None else differences[:, k]
-        np.subtract(points[:, k], center[k], out=column)
-        np.multiply(column, column, out=term)
-        total += term
+    term = np.empty(len(points))
+    for k in range(n):
+        if differences is not None:
+            column = np.subtract(points[:, k], center[k], out=differences[:, k])
+        elif center[k] == 0.0:
+            column = points[:, k]
+        else:
+            column = np.subtract(points[:, k], center[k], out=term)
+        if k == 0:
+            total = column * column
+        else:
+            total += np.multiply(column, column, out=term)
     return total
 
 
@@ -390,18 +396,20 @@ class Domain:
             raise ValueError(f"count must be >= 1, got {count}")
         rng = np.random.default_rng(seed)
         lo, hi = self.bounding_box()
-        span = hi - lo
+        tile = min(block, _TILE_ROWS)  # rows of lo and hi - lo, repeated
+        span, lo = np.tile(hi - lo, tile), np.tile(lo, tile)
 
         def draws(rows):
             # rng.uniform(lo, hi, (rows, n)) in blocks: one double per entry,
-            # in row-major order, scaled as lo + (hi - lo) * u.  Scaling by
-            # column avoids numpy's slow broadcast over a short last axis.
+            # in row-major order, scaled as lo + (hi - lo) * u.  Each block is
+            # scaled flat, tile by tile, with the same two roundings but not
+            # numpy's strided column ops or slow broadcast over a short axis.
             for start in range(0, rows, block):
                 u = rng.random((min(block, rows - start), self.dimension))
-                for k in range(self.dimension):
-                    column = u[:, k]
-                    column *= span[k]
-                    column += lo[k]
+                for first in range(0, u.size, span.size):
+                    part = u.reshape(-1)[first : first + span.size]
+                    part *= span[: part.size]
+                    part += lo[: part.size]
                 yield u
 
         if self.shape != BALL:

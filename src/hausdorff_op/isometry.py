@@ -202,7 +202,8 @@ def finite_group_family(
     sign_flips enumerates all 2^n diagonal sign matrices,
     signed_permutations the full hyperoctahedral group (2^n * n!), and
     cyclic_rotation_2d the ``order`` rotations by multiples of 2*pi/order
-    (dimension 2 only).  Groups larger than GROUP_SIZE_CAP members are refused.
+    (dimension 2 only, and the only kind that takes an ``order``).  Groups
+    larger than GROUP_SIZE_CAP members are refused.
     """
     if kind not in FINITE_GROUP_KINDS:
         raise ValueError(f"unknown group kind {kind!r}, expected one of {FINITE_GROUP_KINDS}")
@@ -213,6 +214,8 @@ def finite_group_family(
             raise ValueError(f"cyclic_rotation_2d needs dimension 2, got {dimension}")
         if order is None or order < 1:
             raise ValueError(f"cyclic_rotation_2d needs order >= 1, got {order}")
+    elif order is not None:
+        raise ValueError(f"order only applies to {CYCLIC_ROTATION_2D}")
     size = finite_group_size(kind, dimension, order)
     if size is None:
         raise ValueError(

@@ -712,6 +712,20 @@ def test_run_does_not_import_scipy(tmp_path):
     assert done.stdout.split("\n")[-2] == "0 []"
 
 
+def test_import_leaves_out_argparse_and_the_thread_pool():
+    # a 1-thread run needs neither: cli imports them where they are used
+    script = (
+        "import sys\n"
+        "import hausdorff_op.cli\n"
+        "print(sorted(m for m in ('argparse', 'concurrent.futures') if m in sys.modules))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
 def test_main_list_experiments(capsys):
     assert main(["run", "--list-experiments"]) == 0
     out = capsys.readouterr().out

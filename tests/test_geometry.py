@@ -331,11 +331,35 @@ def test_squared_distances_match_the_row_reduction_bitwise(n):
     rng = np.random.default_rng(40 + n)
     pts = 3.0 * rng.standard_normal((10**5, n))
     center = rng.standard_normal(n)
-    assert _same_bits(squared_distances(pts, center), ((pts - center) ** 2).sum(axis=1))
-    differences = np.empty_like(pts)
-    total = squared_distances(pts, center, differences)
-    assert _same_bits(total, ((pts - center) ** 2).sum(axis=1))
-    assert _same_bits(differences, pts - center)
+    # signed zeros in the centre skip a subtraction, signed zeros in the
+    # points meet both the skipped and the kept one
+    signed_zeros = rng.standard_normal(n)
+    signed_zeros[::3] = 0.0
+    signed_zeros[1::3] = -0.0
+    zero_points = pts.copy()
+    zero_points[rng.random(pts.shape) < 0.1] = 0.0
+    zero_points[rng.random(pts.shape) < 0.1] = -0.0
+    for points, c in ((pts, center), (zero_points, center), (zero_points, signed_zeros),
+                      (zero_points, np.zeros(n)), (zero_points, -np.zeros(n))):
+        expected = ((points - c) ** 2).sum(axis=1)
+        assert _same_bits(squared_distances(points, c), expected)
+        differences = np.empty_like(points)
+        assert _same_bits(squared_distances(points, c, differences), expected)
+        assert _same_bits(differences, points - c)
+
+
+@pytest.mark.parametrize("domain", [
+    box([-1.0, 0.5, 2.0], [0.5, 3.0, 2.25]),
+    ball([0.2, -0.1, 0.3], 0.7),
+], ids=["box", "ball"])
+@pytest.mark.parametrize("tile", [1, 3])
+def test_samples_keep_their_bits_when_scaled_tile_by_tile(monkeypatch, domain, tile):
+    # blocks longer than the tiles are scaled one tile of rows at a time
+    monkeypatch.setattr(geometry, "_TILE_ROWS", tile)
+    for count in (1, 7, 1000):
+        whole = domain.sample_uniform(count, seed=33)
+        assert _same_bits(whole, _whole_array_sample(domain, count, 33))
+        assert _same_bits(np.concatenate(list(domain.sample_blocks(count, 33, 5))), whole)
 
 
 @pytest.mark.parametrize("domain", [

@@ -235,6 +235,12 @@ def test_cyclic_requires_dimension_two():
         finite_group_family(CYCLIC_ROTATION_2D, 3, order=4)
 
 
+@pytest.mark.parametrize("kind", [SIGN_FLIPS, SIGNED_PERMUTATIONS])
+def test_order_is_refused_for_groups_without_one(kind):
+    with pytest.raises(ValueError, match="order only applies to cyclic_rotation_2d"):
+        finite_group_family(kind, 2, order=6)
+
+
 def test_shift_family_examples():
     fam = shift_family([0.0])
     assert len(fam) == 1

@@ -378,10 +378,11 @@ def test_averaging_measure_is_the_finite_group_measure():
     assert np.array_equal(op.kernel.values, np.ones(len(family)))
 
 
-@pytest.mark.parametrize("kind", ["sign_flips", "cyclic_rotation_2d"])
-def test_finite_group_averaging_is_invariant(kind):
+@pytest.mark.parametrize("kind, order", [("sign_flips", None), ("cyclic_rotation_2d", 6)],
+                         ids=["sign_flips", "cyclic_rotation_2d"])
+def test_finite_group_averaging_is_invariant(kind, order):
     dom = ball([0.0, 0.0], 3.0)
-    family, _ = finite_group_family(kind, 2, order=6)  # sign_flips takes no order
+    family, _ = finite_group_family(kind, 2, order)
     op = averaging_operator(family, dom)
     f = gaussian([0.4, 0.2], 1.0)
     x = np.array([0.7, -0.3])
