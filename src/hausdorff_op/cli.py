@@ -1,8 +1,15 @@
 """Config-driven experiment runner behind the ``hausdorff-op`` console script.
 
-A run is described by one JSON file; the parser is strict (unknown keys are
-rejected, every violation is reported, not just the first) because a silent
-typo in a tolerance or kernel name would invalidate a verification run.
+A run is described by one JSON file, and :func:`parse_config` walks it once:
+each node's parser checks the node and returns what :func:`run` reads of it,
+so every dispatch on a ``shape``, ``kind`` or ``scheme`` and every option
+default is written once.  The walk is strict (unknown keys are rejected,
+every violation is reported, not just the first) because a silent typo in a
+tolerance or kernel name would invalidate a verification run.  The kernel
+forms are built as they are checked, and the domain and the preservation
+region once the whole config has parsed.  The fields, the family and the
+measure cost run time to build, so they come back as calls with their
+arguments bound, and ``run`` makes only the calls its experiments read.
 Artifacts: ``results.csv`` (one row per bound check), ``divergence.csv``
 (present when the divergence experiment ran), and ``summary.txt``.  Numeric
 CSV cells use 17 significant digits so reruns diff byte-identically.
@@ -18,13 +25,15 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import geometry
 from .experiments import (
+    TOLERANCES,
     DivergenceReport,
     ExperimentReport,
     evaluate_field,
@@ -49,6 +58,7 @@ from .isometry import (
 )
 from .measure_kernel import (
     KERNEL_FORM_NAMES,
+    KernelForm,
     discretize,
     kernel_form,
     kernel_on_measure,
@@ -90,15 +100,25 @@ _TOP_KEYS = {
     "resolution", "experiments", "experiment_options", "seed", "output",
 }
 _REQUIRED_KEYS = ("dimension", "domain", "family", "kernel", "fields", "experiments")
-_OPTION_KEYS = {
-    "gradient_points", "gradient_step", "gradient_margin",
-    "preservation_samples", "preservation_members", "preservation_region",
-    "necessity",
+# every experiment option, and its value when the config leaves it out
+_OPTION_DEFAULTS = {
+    "gradient_points": 50,
+    "gradient_step": TOLERANCES["gradient_step"],
+    "gradient_margin": 0.05,
+    "preservation_samples": 100_000,
+    # a family with fewer members checks them all
+    "preservation_members": 10,
+    # the unit box about the origin, built in _parse_options for the dimension
+    "preservation_region": None,
+    "necessity": {},
 }
-_NECESSITY_KEYS = {"kernel", "endpoints", "x0", "points_per_panel"}
 # the default necessity witness: 88,880 folded shifts in all
-_NECESSITY_ENDPOINTS = [10.0, 100.0, 1000.0, 10000.0]
-_NECESSITY_POINTS_PER_PANEL = 8
+_NECESSITY_DEFAULTS = {
+    "kernel": {"name": "power", "a": 1.0},
+    "endpoints": [10.0, 100.0, 1000.0, 10000.0],
+    "x0": 0.0,
+    "points_per_panel": 8,
+}
 
 # seed offsets keep per-experiment streams distinct under one config seed
 _GRADIENT_SEED_OFFSET = 11
@@ -115,8 +135,19 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
+class RunInputs:
+    """What :func:`run` reads of a config; each call looks its constructor up here."""
+
+    domain: geometry.Domain
+    kernel: KernelForm
+    family_measure: Callable[[], tuple]  # returns (family, measure)
+    fields: tuple  # a (label, call that builds the field) pair per field
+    options: dict  # every option; the region is a Domain, the necessity kernel a form
+
+
+@dataclass(frozen=True)
 class RunConfig:
-    """A fully validated run description (specs stay as plain dicts)."""
+    """A fully validated run description; ``inputs`` is what the run reads of its specs."""
 
     dimension: int
     domain: dict
@@ -130,6 +161,7 @@ class RunConfig:
     options: dict
     seed: int
     output: str | None
+    inputs: RunInputs = field(compare=False, repr=False)
 
 
 def _is_int(x) -> bool:
@@ -177,23 +209,11 @@ def _check_legendre_nodes(count: int, where: str, errors: list) -> None:
         )
 
 
-def _check_ball_draws(n: int, count: int, where: str, errors: list) -> None:
-    # log of vol(ball) / vol(bounding box) = pi^(n/2) / (Gamma(n/2 + 1) 2^n)
-    log_rate = n / 2 * math.log(math.pi) - math.lgamma(n / 2 + 1) - n * math.log(2)
-    log10_draws = (math.log(count) - log_rate) / math.log(10)
-    if log10_draws > math.log10(MAX_BALL_DRAWS):
-        exponent = math.floor(log10_draws)
-        errors.append(
-            f"{where} {count} on a ball in dimension {n} expects "
-            f"{10 ** (log10_draws - exponent):.2f}e{exponent} rejection-sampling "
-            f"draws, more than the cap of {MAX_BALL_DRAWS}"
-        )
-
-
-def _validate_domain(spec, n: int, where: str, errors: list, bounded_only=False) -> None:
+def _parse_domain(spec, n: int, where: str, errors: list, bounded_only=False):
+    """Check a domain spec; return a call that builds the domain."""
     if not isinstance(spec, dict):
         errors.append(f"{where} must be an object")
-        return
+        return None
     shape = spec.get("shape")
     if shape == geometry.BALL:
         _check_keys(spec, {"shape", "center", "radius"}, where, errors)
@@ -201,7 +221,8 @@ def _validate_domain(spec, n: int, where: str, errors: list, bounded_only=False)
             errors.append(f"{where}: center must be a list of {n} numbers")
         if not (_is_number(spec.get("radius")) and spec["radius"] > 0):
             errors.append(f"{where}: radius must be a positive number")
-    elif shape == geometry.BOX:
+        return lambda: geometry.ball(spec["center"], spec["radius"])
+    if shape == geometry.BOX:
         _check_keys(spec, {"shape", "lower", "upper"}, where, errors)
         for key in ("lower", "upper"):
             if not _is_vector(spec.get(key), n):
@@ -209,55 +230,62 @@ def _validate_domain(spec, n: int, where: str, errors: list, bounded_only=False)
         if (_is_vector(spec.get("lower"), n) and _is_vector(spec.get("upper"), n)
                 and any(u <= l for l, u in zip(spec["lower"], spec["upper"]))):
             errors.append(f"{where}: upper must exceed lower componentwise")
-    elif shape == geometry.TRUNCATED:
+        return lambda: geometry.box(spec["lower"], spec["upper"])
+    if shape == geometry.TRUNCATED:
         if bounded_only:
             errors.append(f"{where}: must be a bounded ball or box")
-            return
+            return None
         _check_keys(spec, {"shape", "halfwidth"}, where, errors)
         if not (_is_number(spec.get("halfwidth")) and spec["halfwidth"] > 0):
             errors.append(f"{where}: halfwidth must be a positive number")
-    else:
-        errors.append(
-            f"{where}: shape must be one of "
-            f"['{geometry.BALL}', '{geometry.BOX}', '{geometry.TRUNCATED}'], got {shape!r}"
-        )
+        return lambda: geometry.truncated_space(spec["halfwidth"], n)
+    errors.append(
+        f"{where}: shape must be one of "
+        f"['{geometry.BALL}', '{geometry.BOX}', '{geometry.TRUNCATED}'], got {shape!r}"
+    )
+    return None
 
 
-def _validate_family(spec, n: int, errors: list) -> int | None:
-    """Validate the family spec; return the member count when derivable."""
+def _parse_family(spec, n: int, seed: int, errors: list):
+    """Check the family spec; return (its member count when derivable, a call).
+
+    The call takes the built measure (None for a finite group, which brings
+    its own) and returns the (family, measure) pair.
+    """
     if not isinstance(spec, dict):
         errors.append("family must be an object")
-        return None
+        return None, None
     kind = spec.get("kind")
     if kind == "rotations_haar":
         _check_keys(spec, {"kind", "count", "seed"}, "family", errors)
-        if not (_is_int(spec.get("count")) and 1 <= spec["count"] <= GROUP_SIZE_CAP):
+        count = spec.get("count")
+        if not (_is_int(count) and 1 <= count <= GROUP_SIZE_CAP):
             errors.append(f"family: count must be an integer in [1, {GROUP_SIZE_CAP}]")
-            return None
+            return None, None
         if "seed" in spec and not _is_seed(spec["seed"]):
             errors.append("family: seed must be an integer >= 0")
-        return spec["count"]
+        return count, lambda measure: (rotation_family(n, count, spec.get("seed", seed)), measure)
     if kind == "finite_group":
         _check_keys(spec, {"kind", "group", "order"}, "family", errors)
-        group = spec.get("group")
+        group, order = spec.get("group"), spec.get("order")
         if group not in FINITE_GROUP_KINDS:
             errors.append(f"family: group must be one of {list(FINITE_GROUP_KINDS)}, got {group!r}")
-            return None
+            return None, None
         if group == CYCLIC_ROTATION_2D:
             if n != 2:
                 errors.append("family: cyclic_rotation_2d needs dimension 2")
-            if not (_is_int(spec.get("order")) and spec["order"] >= 1):
+            if not (_is_int(order) and order >= 1):
                 errors.append("family: cyclic_rotation_2d needs an integer order >= 1")
-                return None
+                return None, None
         elif "order" in spec:
             errors.append(f"family: order only applies to {CYCLIC_ROTATION_2D}")
-        size = finite_group_size(group, n, spec.get("order"))
+        size = finite_group_size(group, n, order)
         if size is None:
             errors.append(
                 f"family: {group} in dimension {n} exceeds the group size cap of "
                 f"{GROUP_SIZE_CAP} members"
             )
-        return size
+        return size, lambda _: finite_group_family(group, n, order)
     if kind == "shifts":
         if n != 1:
             errors.append("family: shifts need dimension 1")
@@ -267,20 +295,23 @@ def _validate_family(spec, n: int, errors: list) -> int | None:
             if not (isinstance(offsets, list) and len(offsets) >= 1
                     and all(_is_number(v) for v in offsets)):
                 errors.append("family: offsets must be a nonempty list of numbers")
-                return None
-            return len(offsets)
+                return None, None
+            return len(offsets), lambda measure: (shift_family(offsets), measure)
         _check_keys(spec, {"kind", "from_measure", "fold"}, "family", errors)
         if spec.get("from_measure") is not True:
             errors.append("family: shifts need either offsets or from_measure = true")
-        if "fold" in spec and not isinstance(spec["fold"], bool):
+        fold = spec.get("fold", False)
+        if not isinstance(fold, bool):
             errors.append("family: fold must be a boolean")
-        return None  # count is the measure's by construction
+        # the count is the measure's by construction
+        return None, lambda measure: (shift_family(
+            measure.nodes - np.floor(measure.nodes) if fold else measure.nodes), measure)
     if kind == "motions":
         _check_keys(spec, {"kind", "members"}, "family", errors)
         members = spec.get("members")
         if not (isinstance(members, list) and len(members) >= 1):
             errors.append("family: members must be a nonempty list")
-            return None
+            return None, None
         for i, member in enumerate(members):
             if not isinstance(member, dict):
                 errors.append(f"family: member {i} must be an object")
@@ -292,16 +323,19 @@ def _validate_family(spec, n: int, errors: list) -> int | None:
                 errors.append(f"family: member {i} matrix must be {n}x{n}")
             if "offset" in member and not _is_vector(member["offset"], n):
                 errors.append(f"family: member {i} offset must be a list of {n} numbers")
-        return len(members)
+        return len(members), lambda measure: (
+            motion_family([(m["matrix"], m.get("offset")) for m in members]), measure
+        )
     errors.append(
         "family: kind must be one of "
         "['rotations_haar', 'finite_group', 'shifts', 'motions'], "
         f"got {kind!r}"
     )
-    return None
+    return None, None
 
 
-def _validate_measure(spec, family_spec, family_count, errors: list) -> None:
+def _parse_measure(spec, family_spec, family_count, seed: int, errors: list):
+    """Check the measure spec against the family; return a call that builds it."""
     family_kind = family_spec.get("kind") if isinstance(family_spec, dict) else None
     if family_kind == "finite_group":
         if isinstance(spec, dict) and spec.get("scheme") == "finite_group_uniform":
@@ -311,13 +345,13 @@ def _validate_measure(spec, family_spec, family_count, errors: list) -> None:
                 "measure: a finite_group family carries its own uniform measure; "
                 "omit the measure or set scheme = 'finite_group_uniform'"
             )
-        return
+        return lambda: None  # the family call builds it
     if spec is None:
         errors.append("missing required key 'measure' (only finite_group families omit it)")
-        return
+        return None
     if not isinstance(spec, dict):
         errors.append("measure must be an object")
-        return
+        return None
     scheme = spec.get("scheme")
     count = None
     if scheme == "explicit":
@@ -341,6 +375,7 @@ def _validate_measure(spec, family_spec, family_count, errors: list) -> None:
         allowed = {"scheme", "interval", "count"}
         if scheme == "monte_carlo":
             allowed.add("seed")
+            spec = {"seed": seed, **spec}
         _check_keys(spec, allowed, "measure", errors)
         interval = spec.get("interval")
         if not (_is_vector(interval, 2) and interval[1] > interval[0]):
@@ -369,139 +404,177 @@ def _validate_measure(spec, family_spec, family_count, errors: list) -> None:
         errors.append(
             f"measure has {count} nodes but the family has {family_count} members"
         )
+    return lambda: discretize(spec)
 
 
-def _validate_kernel(spec, where: str, errors: list) -> None:
+def _parse_kernel(spec, where: str, errors: list) -> KernelForm | None:
+    """Check a kernel spec; return its form."""
     if not isinstance(spec, dict):
         errors.append(f"{where} must be an object")
-        return
+        return None
     name = spec.get("name")
     if name not in KERNEL_FORM_NAMES:
         errors.append(
             f"{where}: unknown kernel {name!r}, whitelist: {list(KERNEL_FORM_NAMES)}"
         )
-        return
+        return None
     params = {k: v for k, v in spec.items() if k != "name"}
     bad = [k for k, v in params.items() if not _is_number(v)]
     errors.extend(f"{where}: kernel parameter {k} must be a number" for k in bad)
     if bad:
-        return
+        return None
     try:
-        kernel_form(name, **params)
+        return kernel_form(name, **params)
     except (ValueError, TypeError) as exc:
         errors.append(f"{where}: {exc}")
+        return None
 
 
-def _validate_field(spec, n: int, index: int, errors: list) -> None:
+def _parse_field(spec, n: int, index: int, errors: list):
+    """Check a field spec; return (its label, a call that builds the field)."""
     where = f"fields[{index}]"
     if not isinstance(spec, dict):
         errors.append(f"{where} must be an object")
-        return
+        return None
     kind = spec.get("kind")
     if kind == "gaussian":
         _check_keys(spec, {"kind", "center", "width"}, where, errors)
-        needs_poly = False
+        build = lambda: gaussian(spec["center"], spec["width"])
     elif kind == "polynomial":
         _check_keys(spec, {"kind", "coeffs"}, where, errors)
-        needs_poly = True
+        build = lambda: polynomial(spec["coeffs"], dimension=n)
     elif kind == "gaussian_times_poly":
         _check_keys(spec, {"kind", "center", "width", "coeffs"}, where, errors)
-        needs_poly = True
+        build = lambda: gaussian_times_poly(spec["center"], spec["width"], spec["coeffs"])
     else:
         errors.append(
             f"{where}: kind must be one of ['gaussian', 'polynomial', "
             f"'gaussian_times_poly'], got {kind!r}"
         )
-        return
+        return None
     if kind != "polynomial":
         if not _is_vector(spec.get("center"), n):
             errors.append(f"{where}: center must be a list of {n} numbers")
         if not (_is_number(spec.get("width")) and spec["width"] > 0):
             errors.append(f"{where}: width must be a positive number")
-    if needs_poly:
+    if kind != "gaussian":
         # numpy would turn JSON strings and booleans into numbers
         if not _is_number_tree(spec.get("coeffs")):
             errors.append(f"{where}: coeffs must be a (nested) list of numbers")
-            return
+            return None
         try:
             coeffs = np.asarray(spec["coeffs"], dtype=float)
         except ValueError:
             errors.append(f"{where}: coeffs must be a (nested) list of numbers")
-            return
+            return None
         except OverflowError:
             errors.append(f"{where}: coeffs must be finite numbers")
-            return
+            return None
         if coeffs.ndim != n or coeffs.size == 0:
             errors.append(
                 f"{where}: coeffs must be a depth-{n} nested list (one axis per dimension)"
             )
         elif not np.isfinite(coeffs).all():
             errors.append(f"{where}: coeffs must be finite numbers")
+    return f"{index}:{kind}", build
 
 
-def _validate_options(options, n: int, errors: list) -> None:
+def _parse_options(options, n: int, errors: list) -> dict:
+    """Check experiment_options; return every option, defaults filled in.
+
+    The preservation region comes back as a call that builds it, and the
+    necessity kernel as its form.
+    """
     if not isinstance(options, dict):
         errors.append("experiment_options must be an object")
-        return
-    _check_keys(options, _OPTION_KEYS, "experiment_options", errors)
+        return {}
+    _check_keys(options, set(_OPTION_DEFAULTS), "experiment_options", errors)
+    opts = {**_OPTION_DEFAULTS, **options}
     for key in ("gradient_points", "preservation_samples", "preservation_members"):
-        if key in options and not (_is_int(options[key]) and options[key] >= 1):
+        if not (_is_int(opts[key]) and opts[key] >= 1):
             errors.append(f"experiment_options: {key} must be an integer >= 1")
     for key, cap, per in (("gradient_points", MAX_GRID_NODES, ""),
                           ("preservation_samples", MAX_PRESERVATION_SAMPLES, " per member")):
-        count = options.get(key)
+        count = opts[key]
         if _is_int(count) and count > cap:
             errors.append(f"experiment_options: {key} {count} exceeds the cap of {cap}{per}")
     for key in ("gradient_step", "gradient_margin"):
-        if key in options and not (_is_number(options[key]) and options[key] > 0):
+        if not (_is_number(opts[key]) and opts[key] > 0):
             errors.append(f"experiment_options: {key} must be a positive number")
     if "preservation_region" in options:
-        _validate_domain(
+        opts["preservation_region"] = _parse_domain(
             options["preservation_region"], n,
             "experiment_options.preservation_region", errors, bounded_only=True,
         )
-    if "necessity" in options:
-        spec = options["necessity"]
-        if not isinstance(spec, dict):
-            errors.append("experiment_options.necessity must be an object")
-            return
-        _check_keys(spec, _NECESSITY_KEYS, "experiment_options.necessity", errors)
-        if "kernel" in spec:
-            _validate_kernel(spec["kernel"], "experiment_options.necessity.kernel", errors)
-        endpoints = spec.get("endpoints", _NECESSITY_ENDPOINTS)
-        endpoints_ok = (isinstance(endpoints, list) and len(endpoints) >= 2
-                        and all(_is_number(v) and v > 0 for v in endpoints)
-                        and all(b > a for a, b in zip(endpoints, endpoints[1:])))
-        if not endpoints_ok:
+    else:
+        opts["preservation_region"] = lambda: geometry.box([-0.5] * n, [0.5] * n)
+    spec = opts["necessity"]
+    if not isinstance(spec, dict):
+        errors.append("experiment_options.necessity must be an object")
+        return opts
+    _check_keys(spec, set(_NECESSITY_DEFAULTS), "experiment_options.necessity", errors)
+    nec = opts["necessity"] = {**_NECESSITY_DEFAULTS, **spec}
+    nec["kernel"] = _parse_kernel(nec["kernel"], "experiment_options.necessity.kernel", errors)
+    endpoints = nec["endpoints"]
+    endpoints_ok = (isinstance(endpoints, list) and len(endpoints) >= 2
+                    and all(_is_number(v) and v > 0 for v in endpoints)
+                    and all(b > a for a, b in zip(endpoints, endpoints[1:])))
+    if not endpoints_ok:
+        errors.append(
+            "experiment_options.necessity: endpoints must be >= 2 "
+            "positive increasing numbers"
+        )
+    if not _is_number(nec["x0"]):
+        errors.append("experiment_options.necessity: x0 must be a number")
+    per_panel = nec["points_per_panel"]
+    per_panel_ok = _is_int(per_panel) and per_panel >= 2
+    if not per_panel_ok:
+        errors.append(
+            "experiment_options.necessity: points_per_panel must be an integer >= 2"
+        )
+    else:
+        _check_legendre_nodes(
+            per_panel, "experiment_options.necessity: points_per_panel", errors
+        )
+    if endpoints_ok and per_panel_ok:
+        # one shift member per node of the unit panels over [0, endpoint]
+        members = sum(math.ceil(e) * per_panel for e in endpoints)
+        if members > GROUP_SIZE_CAP:
             errors.append(
-                "experiment_options.necessity: endpoints must be >= 2 "
-                "positive increasing numbers"
+                f"experiment_options.necessity: endpoints {endpoints} with "
+                f"points_per_panel {per_panel} give {members} witness members, "
+                f"more than the cap of {GROUP_SIZE_CAP}"
             )
-        if "x0" in spec and not _is_number(spec["x0"]):
-            errors.append("experiment_options.necessity: x0 must be a number")
-        per_panel = spec.get("points_per_panel", _NECESSITY_POINTS_PER_PANEL)
-        per_panel_ok = _is_int(per_panel) and per_panel >= 2
-        if not per_panel_ok:
-            errors.append(
-                "experiment_options.necessity: points_per_panel must be an integer >= 2"
-            )
-        else:
-            _check_legendre_nodes(
-                per_panel, "experiment_options.necessity: points_per_panel", errors
-            )
-        if endpoints_ok and per_panel_ok:
-            # one shift member per node of the unit panels over [0, endpoint]
-            members = sum(math.ceil(e) * per_panel for e in endpoints)
-            if members > GROUP_SIZE_CAP:
-                errors.append(
-                    f"experiment_options.necessity: endpoints {endpoints} with "
-                    f"points_per_panel {per_panel} give {members} witness members, "
-                    f"more than the cap of {GROUP_SIZE_CAP}"
-                )
+    return opts
+
+
+def _check_gradient_points(domain: geometry.Domain, opts: dict, errors: list) -> None:
+    """Check, on the built domain, that the gradient check can draw its points."""
+    n, count = domain.dimension, opts["gradient_points"]
+    # on a ball it samples them by rejection from the bounding box, and
+    # log(vol(ball) / vol(box)) = log(pi^(n/2) / (Gamma(n/2 + 1) 2^n))
+    log_rate = n / 2 * math.log(math.pi) - math.lgamma(n / 2 + 1) - n * math.log(2)
+    log10_draws = (math.log(count) - log_rate) / math.log(10)
+    if domain.shape == geometry.BALL and log10_draws > math.log10(MAX_BALL_DRAWS):
+        exponent = math.floor(log10_draws)
+        errors.append(
+            f"experiment_options: gradient_points {count} on a ball in dimension {n} "
+            f"expects {10 ** (log10_draws - exponent):.2f}e{exponent} rejection-sampling "
+            f"draws, more than the cap of {MAX_BALL_DRAWS}"
+        )
+    # the points lie the margin inside the domain, and the check skips those
+    # within twice the step of its boundary
+    for key, inset, what in (("gradient_margin", opts["gradient_margin"], "the margin"),
+                             ("gradient_step", 2 * opts["gradient_step"], "twice the step")):
+        try:
+            domain.shrink(inset)
+        except ValueError:
+            errors.append(f"experiment_options: {key} {opts[key]} leaves no gradient "
+                          f"points: {what} reaches the inradius of the domain")
 
 
 def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
-    """Parse and fully validate a JSON run config.
+    """Parse and fully validate a JSON run config, in one walk.
 
     ``overrides`` replaces top-level keys before validation, so command-line
     values pass the same checks as the file's.  Raises :class:`ConfigError`
@@ -524,24 +597,24 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
     if not (_is_int(n) and n >= 1):
         errors.append("dimension must be an integer >= 1")
         raise ConfigError(errors)
+    seed = raw.get("seed", 0)
+    if not _is_seed(seed):
+        errors.append("seed must be an integer >= 0")
+        seed = 0
 
-    if "domain" in raw:
-        _validate_domain(raw["domain"], n, "domain", errors)
-    family_count = None
-    if "family" in raw:
-        family_count = _validate_family(raw["family"], n, errors)
+    domain = _parse_domain(raw["domain"], n, "domain", errors) if "domain" in raw else None
+    family_count, family = (_parse_family(raw["family"], n, seed, errors)
+                            if "family" in raw else (None, None))
+    measure = None
     if raw.get("family") is not None or "measure" in raw:
-        _validate_measure(raw.get("measure"), raw.get("family", {}), family_count, errors)
-    if "kernel" in raw:
-        _validate_kernel(raw["kernel"], "kernel", errors)
+        measure = _parse_measure(raw.get("measure"), raw.get("family"), family_count, seed, errors)
+    kernel = _parse_kernel(raw["kernel"], "kernel", errors) if "kernel" in raw else None
 
-    fields = raw.get("fields")
-    if "fields" in raw:
-        if not (isinstance(fields, list) and len(fields) >= 1):
-            errors.append("fields must be a nonempty list")
-            fields = []
-        for i, spec in enumerate(fields):
-            _validate_field(spec, n, i, errors)
+    fields = raw.get("fields", [])
+    if "fields" in raw and not (isinstance(fields, list) and len(fields) >= 1):
+        errors.append("fields must be a nonempty list")
+        fields = []
+    field_inputs = [_parse_field(spec, n, i, errors) for i, spec in enumerate(fields)]
 
     ps = raw.get("p", [1.0])
     if not (isinstance(ps, list) and len(ps) >= 1 and all(_is_number(v) for v in ps)):
@@ -556,47 +629,28 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
     if not (_is_int(resolution) and resolution >= 2):
         errors.append("resolution must be an integer >= 2")
         resolution = 64
-    seed = raw.get("seed", 0)
-    if not _is_seed(seed):
-        errors.append("seed must be an integer >= 0")
-        seed = 0
 
-    experiments = raw.get("experiments")
-    if "experiments" in raw:
-        if not (isinstance(experiments, list) and len(experiments) >= 1):
-            errors.append("experiments must be a nonempty list")
-            experiments = []
-        else:
-            unknown = [e for e in experiments if e not in EXPERIMENT_NAMES]
-            if unknown:
-                errors.append(
-                    f"unknown experiment(s) {unknown}, known: {list(EXPERIMENT_NAMES)}"
-                )
-            elif len(set(experiments)) != len(experiments):
-                errors.append("experiments must not repeat")
-    else:
+    experiments = raw.get("experiments", [])
+    if "experiments" in raw and not (isinstance(experiments, list) and len(experiments) >= 1):
+        errors.append("experiments must be a nonempty list")
         experiments = []
-    # min(n, 64) keeps the power small for any n: 2 ** 64 already exceeds the cap
-    grid_fits = resolution ** min(n, 64) <= MAX_GRID_NODES
+    unknown = [e for e in experiments if e not in EXPERIMENT_NAMES]
+    if unknown:
+        errors.append(f"unknown experiment(s) {unknown}, known: {list(EXPERIMENT_NAMES)}")
+    elif len(set(experiments)) != len(experiments):
+        errors.append("experiments must not repeat")
     if any(name in _GRID_EXPERIMENTS for name in experiments):
         # every grid axis is one Gauss-Legendre rule of `resolution` nodes
         _check_legendre_nodes(resolution, "resolution", errors)
-        if not grid_fits:
+        # min(n, 64) keeps the power small for any n: 2 ** 64 already exceeds the cap
+        if resolution ** min(n, 64) > MAX_GRID_NODES:
             errors.append(
                 f"resolution {resolution} in dimension {n} gives more than "
                 f"{MAX_GRID_NODES} grid nodes"
             )
 
     options = raw.get("experiment_options", {})
-    _validate_options(options, n, errors)
-    domain = raw.get("domain")
-    # a grid that fits has n <= 22, so the draw estimate's floats cannot overflow
-    if ("gradient_check" in experiments and grid_fits and isinstance(domain, dict)
-            and domain.get("shape") == geometry.BALL and isinstance(options, dict)):
-        count = options.get("gradient_points", 50)
-        if _is_int(count) and 1 <= count <= MAX_GRID_NODES:
-            # the gradient check samples its points from the ball by rejection
-            _check_ball_draws(n, count, "experiment_options: gradient_points", errors)
+    opts = _parse_options(options, n, errors)
 
     output = raw.get("output")
     if output is not None and not isinstance(output, str):
@@ -604,6 +658,15 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
 
     if errors:
         raise ConfigError(errors)
+    # built only now: a truncated window and the default region hold n numbers
+    # each, and n is bounded by the size of the config only once the fields parse
+    domain = domain()
+    opts["preservation_region"] = opts["preservation_region"]()
+    if "gradient_check" in experiments:
+        # a grid that fits has n <= 22, so the draw estimate's floats cannot overflow
+        _check_gradient_points(domain, opts, errors)
+        if errors:
+            raise ConfigError(errors)
     return RunConfig(
         dimension=n,
         domain=raw["domain"],
@@ -617,59 +680,8 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
         options=options,
         seed=seed,
         output=output,
+        inputs=RunInputs(domain, kernel, lambda: family(measure()), tuple(field_inputs), opts),
     )
-
-
-# building
-
-
-def _build_domain(spec: dict, n: int):
-    if spec["shape"] == geometry.BALL:
-        return geometry.ball(spec["center"], spec["radius"])
-    if spec["shape"] == geometry.BOX:
-        return geometry.box(spec["lower"], spec["upper"])
-    return geometry.truncated_space(spec["halfwidth"], n)
-
-
-def _build_family_measure(config: RunConfig):
-    spec = config.family
-    kind = spec["kind"]
-    if kind == "finite_group":
-        return finite_group_family(spec["group"], config.dimension, spec.get("order"))
-    mspec = dict(config.measure)
-    if mspec["scheme"] == "monte_carlo":
-        mspec.setdefault("seed", config.seed)
-    measure = discretize(mspec)
-    if kind == "rotations_haar":
-        family = rotation_family(
-            config.dimension, spec["count"], spec.get("seed", config.seed)
-        )
-    elif kind == "shifts":
-        if "offsets" in spec:
-            family = shift_family(spec["offsets"])
-        else:
-            nodes = measure.nodes
-            if spec.get("fold", False):
-                nodes = nodes - np.floor(nodes)
-            family = shift_family(nodes)
-    else:
-        family = motion_family(
-            [(m["matrix"], m.get("offset")) for m in spec["members"]]
-        )
-    return family, measure
-
-
-def _build_field(spec: dict, n: int):
-    kind = spec["kind"]
-    if kind == "gaussian":
-        return gaussian(spec["center"], spec["width"])
-    if kind == "polynomial":
-        return polynomial(spec["coeffs"], dimension=n)
-    return gaussian_times_poly(spec["center"], spec["width"], spec["coeffs"])
-
-
-def _kernel_form_from_spec(spec: dict):
-    return kernel_form(spec["name"], **{k: v for k, v in spec.items() if k != "name"})
 
 
 # running
@@ -709,22 +721,22 @@ def _thread_count() -> int:
 def run(config: RunConfig, out_dir) -> int:
     """Execute the configured experiments and write artifacts into out_dir."""
     n = config.dimension
-    domain = _build_domain(config.domain, n)
-    fields = [(f"{i}:{spec['kind']}", _build_field(spec, n))
-              for i, spec in enumerate(config.fields)]
-    opts = config.options
+    inputs = config.inputs
+    domain, opts = inputs.domain, inputs.options
 
-    operator = None
-    quad = None
+    fields = []
+    operator = quad = None
     if any(name in _GRID_EXPERIMENTS for name in config.experiments):
-        family, measure = _build_family_measure(config)
-        kernel = kernel_on_measure(_kernel_form_from_spec(config.kernel), measure)
+        # only these experiments read a field
+        fields = [(label, build()) for label, build in inputs.fields]
+        family, measure = inputs.family_measure()
+        kernel = kernel_on_measure(inputs.kernel, measure)
         operator = HausdorffOperator(
             measure=measure, kernel=kernel, family=family, domain=domain
         )
         quad = build_grid_quadrature(domain, config.resolution)
     elif "measure_preservation" in config.experiments:
-        family, _ = _build_family_measure(config)
+        family, _ = inputs.family_measure()
 
     # each job returns {key: report}; `order` lists (key, label) in output order
     jobs = []
@@ -749,25 +761,19 @@ def run(config: RunConfig, out_dir) -> int:
                 for p in config.p:
                     order.append(((name, j, p), f"{name} p={p:g} field={label}"))
         elif name == "gradient_check":
-            count = opts.get("gradient_points", 50)
-            step = opts.get("gradient_step")
-            margin = opts.get("gradient_margin", 0.05)
+            step = opts["gradient_step"]
             seed = config.seed + _GRADIENT_SEED_OFFSET
-            points = interior_points(domain, count, seed, margin)
+            points = interior_points(domain, opts["gradient_points"], seed,
+                                     opts["gradient_margin"])
             for j, (label, f) in enumerate(fields):
                 key = (name, j)
                 jobs.append(lambda key=key, f=f, seed=seed:
                             {key: run_gradient_check(operator, f, points, step, seed=seed)})
                 order.append((key, f"gradient_check field={label}"))
         elif name == "measure_preservation":
-            members = opts.get("preservation_members", min(10, len(family)))
-            members = min(members, len(family))
-            samples = opts.get("preservation_samples", 100_000)
-            region_spec = opts.get(
-                "preservation_region",
-                {"shape": geometry.BOX, "lower": [-0.5] * n, "upper": [0.5] * n},
-            )
-            region = _build_domain(region_spec, n)
+            members = min(opts["preservation_members"], len(family))
+            samples = opts["preservation_samples"]
+            region = opts["preservation_region"]
             for i in range(members):
                 key = (name, i)
                 iso = family[i]
@@ -776,13 +782,9 @@ def run(config: RunConfig, out_dir) -> int:
                             {key: run_measure_preservation(iso, region, samples, seed)})
                 order.append((key, f"measure_preservation member={i}"))
         else:
-            nec = opts.get("necessity", {})
-            form = _kernel_form_from_spec(nec.get("kernel", {"name": "power", "a": 1.0}))
-            endpoints = nec.get("endpoints", _NECESSITY_ENDPOINTS)
-            x0 = nec.get("x0", 0.0)
-            ppp = nec.get("points_per_panel", _NECESSITY_POINTS_PER_PANEL)
-            jobs.append(lambda key=name:
-                        {key: run_necessity_divergence(form, endpoints, x0, ppp)})
+            nec = opts["necessity"]
+            jobs.append(lambda key=name: {key: run_necessity_divergence(
+                nec["kernel"], nec["endpoints"], nec["x0"], nec["points_per_panel"])})
             order.append((name, "necessity_divergence"))
 
     threads = _thread_count()

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from hausdorff_op import cli
 from hausdorff_op.cli import (
     EXPERIMENT_NAMES,
     MAX_BALL_DRAWS,
@@ -398,6 +399,20 @@ def _ball_gradient_config(dimension, **options):
     return config
 
 
+def _gradient_inset_config(domain, **options):
+    return {**_ball_gradient_config(2, **options), "domain": domain}
+
+
+_BALL3 = {"shape": "ball", "center": [0.0, 0.0], "radius": 3.0}
+_BOX_1_BY_4 = {"shape": "box", "lower": [0.0, 0.0], "upper": [1.0, 4.0]}
+_WINDOW_2 = {"shape": "truncated_space", "halfwidth": 2.0}
+
+
+def _inset_message(key, value, what):
+    return (f"experiment_options: {key} {value} leaves no gradient points: "
+            f"{what} reaches the inradius of the domain")
+
+
 # (config at the cap, the same one step past it, the message past it)
 _CAPPED_INPUTS = {
     # a 16-D ball takes 3.59e-6 of its bounding-box draws: 35 points expect
@@ -441,6 +456,29 @@ _CAPPED_INPUTS = {
         _shift_measure_config("monte_carlo", GROUP_SIZE_CAP + 1),
         f"measure: count {GROUP_SIZE_CAP + 1} exceeds the family size cap of "
         f"{GROUP_SIZE_CAP}",
+    ),
+    # the gradient points lie the margin inside the domain, and the check
+    # skips those within twice the step of its boundary: the inradius is the
+    # radius of a ball, half the smallest extent of a box, a window's halfwidth
+    "gradient_margin_ball": (
+        _gradient_inset_config(_BALL3, gradient_margin=2.99),
+        _gradient_inset_config(_BALL3, gradient_margin=5),
+        _inset_message("gradient_margin", 5, "the margin"),
+    ),
+    "gradient_step_ball": (
+        _gradient_inset_config(_BALL3, gradient_step=1.49),
+        _gradient_inset_config(_BALL3, gradient_step=2.0),
+        _inset_message("gradient_step", 2.0, "twice the step"),
+    ),
+    "gradient_margin_box": (
+        _gradient_inset_config(_BOX_1_BY_4, gradient_margin=0.49),
+        _gradient_inset_config(_BOX_1_BY_4, gradient_margin=0.5),
+        _inset_message("gradient_margin", 0.5, "the margin"),
+    ),
+    "gradient_step_window": (
+        _gradient_inset_config(_WINDOW_2, gradient_step=0.99),
+        _gradient_inset_config(_WINDOW_2, gradient_step=1.0),
+        _inset_message("gradient_step", 1.0, "twice the step"),
     ),
     "preservation_samples": (
         _preservation_config(MAX_PRESERVATION_SAMPLES),
@@ -612,6 +650,31 @@ def _two_field_grid_config(experiments):
         experiments=experiments,
         experiment_options={"gradient_points": 6},
     )
+
+
+def test_fields_are_built_only_for_the_experiments_that_read_them(tmp_path, monkeypatch):
+    built = []
+    for name in ("gaussian", "gaussian_times_poly", "polynomial"):
+        def counted(*args, build=getattr(cli, name), name=name, **kwargs):
+            built.append(name)
+            return build(*args, **kwargs)
+        monkeypatch.setattr(cli, name, counted)
+    bound = _two_field_grid_config(["lp_bound"])
+    bound["fields"].append({"kind": "polynomial", "coeffs": [[1.0, 0.5], [0.2, 0.0]]})
+    others = _two_field_grid_config(["measure_preservation", "necessity_divergence"])
+    others["experiment_options"].update(
+        preservation_samples=1000, preservation_members=2,
+        necessity={"endpoints": [5.0, 50.0], "points_per_panel": 4},
+    )
+    for config, code, want in ((bound, 0, ["gaussian", "gaussian_times_poly", "polynomial"]),
+                               (others, 1, [])):  # the necessity gate fails by design
+        parse_config(json.dumps(config))
+        assert built == []
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["run", str(path), "--out", str(tmp_path / f"out{code}")]) == code
+        assert built == want
+        built.clear()
 
 
 def test_thread_count_is_clamped_to_the_available_cpus(monkeypatch):
