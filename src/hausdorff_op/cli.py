@@ -209,6 +209,12 @@ def _check_legendre_nodes(count: int, where: str, errors: list) -> None:
         )
 
 
+def _check_span(lower, upper, span: str, where: str, errors: list) -> None:
+    # the grid, the samplers and shrink all work with upper - lower
+    if not all(math.isfinite(float(u) - float(l)) for l, u in zip(lower, upper)):
+        errors.append(f"{where}: {span} exceeds the double range")
+
+
 def _parse_domain(spec, n: int, where: str, errors: list, bounded_only=False):
     """Check a domain spec; return a call that builds the domain."""
     if not isinstance(spec, dict):
@@ -217,27 +223,37 @@ def _parse_domain(spec, n: int, where: str, errors: list, bounded_only=False):
     shape = spec.get("shape")
     if shape == geometry.BALL:
         _check_keys(spec, {"shape", "center", "radius"}, where, errors)
-        if not _is_vector(spec.get("center"), n):
+        center, radius = spec.get("center"), spec.get("radius")
+        if not _is_vector(center, n):
             errors.append(f"{where}: center must be a list of {n} numbers")
-        if not (_is_number(spec.get("radius")) and spec["radius"] > 0):
+        if not (_is_number(radius) and radius > 0):
             errors.append(f"{where}: radius must be a positive number")
+        elif _is_vector(center, n):
+            r = float(radius)
+            _check_span([c - r for c in center], [c + r for c in center],
+                        "center +- radius", where, errors)
         return lambda: geometry.ball(spec["center"], spec["radius"])
     if shape == geometry.BOX:
         _check_keys(spec, {"shape", "lower", "upper"}, where, errors)
         for key in ("lower", "upper"):
             if not _is_vector(spec.get(key), n):
                 errors.append(f"{where}: {key} must be a list of {n} numbers")
-        if (_is_vector(spec.get("lower"), n) and _is_vector(spec.get("upper"), n)
-                and any(u <= l for l, u in zip(spec["lower"], spec["upper"]))):
-            errors.append(f"{where}: upper must exceed lower componentwise")
+        if _is_vector(spec.get("lower"), n) and _is_vector(spec.get("upper"), n):
+            if any(u <= l for l, u in zip(spec["lower"], spec["upper"])):
+                errors.append(f"{where}: upper must exceed lower componentwise")
+            else:
+                _check_span(spec["lower"], spec["upper"], "upper - lower", where, errors)
         return lambda: geometry.box(spec["lower"], spec["upper"])
     if shape == geometry.TRUNCATED:
         if bounded_only:
             errors.append(f"{where}: must be a bounded ball or box")
             return None
         _check_keys(spec, {"shape", "halfwidth"}, where, errors)
-        if not (_is_number(spec.get("halfwidth")) and spec["halfwidth"] > 0):
+        halfwidth = spec.get("halfwidth")
+        if not (_is_number(halfwidth) and halfwidth > 0):
             errors.append(f"{where}: halfwidth must be a positive number")
+        else:
+            _check_span([-halfwidth], [halfwidth], "2 * halfwidth", where, errors)
         return lambda: geometry.truncated_space(spec["halfwidth"], n)
     errors.append(
         f"{where}: shape must be one of "
@@ -380,6 +396,8 @@ def _parse_measure(spec, family_spec, family_count, seed: int, errors: list):
         interval = spec.get("interval")
         if not (_is_vector(interval, 2) and interval[1] > interval[0]):
             errors.append("measure: interval must be [lo, hi] with hi > lo")
+        else:
+            _check_span(interval[:1], interval[1:], "interval hi - lo", "measure", errors)
         if not (_is_int(spec.get("count")) and spec["count"] >= 1):
             errors.append("measure: count must be an integer >= 1")
         else:
@@ -455,8 +473,12 @@ def _parse_field(spec, n: int, index: int, errors: list):
     if kind != "polynomial":
         if not _is_vector(spec.get("center"), n):
             errors.append(f"{where}: center must be a list of {n} numbers")
-        if not (_is_number(spec.get("width")) and spec["width"] > 0):
+        width = spec.get("width")
+        if not (_is_number(width) and width > 0):
             errors.append(f"{where}: width must be a positive number")
+        elif not 0.0 < float(width) * float(width) < math.inf:
+            # gaussian divides by the square
+            errors.append(f"{where}: width {width} has a square of 0 or past the double range")
     if kind != "gaussian":
         # numpy would turn JSON strings and booleans into numbers
         if not _is_number_tree(spec.get("coeffs")):
@@ -479,7 +501,7 @@ def _parse_field(spec, n: int, index: int, errors: list):
     return f"{index}:{kind}", build
 
 
-def _parse_options(options, n: int, errors: list) -> dict:
+def _parse_options(options, n: int, experiments: list, errors: list) -> dict:
     """Check experiment_options; return every option, defaults filled in.
 
     The preservation region comes back as a call that builds it, and the
@@ -514,7 +536,11 @@ def _parse_options(options, n: int, errors: list) -> dict:
         return opts
     _check_keys(spec, set(_NECESSITY_DEFAULTS), "experiment_options.necessity", errors)
     nec = opts["necessity"] = {**_NECESSITY_DEFAULTS, **spec}
-    nec["kernel"] = _parse_kernel(nec["kernel"], "experiment_options.necessity.kernel", errors)
+    where = "experiment_options.necessity.kernel"
+    form = nec["kernel"] = _parse_kernel(nec["kernel"], where, errors)
+    if form is not None and form.integrable_on_halfline and "necessity_divergence" in experiments:
+        errors.append(f"{where}: {form.description} has a finite L1 norm on [0, inf) "
+                      "and is not a necessity witness")
     endpoints = nec["endpoints"]
     endpoints_ok = (isinstance(endpoints, list) and len(endpoints) >= 2
                     and all(_is_number(v) and v > 0 for v in endpoints)
@@ -562,15 +588,24 @@ def _check_gradient_points(domain: geometry.Domain, opts: dict, errors: list) ->
             f"expects {10 ** (log10_draws - exponent):.2f}e{exponent} rejection-sampling "
             f"draws, more than the cap of {MAX_BALL_DRAWS}"
         )
-    # the points lie the margin inside the domain, and the check skips those
-    # within twice the step of its boundary
-    for key, inset, what in (("gradient_margin", opts["gradient_margin"], "the margin"),
-                             ("gradient_step", 2 * opts["gradient_step"], "twice the step")):
-        try:
-            domain.shrink(inset)
-        except ValueError:
-            errors.append(f"experiment_options: {key} {opts[key]} leaves no gradient "
-                          f"points: {what} reaches the inradius of the domain")
+    key, inset, what = _gradient_inset(opts)
+    try:
+        domain.shrink(inset)
+    except ValueError:
+        errors.append(f"experiment_options: {key} {opts[key]} leaves no gradient "
+                      f"points: {what} reaches the inradius of the domain")
+
+
+def _gradient_inset(opts: dict) -> tuple[str, float, str]:
+    """How far inside the domain the gradient points are drawn, and the option that sets it.
+
+    The check skips points within twice the step of the boundary, so points
+    drawn the larger of the margin and twice the step inside skip none.
+    """
+    margin, twice_step = opts["gradient_margin"], 2 * opts["gradient_step"]
+    if margin >= twice_step:
+        return "gradient_margin", margin, "the margin"
+    return "gradient_step", twice_step, "twice the step"
 
 
 def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
@@ -650,7 +685,7 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
             )
 
     options = raw.get("experiment_options", {})
-    opts = _parse_options(options, n, errors)
+    opts = _parse_options(options, n, experiments, errors)
 
     output = raw.get("output")
     if output is not None and not isinstance(output, str):
@@ -764,7 +799,7 @@ def run(config: RunConfig, out_dir) -> int:
             step = opts["gradient_step"]
             seed = config.seed + _GRADIENT_SEED_OFFSET
             points = interior_points(domain, opts["gradient_points"], seed,
-                                     opts["gradient_margin"])
+                                     _gradient_inset(opts)[1])
             for j, (label, f) in enumerate(fields):
                 key = (name, j)
                 jobs.append(lambda key=key, f=f, seed=seed:

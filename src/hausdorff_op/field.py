@@ -6,13 +6,17 @@ at construction, so a typo in a derivative formula fails immediately rather
 than surfacing as a loose bound three modules later.  Custom fields skip the
 check and may omit the gradient entirely; Sobolev norms then refuse them.
 
-:meth:`ScalarField.values_and_gradients` returns both arrays from one
-evaluation, and :meth:`ScalarField.gradients` is its second output: built-in
-kinds share their factors (one ``exp`` per gaussian point, one set of power
-tables per polynomial point), sums and scalar multiples combine their parts'
-single evaluations, and a custom field pairs its two callables.  Built-in
-kernels work one coordinate column at a time, because numpy is slow to
-broadcast over a short last axis, with the same operations per element as
+A field is one evaluation function, ``evaluate(pts, gradients)``, that
+returns the values and, when asked, the gradients, computing the values the
+same way in both modes: :meth:`ScalarField.values`,
+:meth:`~ScalarField.gradients` and :meth:`~ScalarField.values_and_gradients`
+are views of one checked call, so they agree bitwise.  Built-in kinds share
+their factors between the two outputs (one ``exp`` per gaussian point, one
+set of power tables and one pass over the multi-indices per polynomial
+point), sums, scalar multiples and products evaluate each part once, and a
+custom field calls its gradient callable only when gradients are asked for.
+Built-in kernels work one coordinate column at a time, because numpy is slow
+to broadcast over a short last axis, with the same operations per element as
 the row formulas: the gaussian forms each ``x_k - c_k`` once for its
 distance and its gradient, the product rule goes column by column, and
 polynomial power tables are column views, power 1 being the coordinate
@@ -45,45 +49,42 @@ FD_CHECK_SEED = 1812
 class ScalarField:
     """A scalar function with vectorized evaluation and optional gradient.
 
-    ``values_fn`` maps an (m, n) point array to an (m,) array.  ``both_fn``,
-    when given, maps it to the values and the (m, n) gradients from one
-    evaluation; its values must agree with ``values_fn`` bitwise.  Fields form
-    a vector space under + and scalar *.
+    ``evaluate(pts, gradients)`` maps an (m, n) point array to the (m,)
+    values and, when ``gradients`` is true, the (m, n) gradients, else None.
+    It computes the values the same way in both modes, so ``values`` and
+    ``values_and_gradients(...)[0]`` agree bitwise.  ``has_gradient`` is
+    False for a field that has values only.  Fields form a vector space
+    under + and scalar *.
     """
 
-    def __init__(self, dimension: int, values_fn, both_fn=None, kind: str = "custom"):
+    def __init__(self, dimension: int, evaluate, has_gradient: bool = True, kind: str = "custom"):
         if dimension < 1:
             raise ValueError(f"dimension must be >= 1, got {dimension}")
         self.dimension = int(dimension)
         self.kind = kind
-        self._values_fn = values_fn
-        self._both_fn = both_fn
+        self.has_gradient = bool(has_gradient)
+        self._evaluate = evaluate
 
-    @property
-    def has_gradient(self) -> bool:
-        return self._both_fn is not None
-
-    @staticmethod
-    def _checked_values(out, pts: np.ndarray) -> np.ndarray:
-        out = np.asarray(out, dtype=float)
-        if out.shape != (len(pts),):
+    def _call(self, points, gradients: bool) -> tuple[np.ndarray, np.ndarray | None]:
+        if gradients and not self.has_gradient:
+            raise ValueError(f"field kind {self.kind!r} has no gradient")
+        pts = check_points(points, self.dimension, "field")
+        values, grads = self._evaluate(pts, gradients)
+        values = np.asarray(values, dtype=float)
+        if values.shape != (len(pts),):
             raise ValueError(
-                f"field evaluation returned shape {out.shape}, expected ({len(pts)},)"
+                f"field evaluation returned shape {values.shape}, expected ({len(pts)},)"
             )
-        return out
-
-    @staticmethod
-    def _checked_gradients(out, pts: np.ndarray) -> np.ndarray:
-        out = np.asarray(out, dtype=float)
-        if out.shape != pts.shape:
-            raise ValueError(
-                f"field gradient returned shape {out.shape}, expected {pts.shape}"
-            )
-        return out
+        if gradients:
+            grads = np.asarray(grads, dtype=float)
+            if grads.shape != pts.shape:
+                raise ValueError(
+                    f"field gradient returned shape {grads.shape}, expected {pts.shape}"
+                )
+        return values, grads
 
     def values(self, points) -> np.ndarray:
-        pts = check_points(points, self.dimension, "field")
-        return self._checked_values(self._values_fn(pts), pts)
+        return self._call(points, False)[0]
 
     def gradients(self, points) -> np.ndarray:
         """The (m, n) gradients: ``values_and_gradients(points)[1]``."""
@@ -91,11 +92,7 @@ class ScalarField:
 
     def values_and_gradients(self, points) -> tuple[np.ndarray, np.ndarray]:
         """``(values(points), gradients(points))`` from one evaluation."""
-        if self._both_fn is None:
-            raise ValueError(f"field kind {self.kind!r} has no gradient")
-        pts = check_points(points, self.dimension, "field")
-        values, grads = self._both_fn(pts)
-        return self._checked_values(values, pts), self._checked_gradients(grads, pts)
+        return self._call(points, True)
 
     def __add__(self, other: "ScalarField") -> "ScalarField":
         if not isinstance(other, ScalarField):
@@ -105,31 +102,23 @@ class ScalarField:
                 f"cannot add fields of dimension {self.dimension} and {other.dimension}"
             )
 
-        def both(pts):
-            v1, g1 = self.values_and_gradients(pts)
-            v2, g2 = other.values_and_gradients(pts)
-            return v1 + v2, g1 + g2
+        def evaluate(pts, gradients):
+            v1, g1 = self._call(pts, gradients)
+            v2, g2 = other._call(pts, gradients)
+            return v1 + v2, (g1 + g2 if gradients else None)
 
         return ScalarField(
-            self.dimension,
-            lambda pts: self.values(pts) + other.values(pts),
-            both if self.has_gradient and other.has_gradient else None,
-            kind="sum",
+            self.dimension, evaluate, self.has_gradient and other.has_gradient, kind="sum"
         )
 
     def __mul__(self, scalar) -> "ScalarField":
         c = float(scalar)
 
-        def both(pts):
-            v, g = self.values_and_gradients(pts)
-            return c * v, c * g
+        def evaluate(pts, gradients):
+            v, g = self._call(pts, gradients)
+            return c * v, (c * g if gradients else None)
 
-        return ScalarField(
-            self.dimension,
-            lambda pts: c * self.values(pts),
-            both if self.has_gradient else None,
-            kind="scaled",
-        )
+        return ScalarField(self.dimension, evaluate, self.has_gradient, kind="scaled")
 
     __rmul__ = __mul__
 
@@ -162,26 +151,25 @@ def gaussian(center, width: float) -> ScalarField:
     if not np.isfinite(c).all():
         raise ValueError(f"center must be finite, got {c}")
     w = float(width)
-    # written so that NaN fails
-    if not 0.0 < w < math.inf:
-        raise ValueError(f"width must be finite and > 0, got {width}")
+    # written so that NaN fails; w * w divides the exponent and the gradient
+    if not (w > 0.0 and 0.0 < w * w < math.inf):
+        raise ValueError(f"width must be finite and > 0 with a finite nonzero square, got {width}")
     n = len(c)
 
-    def values(pts):
-        return np.exp(-squared_distances(pts, c) / (w * w))
-
-    def both(pts):
-        # the differences x_k - c_k serve the distance and, scaled in place
-        # column by column, the gradient
-        grads = np.empty_like(pts)
+    def evaluate(pts, gradients):
+        # with gradients, the differences x_k - c_k serve the distance and,
+        # scaled in place column by column, the gradient; the distance has
+        # the same bits with or without them
+        grads = np.empty_like(pts) if gradients else None
         v = np.exp(-squared_distances(pts, c, grads) / (w * w))
-        for k in range(n):
-            column = grads[:, k]
-            column *= -2.0 / (w * w)
-            column *= v
+        if gradients:
+            for k in range(n):
+                column = grads[:, k]
+                column *= -2.0 / (w * w)
+                column *= v
         return v, grads
 
-    f = ScalarField(n, values, both, kind="gaussian")
+    f = ScalarField(n, evaluate, kind="gaussian")
     rng = np.random.default_rng(FD_CHECK_SEED)
     _self_check(f, c + w * rng.standard_normal((FD_CHECK_POINTS, n)))
     return f
@@ -232,31 +220,25 @@ def polynomial(coeffs, dimension: int | None = None) -> ScalarField:
             term *= factor
         return term
 
-    def _values(tables, m):
-        out = np.zeros(m)
-        for alpha in np.ndindex(c.shape):
-            if c[alpha] != 0.0:
-                out += _monomial(tables, c[alpha], alpha)
-        return out
-
-    def _gradients(tables, m):
-        out = np.zeros((m, n))
+    def evaluate(pts, gradients):
+        # one pass over the multi-indices; each output accumulates its terms
+        # in multi-index order
+        tables = _power_tables(pts)
+        values = np.zeros(len(pts))
+        grads = np.zeros(pts.shape) if gradients else None
         for alpha in np.ndindex(c.shape):
             if c[alpha] == 0.0:
+                continue
+            values += _monomial(tables, c[alpha], alpha)
+            if not gradients:
                 continue
             for j in range(n):
                 if alpha[j]:
                     powers = alpha[:j] + (alpha[j] - 1,) + alpha[j + 1:]
-                    out[:, j] += _monomial(tables, c[alpha] * alpha[j], powers)
-        return out
+                    grads[:, j] += _monomial(tables, c[alpha] * alpha[j], powers)
+        return values, grads
 
-    def both(pts):
-        tables = _power_tables(pts)
-        return _values(tables, len(pts)), _gradients(tables, len(pts))
-
-    f = ScalarField(
-        n, lambda pts: _values(_power_tables(pts), len(pts)), both, kind="polynomial"
-    )
+    f = ScalarField(n, evaluate, kind="polynomial")
     rng = np.random.default_rng(FD_CHECK_SEED + 1)
     _self_check(f, rng.uniform(-1.0, 1.0, (FD_CHECK_POINTS, n)))
     return f
@@ -272,20 +254,18 @@ def gaussian_times_poly(center, width: float, coeffs) -> ScalarField:
             f"polynomial dimension {p.dimension} vs gaussian dimension {g.dimension}"
         )
 
-    def values(pts):
-        return p.values(pts) * g.values(pts)
-
-    def both(pts):
-        pv, pg = p.values_and_gradients(pts)
-        gv, gg = g.values_and_gradients(pts)
-        # the product rule one column at a time, into the polynomial's gradients
-        for k in range(g.dimension):
-            column = pg[:, k]
-            column *= gv
-            column += pv * gg[:, k]
+    def evaluate(pts, gradients):
+        pv, pg = p._call(pts, gradients)
+        gv, gg = g._call(pts, gradients)
+        if gradients:
+            # the product rule one column at a time, into the polynomial's gradients
+            for k in range(g.dimension):
+                column = pg[:, k]
+                column *= gv
+                column += pv * gg[:, k]
         return pv * gv, pg
 
-    f = ScalarField(g.dimension, values, both, kind="gaussian_times_poly")
+    f = ScalarField(g.dimension, evaluate, kind="gaussian_times_poly")
     rng = np.random.default_rng(FD_CHECK_SEED + 2)
     _self_check(
         f, np.asarray(center, dtype=float) + width * rng.standard_normal((FD_CHECK_POINTS, g.dimension))
@@ -295,10 +275,11 @@ def gaussian_times_poly(center, width: float, coeffs) -> ScalarField:
 
 def custom_field(dimension: int, values_fn, gradients_fn=None) -> ScalarField:
     """Wrap caller-supplied vectorized callables; no construction check."""
-    both = None
-    if gradients_fn is not None:
-        both = lambda pts: (values_fn(pts), gradients_fn(pts))
-    return ScalarField(dimension, values_fn, both, kind="custom")
+    return ScalarField(
+        dimension,
+        lambda pts, gradients: (values_fn(pts), gradients_fn(pts) if gradients else None),
+        gradients_fn is not None,
+    )
 
 
 @dataclass(frozen=True)

@@ -233,7 +233,8 @@ def _legendre_rule(count: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _rule_count(count, *endpoints, name: str = "count") -> int:
-    """``count`` as an int >= 1, checking that every endpoint is finite.
+    """``count`` as an int >= 1, checking that every endpoint, and the span
+    between two, is finite.
 
     Counts go through ``operator.index``, so numpy integers pass and floats
     such as 2.5 or 4.0 raise TypeError.
@@ -247,6 +248,8 @@ def _rule_count(count, *endpoints, name: str = "count") -> int:
     for value in endpoints:
         if not math.isfinite(value):
             raise ValueError(f"interval endpoints must be finite, got {value}")
+    if endpoints and not math.isfinite(endpoints[-1] - endpoints[0]):
+        raise ValueError(f"interval {list(endpoints)} is longer than the largest double")
     return count
 
 

@@ -13,6 +13,7 @@ diverges, which is what the divergence experiment's guard consumes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,6 +81,8 @@ def monte_carlo_measure(interval, count: int, seed: int) -> DiscretizedMeasure:
         raise ValueError(f"count must be >= 1, got {count}")
     if not hi > lo:
         raise ValueError(f"empty interval [{lo}, {hi}]")
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"interval [{lo}, {hi}] is longer than the largest double")
     rng = np.random.default_rng(seed)
     nodes = rng.uniform(lo, hi, size=count)
     weights = np.full(count, (hi - lo) / count)

@@ -22,8 +22,10 @@ matrices and offsets, and the field is called once per block of images
 gradient terms together (:meth:`HausdorffOperator.apply_and_gradient_many`,
 whose second output is ``apply_gradient_many``).  ``apply_many`` runs the
 same pass without gradients and agrees with it bitwise, whatever the block
-boundaries: every matrix product goes through :func:`_rows_times`, which
-gives a row the same bits alone as inside a larger block.
+boundaries: the field computes its values the same way in both modes, and
+every matrix product goes through :func:`_rows_times`, which gives a row
+the same bits alone as inside a larger block.  :meth:`HausdorffOperator.push`
+makes that one pass the evaluation function of a field.
 
 The member sum streams.  Points go in blocks of up to ``_FIELD_ROWS``, and
 the members of a point block in aligned blocks of a power-of-two size, each
@@ -164,12 +166,14 @@ class HausdorffOperator:
 
     def push(self, f: ScalarField) -> ScalarField:
         """Hf as a lazily evaluated field (nothing is precomputed)."""
-        both = None
-        if f.has_gradient:
-            both = lambda pts: self.apply_and_gradient_many(f, pts)
-        return ScalarField(
-            self.dimension, lambda pts: self.apply_many(f, pts), both, kind="pushforward"
-        )
+
+        def evaluate(pts, gradients):
+            # through the public passes, so that wrapping them counts this work
+            if gradients:
+                return self.apply_and_gradient_many(f, pts)
+            return self.apply_many(f, pts), None
+
+        return ScalarField(self.dimension, evaluate, f.has_gradient, kind="pushforward")
 
 
 def _rows_times(x: np.ndarray, matrices: np.ndarray) -> np.ndarray:

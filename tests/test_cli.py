@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import os
@@ -7,6 +8,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hausdorff_op import cli
 from hausdorff_op.cli import (
@@ -24,6 +27,9 @@ from hausdorff_op.cli import (
 )
 from hausdorff_op.experiments import ExperimentReport
 from hausdorff_op.isometry import GROUP_SIZE_CAP
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import workloads  # noqa: E402
 
 
 def _minimal_config(**overrides):
@@ -404,7 +410,7 @@ def _gradient_inset_config(domain, **options):
 
 
 _BALL3 = {"shape": "ball", "center": [0.0, 0.0], "radius": 3.0}
-_BOX_1_BY_4 = {"shape": "box", "lower": [0.0, 0.0], "upper": [1.0, 4.0]}
+_BOX_1_BY_4 = {"shape": "box", "lower": [-0.5, -2.0], "upper": [0.5, 2.0]}
 _WINDOW_2 = {"shape": "truncated_space", "halfwidth": 2.0}
 
 
@@ -486,16 +492,80 @@ _CAPPED_INPUTS = {
         f"experiment_options: preservation_samples {MAX_PRESERVATION_SAMPLES + 1} "
         f"exceeds the cap of {MAX_PRESERVATION_SAMPLES} per member",
     ),
+    # a necessity witness must not be integrable on [0, inf): power(a) is
+    # integrable for a > 1, exp_decay always
+    "necessity_power_kernel": (
+        _necessity_config(kernel={"name": "power", "a": 1.0}),
+        _necessity_config(kernel={"name": "power", "a": 2.0}),
+        "experiment_options.necessity.kernel: power(a=2) has a finite L1 norm on "
+        "[0, inf) and is not a necessity witness",
+    ),
+    "necessity_exp_decay_kernel": (
+        # an integrable kernel is no error where no necessity check runs
+        {**_necessity_config(kernel={"name": "exp_decay", "a": 1.0}),
+         "experiments": ["lp_bound"]},
+        _necessity_config(kernel={"name": "exp_decay", "a": 1.0}),
+        "experiment_options.necessity.kernel: exp_decay(a=1) has a finite L1 norm on "
+        "[0, inf) and is not a necessity witness",
+    ),
+    # spans past the double range: the grid, the samplers and shrink all
+    # work with upper - lower, and a gaussian divides by its width squared
+    "ball_span": (
+        _minimal_config(domain={"shape": "ball", "center": [0.0], "radius": 8e307}),
+        _minimal_config(domain={"shape": "ball", "center": [0.0], "radius": 1e308}),
+        "domain: center +- radius exceeds the double range",
+    ),
+    "box_span": (
+        _minimal_config(domain={"shape": "box", "lower": [-8e307], "upper": [8e307]}),
+        _minimal_config(domain={"shape": "box", "lower": [-1e308], "upper": [1e308]}),
+        "domain: upper - lower exceeds the double range",
+    ),
+    "window_span": (
+        _minimal_config(domain={"shape": "truncated_space", "halfwidth": 8e307}),
+        _minimal_config(domain={"shape": "truncated_space", "halfwidth": 1e308}),
+        "domain: 2 * halfwidth exceeds the double range",
+    ),
+    "preservation_region_span": (
+        _minimal_config(experiments=["measure_preservation"], experiment_options={
+            "preservation_region": {"shape": "ball", "center": [8e307], "radius": 8e307}}),
+        _minimal_config(experiments=["measure_preservation"], experiment_options={
+            "preservation_region": {"shape": "ball", "center": [1e308], "radius": 8e307}}),
+        "experiment_options.preservation_region: center +- radius exceeds the double range",
+    ),
+    "monte_carlo_interval": (
+        {**_shift_measure_config("monte_carlo", 4), "measure": {
+            "scheme": "monte_carlo", "interval": [-8e307, 8e307], "count": 4}},
+        {**_shift_measure_config("monte_carlo", 4), "measure": {
+            "scheme": "monte_carlo", "interval": [-1e308, 1e308], "count": 4}},
+        "measure: interval hi - lo exceeds the double range",
+    ),
+    "gaussian_width_small": (
+        _minimal_config(fields=[{"kind": "gaussian", "center": [0.0], "width": 1e-154}]),
+        _minimal_config(fields=[{"kind": "gaussian", "center": [0.0], "width": 1e-300}]),
+        "fields[0]: width 1e-300 has a square of 0 or past the double range",
+    ),
+    "gaussian_width_large": (
+        _minimal_config(fields=[{"kind": "gaussian", "center": [0.0], "width": 1e154}]),
+        _minimal_config(fields=[{"kind": "gaussian", "center": [0.0], "width": 1e155}]),
+        "fields[0]: width 1e+155 has a square of 0 or past the double range",
+    ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_CAPPED_INPUTS))
-def test_unbounded_inputs_are_capped_at_parse_time(name):
+def test_unbounded_inputs_are_capped_at_parse_time(tmp_path, name):
     at_cap, past_cap, message = _CAPPED_INPUTS[name]
-    parse_config(json.dumps(at_cap))
+    config = parse_config(json.dumps(at_cap))
     with pytest.raises(ConfigError) as exc:
         parse_config(json.dumps(past_cap))
     assert exc.value.errors == [message]
+    if name.startswith("gradient_"):
+        # the points are drawn the larger of the margin and twice the step
+        # inside, so the check skips none (a step this large fails the check)
+        assert run(config, tmp_path) in (0, 1)
+        row = _read_rows(tmp_path / "results.csv")[0]
+        assert row["resolution"] == str(config.inputs.options["gradient_points"])
+        assert "skipped" not in (tmp_path / "summary.txt").read_text()
 
 
 def test_legendre_cap_keeps_the_fine_rules():
@@ -876,3 +946,47 @@ def test_only_high_p_sobolev_is_informative():
     assert _is_fatal(_synthetic("sobolev_bound", 1.0))
     assert _is_fatal(_synthetic("lp_bound", 2.0))
     assert _is_fatal(_synthetic("measure_preservation", None))
+
+
+# parse fuzzing
+
+_WORKLOAD_CONFIGS = [workloads.make_config(name, 3) for name in workloads.WORKLOADS]
+_DELETE = object()
+# a wrong type, a huge, negative or empty value, or a deletion
+_MUTATIONS = [
+    _DELETE, "x", True, None, [1.0], {"a": 1}, _HUGE, -_HUGE, 1e308, -1e308, math.inf,
+    -math.inf, math.nan, 10**9, 1e-300, -1, -0.5, 0, "", [], {},
+]
+
+
+def _leaf_paths(node, path=()):
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list) and node:
+        children = enumerate(node)
+    else:
+        return [path]
+    return [leaf for key, child in children for leaf in _leaf_paths(child, path + (key,))]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_mutated_workload_configs_raise_only_config_errors(data):
+    config = copy.deepcopy(data.draw(st.sampled_from(_WORKLOAD_CONFIGS)))
+    paths = st.sampled_from(_leaf_paths(config))
+    for path in data.draw(st.lists(paths, min_size=1, max_size=3, unique=True)):
+        value = data.draw(st.sampled_from(_MUTATIONS))
+        parent = config
+        try:
+            for key in path[:-1]:
+                parent = parent[key]
+            if value is _DELETE:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = copy.deepcopy(value)
+        except (LookupError, TypeError):
+            continue  # an earlier mutation removed or replaced the parent
+    try:
+        parse_config(json.dumps(config))
+    except ConfigError:
+        pass

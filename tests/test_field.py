@@ -13,9 +13,9 @@ from hausdorff_op.field import (
     sobolev_norm,
 )
 from hausdorff_op.geometry import ball, box, build_grid_quadrature, truncated_space
-from hausdorff_op.isometry import motion_family
+from hausdorff_op.isometry import motion_family, rotation_family
 from hausdorff_op.measure_kernel import explicit_measure, kernel_from_values
-from hausdorff_op.operator import HausdorffOperator
+from hausdorff_op.operator import HausdorffOperator, averaging_operator
 from hausdorff_op.summation import pairwise_sum
 
 
@@ -145,7 +145,10 @@ def test_builtin_and_composite_values_and_gradients_bitwise():
     gp = gaussian_times_poly([0.1, 0.0], 1.1, [[1.0, 0.3, -0.2], [0.5, 0.0, 0.1]])
     custom = custom_field(2, lambda p: np.sin(p[:, 0]) * p[:, 1],
                           lambda p: np.stack([np.cos(p[:, 0]) * p[:, 1], np.sin(p[:, 0])], axis=1))
-    for f in (g, gp, g + gp, 2.5 * gp, gp + (-1.0) * g, custom, custom + g):
+    # a pushforward is the operator's one pass, with or without gradients
+    op = averaging_operator(rotation_family(2, 5, 0), ball([0.0, 0.0], 10.0))
+    for f in (g, gp, g + gp, 2.5 * gp, gp + (-1.0) * g, custom, custom + g,
+              op.push(g), op.push(gp)):
         _assert_values_and_gradients_bitwise(f, pts)
     # one point alone gets the bits it gets inside a batch
     values, grads = gp.values_and_gradients(pts)
@@ -227,6 +230,9 @@ def test_self_check_fails_on_nan_defect():
     ([0.0, 0.0], math.nan, "width must be finite and > 0"),
     ([0.0, 0.0], math.inf, "width must be finite and > 0"),
     ([0.0, 0.0], 0.0, "width must be finite and > 0"),
+    # the exponent and the gradient divide by a square of 0 or inf
+    ([0.0, 0.0], 1e-300, "width must be finite and > 0 with a finite nonzero square"),
+    ([0.0, 0.0], 1e200, "width must be finite and > 0 with a finite nonzero square"),
 ])
 def test_gaussian_rejects_non_finite_center_and_width(center, width, message):
     with pytest.raises(ValueError, match=message):
