@@ -55,7 +55,6 @@ from .measure_kernel import (
     kernel_l1_norm,
     kernel_on_measure,
     monte_carlo_measure,
-    truncation_sequence,
 )
 from .operator import HausdorffOperator, averaging_operator
 from .experiments import (

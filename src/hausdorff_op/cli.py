@@ -215,6 +215,15 @@ def _check_span(lower, upper, span: str, where: str, errors: list) -> None:
         errors.append(f"{where}: {span} exceeds the double range")
 
 
+def _check_size(domain: geometry.Domain, where: str, errors: list) -> None:
+    # the grid weights multiply up to the volume, and the squared distances
+    # between points of the window reach n * extent^2
+    lo, hi = domain.bounding_box()
+    extent = float(np.max(hi - lo))
+    if not (math.isfinite(domain.volume()) and math.isfinite(domain.dimension * extent * extent)):
+        errors.append(f"{where}: its volume or n * extent^2 exceeds the double range")
+
+
 def _parse_domain(spec, n: int, where: str, errors: list, bounded_only=False):
     """Check a domain spec; return a call that builds the domain."""
     if not isinstance(spec, dict):
@@ -697,11 +706,13 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
     # each, and n is bounded by the size of the config only once the fields parse
     domain = domain()
     opts["preservation_region"] = opts["preservation_region"]()
+    _check_size(domain, "domain", errors)
+    _check_size(opts["preservation_region"], "experiment_options.preservation_region", errors)
     if "gradient_check" in experiments:
         # a grid that fits has n <= 22, so the draw estimate's floats cannot overflow
         _check_gradient_points(domain, opts, errors)
-        if errors:
-            raise ConfigError(errors)
+    if errors:
+        raise ConfigError(errors)
     return RunConfig(
         dimension=n,
         domain=raw["domain"],

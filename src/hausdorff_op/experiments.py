@@ -42,20 +42,21 @@ from .field import (
 )
 from .geometry import Domain, DomainQuadrature
 from .isometry import Isometry, shift_family
-# gauss_legendre_panels and kernel_on_measure are not called here but stay
-# importable from this module: bench/tracing.py wraps them under its name
 from .measure_kernel import (
     Kernel,
     KernelForm,
-    gauss_legendre_panels,  # noqa: F401
+    gauss_legendre_panels,
     kernel_l1_norm,
-    kernel_on_measure,  # noqa: F401
-    truncation_sequence,
+    kernel_on_measure,
 )
 from .operator import HausdorffOperator, _rows_times
+from .summation import PairwiseStack
 
 # rows per block of the streamed measure-preservation samples
-_SAMPLE_BLOCK = 1 << 14
+_SAMPLE_BLOCK = 1 << 13
+# members per block of a streamed necessity truncation; a power of two, so
+# that each block is one subtree of the pairwise sum over all members
+_WITNESS_BLOCK = 1 << 12
 
 TOLERANCES = {
     # relative slack on ||Hf||_p <= ||phi||_1 ||f||_p
@@ -319,6 +320,13 @@ def run_necessity_divergence(
     H_{k+1} - H_k >= L (S_{k+1} - S_k), and S_k -> inf drives H_k -> inf.
     Kernels with a finite half-line integral are rejected: truncating them
     proves nothing.
+
+    Each truncation streams its members in aligned blocks of
+    ``_WITNESS_BLOCK``: a block's panel nodes, kernel, shifts and operator
+    are built, its S_k and H_k terms are pushed onto a
+    :class:`~.summation.PairwiseStack`, and the block is dropped, so memory
+    stays flat in the endpoints and both sums are bitwise those over the
+    whole truncation at once.
     """
     if form.integrable_on_halfline:
         raise ValueError(
@@ -330,6 +338,7 @@ def run_necessity_divergence(
         raise ValueError("need at least two endpoints")
     if np.any(ends <= 0) or np.any(np.diff(ends) <= 0):
         raise ValueError(f"endpoints must be positive and increasing, got {ends}")
+    points_per_panel = geometry._rule_count(points_per_panel, name="points_per_panel")
     x0 = float(x0)
     translation_bound = 1.0
     lower_bound = math.exp(-2.0 * (x0 * x0 + translation_bound**2))
@@ -337,19 +346,24 @@ def run_necessity_divergence(
     domain = geometry.truncated_space(max(2.0, abs(x0) + 2.0), 1)
     l1_norms = np.empty(len(ends))
     values = np.empty(len(ends))
-    pairs = truncation_sequence(form, ends, points_per_panel=points_per_panel)
-    for k, (kernel, measure) in enumerate(pairs):
-        folded = measure.nodes - np.floor(measure.nodes)
-        # built before the |phi| kernel, so that its temporaries are gone then
-        family = shift_family(folded)
-        operator = HausdorffOperator(
-            measure=measure,
-            kernel=Kernel(values=np.abs(kernel.values)),
-            family=family,
-            domain=domain,
-        )
-        l1_norms[k] = kernel_l1_norm(kernel, measure)
-        values[k] = operator.apply_many(witness, [[x0]])[0]
+    for k, end in enumerate(ends):
+        # one shift member per node of the unit panels over [0, end]
+        count = math.ceil(end) * points_per_panel
+        l1_sum, value_sum = PairwiseStack(), PairwiseStack()
+        for start in range(0, count, _WITNESS_BLOCK):
+            members = range(start, min(start + _WITNESS_BLOCK, count))
+            measure = gauss_legendre_panels((0.0, end), points_per_panel, members)
+            kernel = kernel_on_measure(form, measure)
+            operator = HausdorffOperator(
+                measure=measure,
+                kernel=Kernel(values=np.abs(kernel.values)),
+                family=shift_family(measure.nodes - np.floor(measure.nodes)),
+                domain=domain,
+            )
+            l1_sum.push(len(members), kernel_l1_norm(kernel, measure))
+            value_sum.push(len(members), operator.apply_many(witness, [[x0]])[0])
+        l1_norms[k] = l1_sum.total()
+        values[k] = value_sum.total()
     ratios = values / l1_norms
     ratio_ok = bool(np.all(ratios >= lower_bound - TOLERANCES["necessity_ratio_slack"]))
     increasing = bool(np.all(np.diff(values) > 0))

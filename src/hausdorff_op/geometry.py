@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -33,6 +34,8 @@ _PAIRWISE_COLUMNS = 8
 
 # rows of the tiles that Domain.sample_blocks scales its draws against
 _TILE_ROWS = 1 << 14
+# the natural log of the largest double
+_LOG_DOUBLE_MAX = math.log(sys.float_info.max)
 
 
 def squared_distances(
@@ -358,12 +361,20 @@ class Domain:
         return np.maximum(self.lower - lo, hi - self.upper).clip(min=0.0).max(axis=1)
 
     def volume(self) -> float:
-        """Lebesgue volume of the quadrature region (closed form)."""
+        """Lebesgue volume of the quadrature region (closed form); inf past
+        the double range."""
         if self.shape == BALL:
             n = self.dimension
-            return math.pi ** (n / 2) * self.radius**n / math.gamma(n / 2 + 1)
+            try:
+                return math.pi ** (n / 2) * self.radius**n / math.gamma(n / 2 + 1)
+            except OverflowError:
+                # a factor overflows; the volume may not, so take it in logs
+                log_volume = (n / 2 * math.log(math.pi) + n * math.log(self.radius)
+                              - math.lgamma(n / 2 + 1))
+                return math.exp(log_volume) if log_volume < _LOG_DOUBLE_MAX else math.inf
         lo, hi = self.bounding_box()
-        return float(np.prod(hi - lo))
+        with np.errstate(over="ignore"):
+            return float(np.prod(hi - lo))
 
     def shrink(self, margin: float) -> "Domain":
         """The domain inset by ``margin`` on every side (for interior points)."""

@@ -96,29 +96,41 @@ def finite_group_uniform_measure(size: int) -> DiscretizedMeasure:
     return DiscretizedMeasure(nodes=np.arange(size, dtype=float), weights=np.full(size, 1.0 / size))
 
 
-def gauss_legendre_panels(interval, points_per_panel: int = 8) -> DiscretizedMeasure:
+def gauss_legendre_panels(
+    interval, points_per_panel: int = 8, members: range | None = None
+) -> DiscretizedMeasure:
     """Composite Gauss-Legendre rule on ``ceil(hi - lo)`` equal panels of
-    width at most 1.
+    width at most 1, or the run ``members`` of its nodes.
 
-    Composite panels keep integrands that are smooth per unit interval (such
-    as folded shifts) resolvable without a huge global rule, and intervals
-    [0, e] with integer e share their panels (see :func:`truncation_sequence`).
+    Node m is node ``m % points_per_panel`` of panel ``m // points_per_panel``,
+    whose edges are ``lo + (hi - lo) * p / count``, so a run of members has
+    the bits it has in the whole rule.  Composite panels keep integrands that
+    are smooth per unit interval (such as folded shifts) resolvable without a
+    huge global rule, and intervals [0, e] with integer e share their panels.
     """
     lo, hi = float(interval[0]), float(interval[1])
     points_per_panel = _rule_count(points_per_panel, lo, hi, name="points_per_panel")
     if not hi > lo:
         raise ValueError(f"empty interval [{lo}, {hi}]")
     count = int(np.ceil(hi - lo))
-    edges = lo + (hi - lo) * np.arange(count + 1) / count
+    size = count * points_per_panel
+    if members is None:
+        members = range(size)
+    if not (members.step == 1 and 0 <= members.start < members.stop <= size):
+        raise ValueError(f"members {members} is not a nonempty run of the {size} nodes")
+    # the panels that hold the members, and the members' place in their nodes
+    first = members.start // points_per_panel
+    edges = lo + (hi - lo) * np.arange(first, (members.stop - 1) // points_per_panel + 2) / count
     lower, upper = edges[:-1, None], edges[1:, None]
     if not np.all(upper > lower):
         raise ValueError(f"panel edges of [{lo}, {hi}] collapse at unit width")
-    # the per-panel affine map of gauss_legendre_rule, over all panels at once
+    run = slice(members.start - first * points_per_panel, members.stop - first * points_per_panel)
+    # the per-panel affine map of gauss_legendre_rule, over the panels at once
     base_nodes, base_weights = _legendre_rule(points_per_panel)
     mid = 0.5 * (lower + upper)
     half = 0.5 * (upper - lower)
-    return DiscretizedMeasure(nodes=(mid + half * base_nodes).ravel(),
-                              weights=(half * base_weights).ravel())
+    return DiscretizedMeasure(nodes=(mid + half * base_nodes).ravel()[run],
+                              weights=(half * base_weights).ravel()[run])
 
 
 def discretize(spec: dict) -> DiscretizedMeasure:
@@ -255,26 +267,3 @@ def kernel_l1_norm(kernel: Kernel, measure: DiscretizedMeasure) -> float:
             f"kernel has {len(kernel)} values but measure has {len(measure)} nodes"
         )
     return float(pairwise_sum(np.abs(kernel.values) * measure.weights))
-
-
-def truncation_sequence(
-    form: KernelForm, endpoints, points_per_panel: int = 8
-) -> list[tuple[Kernel, DiscretizedMeasure]]:
-    """Kernel/measure pairs discretizing the form over [0, endpoint_k].
-
-    Endpoints must be positive and strictly increasing.  Each pair uses
-    unit-width composite Gauss-Legendre panels, so the k-th node set extends
-    the previous ones and the L1 norms are nondecreasing by construction.
-    """
-    ends = [float(e) for e in endpoints]
-    if not ends:
-        raise ValueError("need at least one endpoint")
-    if any(e <= 0 for e in ends):
-        raise ValueError(f"endpoints must be > 0, got {ends}")
-    if any(b <= a for a, b in zip(ends, ends[1:])):
-        raise ValueError(f"endpoints must be strictly increasing, got {ends}")
-    pairs = []
-    for e in ends:
-        measure = gauss_legendre_panels((0.0, e), points_per_panel=points_per_panel)
-        pairs.append((kernel_on_measure(form, measure), measure))
-    return pairs

@@ -89,6 +89,9 @@ class HausdorffOperator:
         self.domain = domain
         self._coeff = measure.weights * kernel.values
         self._matrices = family.matrices()
+        # the V^T stack of the image products, contiguous: numpy multiplies a
+        # block of points by it about 3x faster than by a transposed view
+        self._transposed = np.ascontiguousarray(self._matrices.transpose(0, 2, 1))
         self._offsets = family.offsets()
 
     def __len__(self) -> int:
@@ -133,7 +136,7 @@ class HausdorffOperator:
             for lo in range(0, count, step):
                 members = slice(lo, min(lo + step, count))
                 mats = self._matrices[members]
-                images = _rows_times(chunk, mats.transpose(0, 2, 1))
+                images = _rows_times(chunk, self._transposed[members])
                 offsets = self._offsets[members, None]
                 # by column: numpy broadcasts slowly over a short last axis
                 for k in range(n):

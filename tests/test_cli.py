@@ -46,6 +46,20 @@ def _minimal_config(**overrides):
     return config
 
 
+def _cube_config(halfwidth):
+    """A gaussian on the 3-D box [-halfwidth, halfwidth]^3, under the identity."""
+    return {
+        "dimension": 3,
+        "domain": {"shape": "box", "lower": [-halfwidth] * 3, "upper": [halfwidth] * 3},
+        "family": {"kind": "motions", "members": [
+            {"matrix": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}]},
+        "measure": {"scheme": "explicit", "nodes": [0.0], "weights": [1.0]},
+        "kernel": {"name": "constant", "c": 1.0},
+        "fields": [{"kind": "gaussian", "center": [0.0] * 3, "width": 1.0}],
+        "experiments": ["lp_bound"],
+    }
+
+
 def _read_rows(path):
     lines = path.read_text().strip().split("\n")
     header = lines[0].split(",")
@@ -509,28 +523,49 @@ _CAPPED_INPUTS = {
         "[0, inf) and is not a necessity witness",
     ),
     # spans past the double range: the grid, the samplers and shrink all
-    # work with upper - lower, and a gaussian divides by its width squared
+    # work with upper - lower, and a gaussian divides by its width squared;
+    # the size check below caps a 1-D span at sqrt(max double), 1.34e154
     "ball_span": (
-        _minimal_config(domain={"shape": "ball", "center": [0.0], "radius": 8e307}),
+        _minimal_config(domain={"shape": "ball", "center": [0.0], "radius": 5e153}),
         _minimal_config(domain={"shape": "ball", "center": [0.0], "radius": 1e308}),
         "domain: center +- radius exceeds the double range",
     ),
     "box_span": (
-        _minimal_config(domain={"shape": "box", "lower": [-8e307], "upper": [8e307]}),
+        _minimal_config(domain={"shape": "box", "lower": [-5e153], "upper": [5e153]}),
         _minimal_config(domain={"shape": "box", "lower": [-1e308], "upper": [1e308]}),
         "domain: upper - lower exceeds the double range",
     ),
     "window_span": (
-        _minimal_config(domain={"shape": "truncated_space", "halfwidth": 8e307}),
+        _minimal_config(domain={"shape": "truncated_space", "halfwidth": 5e153}),
         _minimal_config(domain={"shape": "truncated_space", "halfwidth": 1e308}),
         "domain: 2 * halfwidth exceeds the double range",
     ),
     "preservation_region_span": (
         _minimal_config(experiments=["measure_preservation"], experiment_options={
-            "preservation_region": {"shape": "ball", "center": [8e307], "radius": 8e307}}),
+            "preservation_region": {"shape": "ball", "center": [5e153], "radius": 5e153}}),
         _minimal_config(experiments=["measure_preservation"], experiment_options={
             "preservation_region": {"shape": "ball", "center": [1e308], "radius": 8e307}}),
         "experiment_options.preservation_region: center +- radius exceeds the double range",
+    ),
+    # sizes past the double range: the grid weights multiply up to the
+    # volume, and squared distances over the window reach n * extent^2
+    "squared_extent": (
+        _minimal_config(domain={"shape": "ball", "center": [0.0], "radius": 5e153}),
+        _minimal_config(domain={"shape": "ball", "center": [0.0], "radius": 1e154}),
+        "domain: its volume or n * extent^2 exceeds the double range",
+    ),
+    "volume": (
+        _cube_config(2e102),
+        _cube_config(3e102),
+        "domain: its volume or n * extent^2 exceeds the double range",
+    ),
+    "preservation_region_squared_extent": (
+        _minimal_config(experiments=["measure_preservation"], experiment_options={
+            "preservation_region": {"shape": "box", "lower": [-5e153], "upper": [5e153]}}),
+        _minimal_config(experiments=["measure_preservation"], experiment_options={
+            "preservation_region": {"shape": "box", "lower": [-1e154], "upper": [1e154]}}),
+        "experiment_options.preservation_region: its volume or n * extent^2 exceeds "
+        "the double range",
     ),
     "monte_carlo_interval": (
         {**_shift_measure_config("monte_carlo", 4), "measure": {
@@ -589,6 +624,45 @@ def test_ball_rejection_sampling_that_would_not_finish_is_rejected_at_once():
     box16 = {**_ball_gradient_config(16),
              "domain": {"shape": "box", "lower": [-1.0] * 16, "upper": [1.0] * 16}}
     assert parse_config(json.dumps(box16)).dimension == 16
+
+
+@pytest.mark.parametrize("domain", [
+    {"shape": "box", "lower": [-1e200, -1e200], "upper": [1e200, 1e200]},
+    {"shape": "ball", "center": [0.0, 0.0], "radius": 1e300},
+])
+def test_overflowing_domains_are_rejected_at_parse_time(tmp_path, capsys, domain):
+    # both spans are finite, but the grid weights and squared distances
+    # overflow: the run printed lhs=nan rhs=nan and failed both rows
+    config = {
+        "dimension": 2,
+        "domain": domain,
+        "family": {"kind": "finite_group", "group": "sign_flips"},
+        "kernel": {"name": "constant", "c": 1.0},
+        "fields": [{"kind": "gaussian", "center": [0.0, 0.0], "width": 1.0}],
+        "experiments": ["lp_bound", "sobolev_bound"],
+        "resolution": 8,
+    }
+    with pytest.raises(ConfigError) as exc:
+        parse_config(json.dumps(config))
+    assert exc.value.errors == ["domain: its volume or n * extent^2 exceeds the double range"]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "domain: its volume" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_size_check_takes_a_high_dimensional_ball():
+    # gamma(n/2 + 1) overflows from n = 341 on; the volume of the unit ball
+    # does not, so the config parses
+    n = 400
+    config = {**_minimal_config(), "dimension": n,
+              "domain": {"shape": "ball", "center": [0.0] * n, "radius": 1.0},
+              "family": {"kind": "rotations_haar", "count": 2, "seed": 0},
+              "measure": {"scheme": "gauss_legendre", "interval": [0.0, 1.0], "count": 2},
+              "fields": [{"kind": "gaussian", "center": [0.0] * n, "width": 1.0}],
+              "experiments": ["measure_preservation"]}
+    assert parse_config(json.dumps(config)).dimension == n
 
 
 @pytest.mark.parametrize("name", sorted(_CAPPED_INPUTS))

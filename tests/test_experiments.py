@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,11 +25,16 @@ from hausdorff_op.isometry import (
     make_isometry,
     motion_family,
     rotation_family,
+    shift_family,
 )
 from hausdorff_op.measure_kernel import (
+    Kernel,
     explicit_measure,
+    gauss_legendre_panels,
     kernel_form,
     kernel_from_values,
+    kernel_l1_norm,
+    kernel_on_measure,
 )
 from hausdorff_op.operator import HausdorffOperator
 
@@ -413,8 +419,8 @@ def test_necessity_operator_carries_the_unsigned_kernel():
 
 
 def test_necessity_calls_the_field_once_per_member_block(monkeypatch):
-    # counts work, not wall time: each truncation evaluates the witness in
-    # blocks of at most 2^14 images, not once per member
+    # counts work, not wall time: each truncation streams its members in
+    # blocks of 2^12, one operator and one field call each, not once per member
     calls_per_apply = []
     apply_many = HausdorffOperator.apply_many
     values = ScalarField.values
@@ -437,7 +443,55 @@ def test_necessity_calls_the_field_once_per_member_block(monkeypatch):
     run_necessity_divergence(kernel_form("power", a=1.0), ends)
     members = [math.ceil(e) * 8 for e in ends]
     assert sum(members) == 88_880
-    assert calls_per_apply == [math.ceil(m / 2**14) for m in members] == [1, 1, 1, 5]
+    blocks = [math.ceil(m / 2**12) for m in members]
+    assert blocks == [1, 1, 2, 20]
+    assert calls_per_apply == [1] * sum(blocks)
+
+
+def _monolithic_necessity(form, ends, x0, points_per_panel):
+    """S_k and H_k with each truncation built whole, from public calls."""
+    witness = gaussian(center=[0.0], width=1.0)
+    domain = truncated_space(max(2.0, abs(x0) + 2.0), 1)
+    norms, values = [], []
+    for e in ends:
+        measure = gauss_legendre_panels((0.0, e), points_per_panel=points_per_panel)
+        kernel = kernel_on_measure(form, measure)
+        operator = HausdorffOperator(
+            measure=measure,
+            kernel=Kernel(values=np.abs(kernel.values)),
+            family=shift_family(measure.nodes - np.floor(measure.nodes)),
+            domain=domain,
+        )
+        norms.append(kernel_l1_norm(kernel, measure))
+        values.append(operator.apply_many(witness, [[x0]])[0])
+    return np.array(norms), np.array(values)
+
+
+@pytest.mark.parametrize("points_per_panel", [3, 5, 8])
+@pytest.mark.parametrize("form, ends, x0", [
+    (kernel_form("power", a=1.0), [10.0, 100.0, 1000.0, 10000.0], 0.0),
+    # non-integer endpoints, and member counts off the 2^12 block
+    (kernel_form("power", a=0.7), [0.25, 7.5, 1234.7, 4097.3], 0.3),
+    (kernel_form("constant", c=-2.5), [1.0, 512.0, 513.0], 0.3),
+])
+def test_necessity_streams_the_bits_of_the_whole_truncations(form, ends, x0, points_per_panel):
+    report = run_necessity_divergence(form, ends, x0=x0, points_per_panel=points_per_panel)
+    norms, values = _monolithic_necessity(form, ends, x0, points_per_panel)
+    assert np.array_equal(report.l1_norms.view(np.uint64), norms.view(np.uint64))
+    assert np.array_equal(report.operator_values_at_x0.view(np.uint64), values.view(np.uint64))
+    # more of a non-integrable kernel's mass at each endpoint
+    assert np.all(np.diff(report.l1_norms) > 0)
+
+
+def test_necessity_memory_is_flat_in_the_endpoints():
+    # 800,080 members: built whole, the truncations peaked at about 60 MiB
+    tracemalloc.start()
+    try:
+        run_necessity_divergence(kernel_form("power", a=1.0), [10.0, 1e5])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_necessity_offcenter_base_point_lowers_the_bound():

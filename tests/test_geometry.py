@@ -440,6 +440,17 @@ def test_volume():
     assert box([0.0, 0.0], [2.0, 3.0]).volume() == pytest.approx(6.0)
 
 
+def test_volume_past_the_double_range_is_inf():
+    assert ball([0.0, 0.0], 1e300).volume() == math.inf
+    assert box([-1e200] * 2, [1e200] * 2).volume() == math.inf
+    assert truncated_space(10.0, 400).volume() == math.inf
+    # gamma(n/2 + 1) overflows from n = 341 on, but the volume does not
+    n = 400
+    log_volume = n / 2 * math.log(math.pi) - math.lgamma(n / 2 + 1)
+    assert ball([0.0] * n, 1.0).volume() == pytest.approx(math.exp(log_volume), rel=1e-12)
+    assert 0.0 < ball([0.0] * n, 1.0).volume() < 1e-270
+
+
 def test_shrink():
     b = ball([0.0, 0.0], 1.0).shrink(0.25)
     assert b.radius == pytest.approx(0.75)

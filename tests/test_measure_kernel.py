@@ -18,7 +18,6 @@ from hausdorff_op.measure_kernel import (
     kernel_l1_norm,
     kernel_on_measure,
     monte_carlo_measure,
-    truncation_sequence,
 )
 
 
@@ -220,43 +219,76 @@ def test_l1_norm_refinement_cauchy():
     assert abs(c - b) < abs(b - a)
 
 
-# truncation sequences
+# truncations: the panels over [0, endpoint]
+
+
+def _truncated_norms(form, endpoints, points_per_panel=8):
+    norms = []
+    for e in endpoints:
+        measure = gauss_legendre_panels((0.0, e), points_per_panel=points_per_panel)
+        norms.append(kernel_l1_norm(kernel_on_measure(form, measure), measure))
+    return norms
 
 
 def test_truncation_power_kernel_log_growth():
-    pairs = truncation_sequence(kernel_form("power", a=1.0), [1.0, 10.0, 100.0])
-    norms = [kernel_l1_norm(k, m) for k, m in pairs]
+    norms = _truncated_norms(kernel_form("power", a=1.0), [1.0, 10.0, 100.0])
     assert norms == pytest.approx(
         [math.log(2.0), math.log(11.0), math.log(101.0)], abs=1e-6
     )
 
 
 def test_truncation_exp_kernel_closed_form():
-    pairs = truncation_sequence(kernel_form("exp_decay", a=1.0), [5.0, 10.0])
-    norms = [kernel_l1_norm(k, m) for k, m in pairs]
+    norms = _truncated_norms(kernel_form("exp_decay", a=1.0), [5.0, 10.0])
     assert norms == pytest.approx([1.0 - math.exp(-5.0), 1.0 - math.exp(-10.0)], abs=1e-6)
 
 
 def test_truncation_single_endpoint_matches_direct_rule():
-    (kernel, measure), = truncation_sequence(
-        kernel_form("power", a=1.0), [1.0], points_per_panel=8
-    )
+    measure = gauss_legendre_panels((0.0, 1.0), points_per_panel=8)
     direct = discretize({"scheme": "gauss_legendre", "interval": [0.0, 1.0], "count": 8})
     assert np.array_equal(measure.nodes, direct.nodes)
     assert np.array_equal(measure.weights, direct.weights)
 
 
 def test_truncation_norms_nondecreasing():
-    pairs = truncation_sequence(kernel_form("power", a=1.5), [0.5, 2.0, 4.0, 16.0])
-    norms = [kernel_l1_norm(k, m) for k, m in pairs]
+    norms = _truncated_norms(kernel_form("power", a=1.5), [0.5, 2.0, 4.0, 16.0])
     assert all(b >= a for a, b in zip(norms, norms[1:]))
 
 
 def test_truncation_endpoint_validation():
-    with pytest.raises(ValueError):
-        truncation_sequence(kernel_form("power", a=1.0), [2.0, 1.0])
-    with pytest.raises(ValueError):
-        truncation_sequence(kernel_form("power", a=1.0), [-1.0, 1.0])
+    # a truncation [0, e] needs e > 0; increasing endpoints are checked by
+    # run_necessity_divergence (test_necessity_endpoint_validation)
+    for endpoint in (-1.0, 0.0, -0.5):
+        with pytest.raises(ValueError, match="empty interval"):
+            gauss_legendre_panels((0.0, endpoint), points_per_panel=8)
+
+
+def test_panels_of_integer_endpoints_nest():
+    # [0, e] with integer e shares its unit panels with every longer one
+    ends = [1.0, 3.0, 10.0, 64.0]
+    rules = [gauss_legendre_panels((0.0, e), points_per_panel=5) for e in ends]
+    for short, long in zip(rules, rules[1:]):
+        assert np.array_equal(short.nodes, long.nodes[: len(short)])
+        assert np.array_equal(short.weights, long.weights[: len(short)])
+
+
+@pytest.mark.parametrize("interval", [(0.0, 7.5), (-0.25, 99.75), (0.0, 1234.7)])
+@pytest.mark.parametrize("points_per_panel", [3, 5, 8])
+def test_panel_member_blocks_are_slices_of_the_whole_rule(interval, points_per_panel):
+    whole = gauss_legendre_panels(interval, points_per_panel)
+    size = len(whole)
+    blocks = ((0, size), (0, 1), (size - 1, size), (2, size - 3), (4, 4 + 2 * points_per_panel))
+    for start, stop in blocks:
+        block = gauss_legendre_panels(interval, points_per_panel, range(start, stop))
+        assert np.array_equal(block.nodes.view(np.uint64), whole.nodes[start:stop].view(np.uint64))
+        assert np.array_equal(block.weights.view(np.uint64),
+                              whole.weights[start:stop].view(np.uint64))
+
+
+def test_panel_member_blocks_are_checked():
+    size = 8 * 3
+    for members in (range(0), range(5, 5), range(-1, 4), range(0, size + 1), range(0, 8, 2)):
+        with pytest.raises(ValueError, match="is not a nonempty run"):
+            gauss_legendre_panels((0.0, 2.5), 8, members)
 
 
 @settings(max_examples=40)
