@@ -43,6 +43,7 @@ from .experiments import (
     run_measure_preservation,
     run_necessity_divergence,
     run_sobolev_bound,
+    witness_member_count,
 )
 from .field import P_MAX, P_MIN, gaussian, gaussian_times_poly, polynomial
 from .geometry import build_grid_quadrature
@@ -572,8 +573,7 @@ def _parse_options(options, n: int, experiments: list, errors: list) -> dict:
             per_panel, "experiment_options.necessity: points_per_panel", errors
         )
     if endpoints_ok and per_panel_ok:
-        # one shift member per node of the unit panels over [0, endpoint]
-        members = sum(math.ceil(e) * per_panel for e in endpoints)
+        members = witness_member_count(endpoints, per_panel)
         if members > GROUP_SIZE_CAP:
             errors.append(
                 f"experiment_options.necessity: endpoints {endpoints} with "

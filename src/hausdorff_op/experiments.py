@@ -41,7 +41,7 @@ from .field import (
     sobolev_norm_of_arrays,
 )
 from .geometry import Domain, DomainQuadrature
-from .isometry import Isometry, shift_family
+from .isometry import GROUP_SIZE_CAP, Isometry, shift_family
 from .measure_kernel import (
     Kernel,
     KernelForm,
@@ -218,7 +218,7 @@ def run_gradient_check(
 ) -> ExperimentReport:
     """Compare the analytic gradient of Hf with central finite differences.
 
-    Points closer to the boundary than the step are skipped (noted in the
+    Points within twice the step of the boundary are skipped (noted in the
     report); the defect is |analytic - fd| / (1 + |fd|), maxed over the
     surviving points and axes.
     """
@@ -302,6 +302,12 @@ def run_measure_preservation(
     )
 
 
+def witness_member_count(endpoints, points_per_panel: int) -> int:
+    """Shift members of the necessity witness over finite endpoints: one per
+    node of the unit panels over [0, e], summed over the endpoints e."""
+    return sum(math.ceil(e) * points_per_panel for e in endpoints)
+
+
 def run_necessity_divergence(
     form: KernelForm,
     endpoints,
@@ -319,7 +325,9 @@ def run_necessity_divergence(
     kernel mass raises the operator value by at least L times that increment:
     H_{k+1} - H_k >= L (S_{k+1} - S_k), and S_k -> inf drives H_k -> inf.
     Kernels with a finite half-line integral are rejected: truncating them
-    proves nothing.
+    proves nothing.  So are non-finite endpoints, and endpoints whose
+    truncations have more than ``GROUP_SIZE_CAP`` members in all
+    (:func:`witness_member_count`), before any member is built.
 
     Each truncation streams its members in aligned blocks of
     ``_WITNESS_BLOCK``: a block's panel nodes, kernel, shifts and operator
@@ -336,9 +344,16 @@ def run_necessity_divergence(
     ends = np.asarray([float(e) for e in endpoints])
     if ends.ndim != 1 or len(ends) < 2:
         raise ValueError("need at least two endpoints")
-    if np.any(ends <= 0) or np.any(np.diff(ends) <= 0):
-        raise ValueError(f"endpoints must be positive and increasing, got {ends}")
+    # written so that NaN fails
+    if not (np.all(np.isfinite(ends) & (ends > 0)) and np.all(np.diff(ends) > 0)):
+        raise ValueError(f"endpoints must be finite, positive and increasing, got {ends}")
     points_per_panel = geometry._rule_count(points_per_panel, name="points_per_panel")
+    members = witness_member_count(ends, points_per_panel)
+    if members > GROUP_SIZE_CAP:
+        raise ValueError(
+            f"endpoints {ends} with points_per_panel {points_per_panel} give "
+            f"{members} witness members, more than the cap of {GROUP_SIZE_CAP}"
+        )
     x0 = float(x0)
     translation_bound = 1.0
     lower_bound = math.exp(-2.0 * (x0 * x0 + translation_bound**2))

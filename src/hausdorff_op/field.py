@@ -19,8 +19,8 @@ Built-in kernels work one coordinate column at a time, because numpy is slow
 to broadcast over a short last axis, with the same operations per element as
 the row formulas: the gaussian forms each ``x_k - c_k`` once for its
 distance and its gradient, the product rule goes column by column, and
-polynomial power tables are column views, power 1 being the coordinate
-itself, without a float ``pow``.
+polynomial power tables hold, per axis, the coordinate itself as power 1
+and ``pow`` for each power from 2 to the axis degree.
 
 All norms integrate with a supplied :class:`~.geometry.DomainQuadrature` and
 reduce in deterministic pairwise order; :func:`lp_norm_of_values` and
@@ -194,20 +194,15 @@ def polynomial(coeffs, dimension: int | None = None) -> ScalarField:
     degrees = [s - 1 for s in c.shape]
 
     def _power_tables(pts):
-        # tables[k][d] = x_k ** d for d >= 1, as column views (power 0 is
-        # never read).  Degree 1 needs no float pow, which makes it cheap.
-        # Higher degrees keep the pow table: x * x differs from pow(x, 2) in
-        # the last bit for a few percent of x, and those bits move the
-        # round-off-sized gradient-check defect that bench/reference.json
-        # records to 1e-9.  The exponents stay one array from 0: numpy takes
-        # its x * x fast path for an exponent array of one element.
+        # tables[k][d] = x_k ** d for d >= 1 (power 0 is never read): x
+        # itself, then pow with a full-length exponent, which keeps numpy's
+        # pow loop; a scalar exponent of 2 takes its x * x path, whose last
+        # bit differs
         tables = []
         for k in range(n):
             x = pts[:, k]
-            if degrees[k] <= 1:
-                tables.append((None, x))
-            else:
-                tables.append((x[:, None] ** np.arange(degrees[k] + 1)).T)
+            tables.append([None, x] + [np.power(x, np.full(len(x), float(d)))
+                                       for d in range(2, degrees[k] + 1)])
         return tables
 
     def _monomial(tables, scale, powers):

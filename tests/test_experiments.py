@@ -389,6 +389,21 @@ def test_necessity_endpoint_validation():
         run_necessity_divergence(form, [-1.0, 10.0])
 
 
+@pytest.mark.parametrize("end, match", [
+    (math.inf, "finite"),
+    (math.nan, "finite"),
+    # streamed, these members would run for days
+    (1e13, "80000000000008 witness members, more than the cap of 1000000"),
+], ids=["inf", "nan", "past_cap"])
+def test_necessity_rejects_unbuildable_endpoints_before_any_work(monkeypatch, end, match):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a witness block was built")
+
+    monkeypatch.setattr(experiments, "gauss_legendre_panels", refuse)
+    with pytest.raises(ValueError, match=match):
+        run_necessity_divergence(kernel_form("power", a=1.0), [1.0, end])
+
+
 def test_necessity_power_kernel_tracks_log():
     report = run_necessity_divergence(kernel_form("power", a=1.0), [10.0, 100.0, 1000.0])
     want = np.log1p([10.0, 100.0, 1000.0])

@@ -133,9 +133,16 @@ def test_polynomial_values_and_gradients_bitwise(axes, degree):
     coeffs = rng.uniform(-1.0, 1.0, (degree + 1,) * axes)
     coeffs[(0,) * axes] = 0.0  # a zero coefficient is skipped in both outputs
     f = polynomial(coeffs)
-    pts = rng.uniform(-1.5, 1.5, (257, axes))
-    _assert_values_and_gradients_bitwise(f, pts)
-    assert np.array_equal(f.values(pts), _pow_formula(coeffs, pts))
+    point_sets = [rng.uniform(-1.5, 1.5, (257, axes))]
+    if degree >= 2:
+        # a block-scale set, about half of it negative, with rows of +-0 and
+        # subnormals, where pow's paths and numpy's loops could differ
+        special = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310]
+        rows = rng.uniform(-1.5, 1.5, ((1 << 14) + 3 - len(special), axes))
+        point_sets.append(np.vstack([rows, np.repeat(np.array(special)[:, None], axes, axis=1)]))
+    for pts in point_sets:
+        _assert_values_and_gradients_bitwise(f, pts)
+        assert np.array_equal(f.values(pts), _pow_formula(coeffs, pts))
 
 
 def test_builtin_and_composite_values_and_gradients_bitwise():
