@@ -27,6 +27,7 @@ import os
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -764,6 +765,15 @@ def _thread_count() -> int:
     return max(1, min(threads, cpus))
 
 
+def _map(threads: int, fn, items) -> list:
+    """``[fn(item) for item in items]``, on a pool of ``threads`` when more than 1."""
+    if threads == 1:
+        return [fn(item) for item in items]
+    from concurrent.futures import ThreadPoolExecutor  # not loaded by a 1-thread run
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, items))
+
+
 def run(config: RunConfig, out_dir) -> int:
     """Execute the configured experiments and write artifacts into out_dir."""
     n = config.dimension
@@ -784,65 +794,43 @@ def run(config: RunConfig, out_dir) -> int:
     elif "measure_preservation" in config.experiments:
         family, _ = inputs.family_measure()
 
-    # each job returns {key: report}; `order` lists (key, label) in output order
-    jobs = []
-    order = []
-    bound_suite = [name for name in config.experiments if name in _BOUND_EXPERIMENTS]
-    if bound_suite:
-        with_gradients = "sobolev_bound" in bound_suite
-        runners = {"lp_bound": run_lp_bound, "sobolev_bound": run_sobolev_bound}
+    threads = _thread_count()
+    evaluations = []
+    if any(name in _BOUND_EXPERIMENTS for name in config.experiments):
+        # one evaluation of each field serves every bound check and every p
+        with_gradients = "sobolev_bound" in config.experiments
+        evaluations = _map(threads, lambda f: evaluate_field(
+            operator, f, quad, gradients=with_gradients), [f for _, f in fields])
 
-        def bound_job(j, f):
-            # one evaluation of field j serves every bound check and every p
-            evaluation = evaluate_field(operator, f, quad, gradients=with_gradients)
-            return {(name, j, p): runners[name](evaluation, p, seed=config.seed)
-                    for name in bound_suite for p in config.p}
-
-        for j, (_, f) in enumerate(fields):
-            jobs.append(lambda j=j, f=f: bound_job(j, f))
-
+    # (label, call) per output row, in config order
+    calls = []
     for name in config.experiments:
         if name in _BOUND_EXPERIMENTS:
-            for j, (label, _) in enumerate(fields):
+            runner = run_lp_bound if name == "lp_bound" else run_sobolev_bound
+            for (label, _), evaluation in zip(fields, evaluations):
                 for p in config.p:
-                    order.append(((name, j, p), f"{name} p={p:g} field={label}"))
+                    calls.append((f"{name} p={p:g} field={label}",
+                                  partial(runner, evaluation, p, seed=config.seed)))
         elif name == "gradient_check":
-            step = opts["gradient_step"]
             seed = config.seed + _GRADIENT_SEED_OFFSET
             points = interior_points(domain, opts["gradient_points"], seed,
                                      _gradient_inset(opts)[1])
-            for j, (label, f) in enumerate(fields):
-                key = (name, j)
-                jobs.append(lambda key=key, f=f, seed=seed:
-                            {key: run_gradient_check(operator, f, points, step, seed=seed)})
-                order.append((key, f"gradient_check field={label}"))
+            for label, f in fields:
+                calls.append((f"gradient_check field={label}", partial(
+                    run_gradient_check, operator, f, points, opts["gradient_step"], seed=seed)))
         elif name == "measure_preservation":
             members = min(opts["preservation_members"], len(family))
-            samples = opts["preservation_samples"]
-            region = opts["preservation_region"]
             for i in range(members):
-                key = (name, i)
-                iso = family[i]
-                seed = config.seed + _PRESERVATION_SEED_OFFSET + i
-                jobs.append(lambda key=key, iso=iso, seed=seed:
-                            {key: run_measure_preservation(iso, region, samples, seed)})
-                order.append((key, f"measure_preservation member={i}"))
+                calls.append((f"measure_preservation member={i}", partial(
+                    run_measure_preservation, family[i], opts["preservation_region"],
+                    opts["preservation_samples"], config.seed + _PRESERVATION_SEED_OFFSET + i)))
         else:
             nec = opts["necessity"]
-            jobs.append(lambda key=name: {key: run_necessity_divergence(
-                nec["kernel"], nec["endpoints"], nec["x0"], nec["points_per_panel"])})
-            order.append((name, "necessity_divergence"))
-
-    threads = _thread_count()
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor  # not loaded by a 1-thread run
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(fn) for fn in jobs]
-            results = [f.result() for f in futures]
-    else:
-        results = [fn() for fn in jobs]
-    by_key = {key: r for result in results for key, r in result.items()}
-    ordered = [(label, by_key[key]) for key, label in order]
+            calls.append(("necessity_divergence", partial(
+                run_necessity_divergence, nec["kernel"], nec["endpoints"], nec["x0"],
+                nec["points_per_panel"])))
+    results = _map(threads, lambda call: call[1](), calls)
+    ordered = [(label, r) for (label, _), r in zip(calls, results)]
 
     reports = [(label, r) for label, r in ordered if isinstance(r, ExperimentReport)]
     divergences = [(label, r) for label, r in ordered if isinstance(r, DivergenceReport)]

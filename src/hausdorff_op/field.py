@@ -1,10 +1,8 @@
 """Scalar fields on R^n with analytic gradients, plus discrete norms.
 
 Built-in field kinds (gaussian, polynomial, gaussian_times_poly) carry
-analytic gradients that are cross-checked against central finite differences
-at construction, so a typo in a derivative formula fails immediately rather
-than surfacing as a loose bound three modules later.  Custom fields skip the
-check and may omit the gradient entirely; Sobolev norms then refuse them.
+analytic gradients; building one validates its inputs and evaluates nothing.
+Custom fields may omit the gradient entirely; Sobolev norms then refuse them.
 
 A field is one evaluation function, ``evaluate(pts, gradients)``, that
 returns the values and, when asked, the gradients, computing the values the
@@ -39,11 +37,6 @@ from .summation import pairwise_sum
 
 P_MIN = 1.0
 P_MAX = 16.0
-
-FD_CHECK_POINTS = 100
-FD_CHECK_STEP = 1e-5
-FD_CHECK_TOL = 1e-6
-FD_CHECK_SEED = 1812
 
 
 class ScalarField:
@@ -123,28 +116,6 @@ class ScalarField:
     __rmul__ = __mul__
 
 
-def _fd_gradient(f: ScalarField, points: np.ndarray, step: float) -> np.ndarray:
-    m, n = points.shape
-    out = np.empty((m, n))
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = step
-        out[:, j] = (f.values(points + e) - f.values(points - e)) / (2.0 * step)
-    return out
-
-
-def _self_check(f: ScalarField, points: np.ndarray):
-    fd = _fd_gradient(f, points, FD_CHECK_STEP)
-    an = f.gradients(points)
-    defect = np.abs(an - fd) / (1.0 + np.abs(an))
-    worst = float(defect.max())
-    if not worst <= FD_CHECK_TOL:  # a NaN defect fails too
-        raise ValueError(
-            f"analytic gradient of {f.kind!r} disagrees with finite differences: "
-            f"relative defect {worst:.3e} exceeds {FD_CHECK_TOL:.0e}"
-        )
-
-
 def gaussian(center, width: float) -> ScalarField:
     """f(x) = exp(-||x - center||^2 / width^2)."""
     c = np.asarray(center, dtype=float).reshape(-1).copy()
@@ -169,10 +140,7 @@ def gaussian(center, width: float) -> ScalarField:
                 column *= v
         return v, grads
 
-    f = ScalarField(n, evaluate, kind="gaussian")
-    rng = np.random.default_rng(FD_CHECK_SEED)
-    _self_check(f, c + w * rng.standard_normal((FD_CHECK_POINTS, n)))
-    return f
+    return ScalarField(n, evaluate, kind="gaussian")
 
 
 def polynomial(coeffs, dimension: int | None = None) -> ScalarField:
@@ -233,10 +201,7 @@ def polynomial(coeffs, dimension: int | None = None) -> ScalarField:
                     grads[:, j] += _monomial(tables, c[alpha] * alpha[j], powers)
         return values, grads
 
-    f = ScalarField(n, evaluate, kind="polynomial")
-    rng = np.random.default_rng(FD_CHECK_SEED + 1)
-    _self_check(f, rng.uniform(-1.0, 1.0, (FD_CHECK_POINTS, n)))
-    return f
+    return ScalarField(n, evaluate, kind="polynomial")
 
 
 def gaussian_times_poly(center, width: float, coeffs) -> ScalarField:
@@ -260,16 +225,11 @@ def gaussian_times_poly(center, width: float, coeffs) -> ScalarField:
                 column += pv * gg[:, k]
         return pv * gv, pg
 
-    f = ScalarField(g.dimension, evaluate, kind="gaussian_times_poly")
-    rng = np.random.default_rng(FD_CHECK_SEED + 2)
-    _self_check(
-        f, np.asarray(center, dtype=float) + width * rng.standard_normal((FD_CHECK_POINTS, g.dimension))
-    )
-    return f
+    return ScalarField(g.dimension, evaluate, kind="gaussian_times_poly")
 
 
 def custom_field(dimension: int, values_fn, gradients_fn=None) -> ScalarField:
-    """Wrap caller-supplied vectorized callables; no construction check."""
+    """Wrap caller-supplied vectorized callables."""
     return ScalarField(
         dimension,
         lambda pts, gradients: (values_fn(pts), gradients_fn(pts) if gradients else None),

@@ -832,29 +832,31 @@ def test_thread_count_is_clamped_to_the_available_cpus(monkeypatch):
 
 
 def test_output_does_not_depend_on_thread_count(tmp_path, monkeypatch):
-    rows_by_order = {}
-    for experiments in (["lp_bound", "sobolev_bound", "gradient_check"],
-                        ["sobolev_bound", "lp_bound", "gradient_check"]):
-        config = tmp_path / f"{experiments[0]}.json"
+    rows_by_order = []
+    for k, experiments in enumerate((["lp_bound", "sobolev_bound", "gradient_check"],
+                                     ["sobolev_bound", "lp_bound", "gradient_check"],
+                                     ["lp_bound", "gradient_check", "sobolev_bound"])):
+        config = tmp_path / f"{k}.json"
         config.write_text(json.dumps(_two_field_grid_config(experiments)))
         outputs = []
         for threads in ("1", "2"):
             monkeypatch.setenv("HAUSDORFF_OP_THREADS", threads)
-            out = tmp_path / f"{experiments[0]}-{threads}"
+            out = tmp_path / f"{k}-{threads}"
             assert main(["run", str(config), "--out", str(out)]) == 0
             outputs.append({name: (out / name).read_bytes()
                             for name in ("results.csv", "summary.txt")})
         assert outputs[0] == outputs[1]
-        rows = _read_rows(tmp_path / f"{experiments[0]}-1" / "results.csv")
-        rows_by_order[experiments[0]] = rows
+        rows = _read_rows(tmp_path / f"{k}-1" / "results.csv")
+        rows_by_order.append(rows)
         # rows follow the config: each experiment in turn, then field, then p
-        want = [(name, p) for name in experiments[:2] for _ in range(2) for p in ("1", "2")]
-        assert [(r["experiment"], r["p"]) for r in rows[:8]] == want
-        assert [r["experiment"] for r in rows[8:]] == ["gradient_check"] * 2
+        want = [(name, p) for name in experiments for _ in range(2)
+                for p in (("",) if name == "gradient_check" else ("1", "2"))]
+        assert [(r["experiment"], r["p"]) for r in rows] == want
     # the order of the experiments moves rows, not their values
-    lp_first, sobolev_first = rows_by_order["lp_bound"], rows_by_order["sobolev_bound"]
+    lp_first, sobolev_first, gradient_between = rows_by_order
     assert lp_first[:4] == sobolev_first[4:8] and lp_first[4:8] == sobolev_first[:4]
     assert lp_first[8:] == sobolev_first[8:]
+    assert gradient_between == lp_first[:4] + lp_first[8:] + lp_first[4:8]
 
 
 def test_gradient_check_rows_keep_their_seed(tmp_path):
@@ -1003,6 +1005,38 @@ def test_main_surfaces_runtime_value_errors(tmp_path, capsys):
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
     assert "leaves the domain" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("coefficient", [1e306, 1e308])
+def test_bound_rows_with_a_non_finite_side_fail(tmp_path, coefficient):
+    # x^2 times the coefficient overflows on [-3, 3]; inf <= inf proves nothing
+    spec = _minimal_config(
+        domain={"shape": "box", "lower": [-3.0], "upper": [3.0]},
+        family={"kind": "finite_group", "group": "sign_flips"},
+        fields=[{"kind": "polynomial", "coeffs": [0.0, 0.0, coefficient]}],
+        p=[1.0, 2.0],
+        experiments=["lp_bound", "sobolev_bound"],
+    )
+    del spec["measure"]  # a finite group carries its own
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(spec))
+    assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 1
+    rows = _read_rows(tmp_path / "out" / "results.csv")
+    finite = [math.isfinite(float(r["lhs"])) and math.isfinite(float(r["rhs"])) for r in rows]
+    assert not all(finite)
+    assert all(r["passed"] == "false" for r, ok in zip(rows, finite) if not ok)
+
+
+def test_narrow_gaussian_workload_runs_clean(tmp_path):
+    # a width of 0.01 builds and passes like any other field
+    config = workloads.make_config("line-shifts-fine", 0)
+    config["fields"][0]["width"] = 0.01
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+    rows = _read_rows(tmp_path / "out" / "results.csv")
+    assert all(r["passed"] == "true" for r in rows)
 
 
 # failure tiers
