@@ -29,15 +29,12 @@ from .geometry import (
 )
 from .isometry import (
     DomainEscapeError,
-    Isometry,
     IsometryFamily,
     check_domain_preserving,
     finite_group_family,
     finite_group_size,
     haar_orthogonal_sample,
-    make_isometry,
     motion_family,
-    orthogonality_defect,
     rotation_family,
     shift_family,
 )

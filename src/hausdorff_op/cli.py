@@ -277,7 +277,8 @@ def _parse_family(spec, n: int, seed: int, errors: list):
     """Check the family spec; return (its member count when derivable, a call).
 
     The call takes the built measure (None for a finite group, which brings
-    its own) and returns the (family, measure) pair.
+    its own) and returns the (family, measure) pair.  Explicit ``motions``
+    are built here, so a member that is not orthogonal is a config error.
     """
     if not isinstance(spec, dict):
         errors.append("family must be an object")
@@ -339,6 +340,7 @@ def _parse_family(spec, n: int, seed: int, errors: list):
         if not (isinstance(members, list) and len(members) >= 1):
             errors.append("family: members must be a nonempty list")
             return None, None
+        before = len(errors)
         for i, member in enumerate(members):
             if not isinstance(member, dict):
                 errors.append(f"family: member {i} must be an object")
@@ -350,9 +352,14 @@ def _parse_family(spec, n: int, seed: int, errors: list):
                 errors.append(f"family: member {i} matrix must be {n}x{n}")
             if "offset" in member and not _is_vector(member["offset"], n):
                 errors.append(f"family: member {i} offset must be a list of {n} numbers")
-        return len(members), lambda measure: (
-            motion_family([(m["matrix"], m.get("offset")) for m in members]), measure
-        )
+        if len(errors) > before:
+            return len(members), None
+        try:  # the family's own check names the first member that is not orthogonal
+            family = motion_family([(m["matrix"], m.get("offset")) for m in members])
+        except ValueError as exc:
+            errors.append(str(exc))
+            return len(members), None
+        return len(members), lambda measure: (family, measure)
     errors.append(
         "family: kind must be one of "
         "['rotations_haar', 'finite_group', 'shifts', 'motions'], "
@@ -822,7 +829,7 @@ def run(config: RunConfig, out_dir) -> int:
             members = min(opts["preservation_members"], len(family))
             for i in range(members):
                 calls.append((f"measure_preservation member={i}", partial(
-                    run_measure_preservation, family[i], opts["preservation_region"],
+                    run_measure_preservation, family, i, opts["preservation_region"],
                     opts["preservation_samples"], config.seed + _PRESERVATION_SEED_OFFSET + i)))
         else:
             nec = opts["necessity"]

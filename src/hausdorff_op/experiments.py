@@ -40,7 +40,7 @@ from .field import (
     sobolev_norm_of_arrays,
 )
 from .geometry import Domain, DomainQuadrature
-from .isometry import GROUP_SIZE_CAP, Isometry, shift_family
+from .isometry import GROUP_SIZE_CAP, IsometryFamily, shift_family
 from .measure_kernel import (
     Kernel,
     KernelForm,
@@ -261,9 +261,12 @@ def run_gradient_check(
 
 
 def run_measure_preservation(
-    iso: Isometry, region: Domain, samples: int, seed: int
+    family: IsometryFamily, member: int, region: Domain, samples: int, seed: int
 ) -> ExperimentReport:
-    """Monte Carlo check that a motion preserves the volume of a region.
+    """Monte Carlo check that one member of a family preserves a region's volume.
+
+    The motion is ``family.matrices()[member]`` and ``family.offsets()[member]``:
+    taken from a family, V has passed the family's orthogonality check.
 
     Uniform samples are drawn on the window, the bounding box of the region
     and its image padded by 0.5 on every side; the two hit frequencies must
@@ -277,25 +280,26 @@ def run_measure_preservation(
         raise ValueError(f"samples must be >= 1, got {samples}")
     if region.shape == geometry.TRUNCATED:
         raise ValueError("region must be a bounded ball or box")
+    v, b = family.matrices()[member], family.offsets()[member]
     lo_r, hi_r = region.bounding_box()
-    (lo_i,), (hi_i,) = region.image_bounds(iso.matrix[None], iso.offset[None])
+    (lo_i,), (hi_i,) = region.image_bounds(v[None], b[None])
     window = geometry.box(np.minimum(lo_r, lo_i) - 0.5, np.maximum(hi_r, hi_i) + 0.5)
     volume = window.volume()
     region_hits = image_hits = 0
     for pts in window.sample_blocks(samples, seed, _SAMPLE_BLOCK):
         region_hits += int(np.count_nonzero(region.contains_many(pts)))
         # pts -= b by column, skipping zeros: x - 0 is x up to a zero's sign
-        for k in np.flatnonzero(iso.offset):
+        for k in np.flatnonzero(b):
             column = pts[:, k]
-            column -= iso.offset[k]
+            column -= b[k]
         # the preimages (pts - b) V; a lone row keeps the bits it has in a block
-        image_hits += int(np.count_nonzero(region.contains_many(_rows_times(pts, iso.matrix))))
+        image_hits += int(np.count_nonzero(region.contains_many(_rows_times(pts, v))))
     # a count over samples is bitwise the mean of the boolean array
     frequency = region_hits / samples
     sigma = math.sqrt(frequency * (1.0 - frequency) / samples)
     lhs = abs(image_hits / samples - frequency) * volume
     rhs = TOLERANCES["preservation_sigma"] * sigma * volume
-    det = float(np.linalg.det(iso.matrix))
+    det = float(np.linalg.det(v))
     det_defect = abs(abs(det) - 1.0)
     det_ok = det_defect <= TOLERANCES["determinant"]
     return ExperimentReport(

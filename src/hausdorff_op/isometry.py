@@ -1,9 +1,9 @@
-"""Euclidean motions x -> Vx + b and parametrized families of them.
+"""Families of Euclidean motions x -> V_i x + b_i, the package's one motion type.
 
-V must be orthogonal to 1e-12 at construction, so every member preserves
-distances and Lebesgue measure.  A family is held as stacked matrices and
-offsets, checked in one pass, and carries the constant the Sobolev bound
-consumes (max |V entry|).
+A family is held as stacked matrices and offsets.  Every V is checked
+orthogonal to 1e-12 in one pass at construction, so every member preserves
+distances and Lebesgue measure, and the family carries the constant the
+Sobolev bound consumes (max |V entry|).
 
 :func:`check_domain_preserving` decides exactly, from V and b alone, whether
 every member maps a domain into itself; operators run it once at
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,54 +25,15 @@ DOMAIN_PRESERVATION_TOL = 1e-9
 GROUP_SIZE_CAP = 1_000_000
 
 
-@dataclass(frozen=True)
-class Isometry:
-    """One rigid motion: x -> matrix @ x + offset."""
-
-    matrix: np.ndarray
-    offset: np.ndarray
-
-    def __post_init__(self):
-        v = self.matrix
-        b = self.offset
-        if v.ndim != 2 or v.shape[0] != v.shape[1]:
-            raise ValueError(f"matrix must be square, got shape {v.shape}")
-        if b.shape != (v.shape[0],):
-            raise ValueError(
-                f"offset shape {b.shape} does not match matrix shape {v.shape}"
-            )
-        defect = orthogonality_defect(v)
-        if defect > ORTHOGONALITY_TOL:
-            raise ValueError(
-                f"matrix is not orthogonal: max |V^T V - I| = {defect:.3e} "
-                f"exceeds {ORTHOGONALITY_TOL:.0e}"
-            )
-        v.setflags(write=False)
-        b.setflags(write=False)
-
-
-def make_isometry(matrix, offset=None) -> Isometry:
-    v = np.asarray(matrix, dtype=float).copy()
-    if offset is None:
-        offset = np.zeros(v.shape[0])
-    b = np.asarray(offset, dtype=float).reshape(-1).copy()
-    return Isometry(matrix=v, offset=b)
-
-
-def orthogonality_defect(matrix: np.ndarray) -> float:
-    v = np.asarray(matrix, dtype=float)
-    return float(np.abs(v.T @ v - np.eye(v.shape[0])).max())
-
-
 class IsometryFamily:
     """A finite indexed family of motions x -> V_i x + b_i, one per measure node.
 
     The family is held as a read-only ``(members, n, n)`` stack of matrices
-    and a ``(members, n)`` stack of offsets; ``family[i]`` is member i as an
-    :class:`Isometry`.  Construction checks every matrix orthogonal to
+    and a ``(members, n)`` stack of offsets; member i is ``matrices()[i]``
+    and ``offsets()[i]``.  Construction checks every matrix orthogonal to
     ORTHOGONALITY_TOL in one pass over the stack and names the first member
-    that fails.  jacobian_bound is max |V[k][j]| over members (at most 1 for
-    orthogonal matrices).
+    that fails; it is the package's one orthogonality check.  jacobian_bound
+    is max |V[k][j]| over members (at most 1 for orthogonal matrices).
     """
 
     def __init__(self, matrices, offsets):
@@ -106,9 +66,6 @@ class IsometryFamily:
 
     def __len__(self) -> int:
         return len(self._matrices)
-
-    def __getitem__(self, index: int) -> Isometry:
-        return Isometry(matrix=self._matrices[index], offset=self._offsets[index])
 
     def matrices(self) -> np.ndarray:
         """The (members, n, n) stack of matrices, read-only."""
@@ -152,12 +109,12 @@ def shift_family(offsets) -> IsometryFamily:
 
 
 def motion_family(members) -> IsometryFamily:
-    """Family from explicit (matrix, offset) pairs or Isometry objects.
+    """Family from explicit (matrix, offset) pairs.
 
     A None offset is zero.  The pairs go to :class:`IsometryFamily` as they
     are, so each matrix is checked once, in its one pass over the stack.
     """
-    pairs = [(m.matrix, m.offset) if isinstance(m, Isometry) else m for m in members]
+    pairs = list(members)
     if not pairs:
         raise ValueError("family needs at least one member")
     dims = {len(v) for v, _ in pairs}

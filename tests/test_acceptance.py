@@ -37,7 +37,6 @@ from hausdorff_op.geometry import ball, build_grid_quadrature, truncated_space
 from hausdorff_op.isometry import (
     finite_group_family,
     haar_orthogonal_sample,
-    make_isometry,
     motion_family,
     rotation_family,
     shift_family,
@@ -141,7 +140,7 @@ def test_single_node_identity_reproduces_fields():
     op = HausdorffOperator(
         measure=measure,
         kernel=kernel_from_values([1.0]),
-        family=motion_family([make_isometry(np.eye(2))]),
+        family=motion_family([(np.eye(2), None)]),
         domain=domain,
     )
     fields = [
@@ -207,7 +206,7 @@ def test_rigid_motions_preserve_region_volume():
         offset = 0.1 * np.arange(1.0, n + 1) * (-1.0) ** i
         region = ball([0.3, -0.2] if n == 2 else [0.2, 0.0, -0.1], 1.0 if n == 2 else 0.8)
         report = run_measure_preservation(
-            make_isometry(matrix, offset), region, samples=1_000_000, seed=3000 + i
+            motion_family([(matrix, offset)]), 0, region, samples=1_000_000, seed=3000 + i
         )
         mc_passes += int(report.passed)
         det_passes += int(abs(abs(report.bound_constant) - 1.0) <= TOLERANCES["determinant"])
@@ -226,8 +225,8 @@ def test_group_averaging_is_invariant_and_bounded():
                         ("signed_permutations", None)):
         avg = averaging_operator(finite_group_family(kind, 2, order)[0], domain)
         base = avg.apply_many(f, pts)
-        for member in avg.family:
-            moved = pts @ member.matrix.T + member.offset
+        for matrix, offset in zip(avg.family.matrices(), avg.family.offsets()):
+            moved = pts @ matrix.T + offset
             shifted = avg.apply_many(f, moved)
             assert np.abs(shifted - base).max() <= TOLERANCES["exact"], kind
     avg = averaging_operator(rotation_family(2, 4096, 5), domain)

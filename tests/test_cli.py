@@ -272,6 +272,31 @@ def test_ints_past_the_double_range_are_rejected(tmp_path, capsys, name):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("experiments", [
+    ["necessity_divergence"], ["lp_bound"], ["measure_preservation"]])
+def test_non_orthogonal_motions_are_config_errors(tmp_path, capsys, experiments):
+    # a shear has the right shape; whichever experiments run, parsing refuses it
+    config = _minimal_config(
+        dimension=2,
+        domain={"shape": "ball", "center": [0.0, 0.0], "radius": 1.0},
+        family={"kind": "motions", "members": [
+            {"matrix": [[0.0, 1.0], [-1.0, 0.0]]},
+            {"matrix": [[1.0, 0.001], [0.0, 1.0]], "offset": [0.0, 0.0]}]},
+        measure={"scheme": "explicit", "nodes": [0.0, 1.0], "weights": [0.5, 0.5]},
+        fields=[{"kind": "gaussian", "center": [0.0, 0.0], "width": 0.5}],
+        experiments=experiments,
+    )
+    message = "family member 1 is not orthogonal: max |V^T V - I| = 1.000e-03 exceeds 1e-12"
+    with pytest.raises(ConfigError) as exc:
+        parse_config(json.dumps(config))
+    assert exc.value.errors == [message]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_huge_dimension_skips_the_ball_draw_estimate():
     # the grid cap rejects the config before the estimate's floats overflow
     config = {**_minimal_config(experiments=["gradient_check"]), "dimension": _HUGE,

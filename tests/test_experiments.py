@@ -20,9 +20,9 @@ from hausdorff_op.experiments import (
 from hausdorff_op.field import ScalarField, gaussian, gaussian_times_poly, lp_norm, sobolev_norm
 from hausdorff_op.geometry import ball, box, build_grid_quadrature, truncated_space
 from hausdorff_op.isometry import (
+    IsometryFamily,
     finite_group_family,
     haar_orthogonal_sample,
-    make_isometry,
     motion_family,
     rotation_family,
     shift_family,
@@ -43,7 +43,7 @@ def _identity_operator(dimension, domain):
     return HausdorffOperator(
         measure=explicit_measure([0.0], [1.0]),
         kernel=kernel_from_values([1.0]),
-        family=motion_family([make_isometry(np.eye(dimension))]),
+        family=motion_family([(np.eye(dimension), None)]),
         domain=domain,
     )
 
@@ -88,7 +88,7 @@ def test_lp_bound_scales_with_kernel_mass():
     scaled_op = HausdorffOperator(
         measure=explicit_measure([0.0], [1.0]),
         kernel=kernel_from_values([7.0]),
-        family=motion_family([make_isometry(np.eye(2))]),
+        family=motion_family([(np.eye(2), None)]),
         domain=dom,
     )
     scaled = run_lp_bound(evaluate_field(scaled_op, f, quad), 1.0)
@@ -239,7 +239,8 @@ def test_gradient_check_requires_surviving_points():
 
 def test_preservation_identity_is_exact():
     region = box([0.0, 0.0], [1.0, 1.0])
-    report = run_measure_preservation(make_isometry(np.eye(2)), region, 10**4, seed=0)
+    family = motion_family([(np.eye(2), None)])
+    report = run_measure_preservation(family, 0, region, 10**4, seed=0)
     assert report.lhs == 0.0
     assert report.bound_constant == 1.0
     assert report.passed
@@ -248,8 +249,8 @@ def test_preservation_identity_is_exact():
 
 def test_preservation_reflection_passes():
     region = box([-0.5, -0.5], [0.5, 0.5])
-    iso = make_isometry(np.diag([1.0, -1.0]))
-    report = run_measure_preservation(iso, region, 10**5, seed=2)
+    family = motion_family([(np.diag([1.0, -1.0]), None)])
+    report = run_measure_preservation(family, 0, region, 10**5, seed=2)
     assert report.passed
     assert report.bound_constant == -1.0
     assert report.resolution == 10**5
@@ -257,38 +258,42 @@ def test_preservation_reflection_passes():
 
 def test_preservation_ball_region():
     region = ball([0.3, 0.0], 0.8)
-    iso = make_isometry(_rotation(0.5), [0.2, -0.1])
-    report = run_measure_preservation(iso, region, 10**5, seed=3)
+    family = motion_family([(_rotation(0.5), [0.2, -0.1])])
+    report = run_measure_preservation(family, 0, region, 10**5, seed=3)
     assert report.passed
 
 
 def test_preservation_rejects_unbounded_region():
     with pytest.raises(ValueError, match="bounded ball or box"):
         run_measure_preservation(
-            make_isometry(np.eye(2)), truncated_space(2.0, 2), 100, seed=0
+            motion_family([(np.eye(2), None)]), 0, truncated_space(2.0, 2), 100, seed=0
         )
 
 
 def test_preservation_rejects_empty_sample():
     with pytest.raises(ValueError, match="samples must be >= 1"):
         run_measure_preservation(
-            make_isometry(np.eye(2)), box([0.0, 0.0], [1.0, 1.0]), 0, seed=0
+            motion_family([(np.eye(2), None)]), 0, box([0.0, 0.0], [1.0, 1.0]), 0, seed=0
         )
 
 
-def _padded_window(iso, region):
+def _motion(family, member):
+    return family.matrices()[member], family.offsets()[member]
+
+
+def _padded_window(v, b, region):
     """The box around the region and its image, padded by 0.5 on every side."""
     lo_r, hi_r = region.bounding_box()
-    (lo_i,), (hi_i,) = region.image_bounds(iso.matrix[None], iso.offset[None])
+    (lo_i,), (hi_i,) = region.image_bounds(v[None], b[None])
     return box(np.minimum(lo_r, lo_i) - 0.5, np.maximum(hi_r, hi_i) + 0.5)
 
 
-def _unchunked_preservation(iso, region, samples, seed):
+def _unchunked_preservation(v, b, region, samples, seed):
     """lhs, rhs and verdict of the Monte Carlo check from whole sample arrays."""
-    window = _padded_window(iso, region)
+    window = _padded_window(v, b, region)
     pts = window.sample_uniform(samples, seed)
     in_region = _inside(region, pts)
-    in_image = _inside(region, (pts - iso.offset) @ iso.matrix)
+    in_image = _inside(region, (pts - b) @ v)
     frequency = float(in_region.mean())
     sigma = math.sqrt(frequency * (1.0 - frequency) / samples)
     volume = window.volume()
@@ -309,14 +314,17 @@ _STREAM_BLOCK = 7
 
 
 def _preservation_case(n, shape):
+    """A region, a 3-member family and the member under test: member 1, with
+    a nonzero offset, between two other motions."""
     center = np.linspace(0.2, -0.1, n)
     if shape == "ball":
         region = ball(center, 0.8)
     else:
         region = box(center - 0.6, center + np.linspace(0.4, 0.7, n))
     matrix = haar_orthogonal_sample(n, 1, seed=50 + n)[0]
-    iso = make_isometry(matrix, 0.1 * np.arange(1.0, n + 1))
-    return iso, region
+    offset = 0.1 * np.arange(1.0, n + 1)
+    family = IsometryFamily([np.eye(n), matrix, -matrix], [np.zeros(n), offset, -offset])
+    return family, 1, region
 
 
 def _centred_preservation_case(n, shape):
@@ -326,7 +334,7 @@ def _centred_preservation_case(n, shape):
     else:
         half = np.linspace(0.4, 0.7, n)
         region = box(-half, half)
-    return make_isometry(haar_orthogonal_sample(n, 1, seed=60 + n)[0]), region
+    return motion_family([(haar_orthogonal_sample(n, 1, seed=60 + n)[0], None)]), 0, region
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -336,10 +344,21 @@ def _centred_preservation_case(n, shape):
 def test_streamed_preservation_matches_unchunked_reference(monkeypatch, n, shape, samples):
     monkeypatch.setattr(experiments, "_SAMPLE_BLOCK", _STREAM_BLOCK)
     # the centred case skips its zero offset and, for a ball, its zero centre
-    for iso, region in (_preservation_case(n, shape), _centred_preservation_case(n, shape)):
-        report = run_measure_preservation(iso, region, samples, seed=n)
+    for family, member, region in (_preservation_case(n, shape),
+                                   _centred_preservation_case(n, shape)):
+        report = run_measure_preservation(family, member, region, samples, seed=n)
         assert (report.lhs, report.rhs, report.passed) == _unchunked_preservation(
-            iso, region, samples, n)
+            *_motion(family, member), region, samples, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("shape", ["ball", "box"])
+def test_member_report_is_the_report_of_its_one_member_family(n, shape):
+    family, _, region = _preservation_case(n, shape)
+    for member in range(len(family)):
+        alone = motion_family([_motion(family, member)])
+        assert (run_measure_preservation(family, member, region, 1000, seed=member)
+                == run_measure_preservation(alone, 0, region, 1000, seed=member))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -357,15 +376,16 @@ def test_streamed_preimages_keep_the_bits_of_the_whole_product(monkeypatch, n):
         return contains_many(self, points)
 
     monkeypatch.setattr(geometry.Domain, "contains_many", recording)
-    iso, region = _preservation_case(n, "ball")
+    family, member, region = _preservation_case(n, "ball")
+    v, b = _motion(family, member)
     samples = 2 * _STREAM_BLOCK + 1
     for seed in range(6):
         tested.clear()
-        run_measure_preservation(iso, region, samples, seed=seed)
-        pts = _padded_window(iso, region).sample_uniform(samples, seed=seed)
+        run_measure_preservation(family, member, region, samples, seed=seed)
+        pts = _padded_window(v, b, region).sample_uniform(samples, seed=seed)
         assert [len(t) for t in tested[0::2]] == [len(t) for t in tested[1::2]]
         assert np.array_equal(np.concatenate(tested[0::2]), pts)
-        preimages = (pts - iso.offset) @ iso.matrix
+        preimages = (pts - b) @ v
         assert np.array_equal(np.concatenate(tested[1::2]).view(np.uint64),
                               preimages.view(np.uint64)), seed
 

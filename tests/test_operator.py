@@ -15,7 +15,6 @@ from hausdorff_op.geometry import ball, box, build_grid_quadrature, truncated_sp
 from hausdorff_op.isometry import (
     DomainEscapeError,
     finite_group_family,
-    make_isometry,
     motion_family,
     rotation_family,
     shift_family,
@@ -39,7 +38,7 @@ def _dirac(dimension, domain=None):
     return HausdorffOperator(
         measure=explicit_measure([0.0], [1.0]),
         kernel=kernel_from_values([1.0]),
-        family=motion_family([make_isometry(np.eye(dimension))]),
+        family=motion_family([(np.eye(dimension), None)]),
         domain=domain,
     )
 
@@ -49,7 +48,7 @@ def _reflection_pair():
     return HausdorffOperator(
         measure=explicit_measure([0.0, 1.0], [0.5, 0.5]),
         kernel=kernel_from_values([1.0, 1.0]),
-        family=motion_family([make_isometry([[1.0]]), make_isometry([[-1.0]])]),
+        family=motion_family([([[1.0]], None), ([[-1.0]], None)]),
         domain=truncated_space(20.0, 1),
     )
 
@@ -402,8 +401,8 @@ def test_finite_group_averaging_is_invariant(kind, order):
     f = gaussian([0.4, 0.2], 1.0)
     x = np.array([0.7, -0.3])
     base = op.apply_many(f, [x])[0]
-    for member in family:
-        moved = member.matrix @ x + member.offset
+    for matrix, offset in zip(family.matrices(), family.offsets()):
+        moved = matrix @ x + offset
         assert op.apply_many(f, [moved])[0] == pytest.approx(base, abs=1e-12)
 
 
@@ -445,7 +444,7 @@ def test_mismatched_family_and_domain_dimension():
         HausdorffOperator(
             measure=explicit_measure([0.0], [1.0]),
             kernel=kernel_from_values([1.0]),
-            family=motion_family([make_isometry(np.eye(2))]),
+            family=motion_family([(np.eye(2), None)]),
             domain=truncated_space(5.0, 1),
         )
 
