@@ -5,11 +5,15 @@ each node's parser checks the node and returns what :func:`run` reads of it,
 so every dispatch on a ``shape``, ``kind`` or ``scheme`` and every option
 default is written once.  The walk is strict (unknown keys are rejected,
 every violation is reported, not just the first) because a silent typo in a
-tolerance or kernel name would invalidate a verification run.  The kernel
-forms are built as they are checked, and the domain and the preservation
-region once the whole config has parsed.  The fields, the family and the
-measure cost run time to build, so they come back as calls with their
-arguments bound, and ``run`` makes only the calls its experiments read.
+tolerance or kernel name would invalidate a verification run.  It checks
+what the library cannot: keys, JSON types (a number is a finite double),
+lengths against the dimension and the CLI's own caps.  Value rules are the
+library constructors': once the walk has passed, the measure, fields, domain
+and preservation region are built, and a constructor's ``ValueError``
+becomes an error named by its node.  The run builds the family, whose size
+is a count in the config, except explicit ``motions``, built in the walk; a
+finite group and the necessity witness pass the library's one check of
+their arguments there.
 Artifacts: ``results.csv`` (one row per bound check), ``divergence.csv``
 (present when the divergence experiment ran), and ``summary.txt``.  Numeric
 CSV cells use 17 significant digits so reruns diff byte-identically.
@@ -49,8 +53,6 @@ from .experiments import (
 from .field import P_MAX, P_MIN, gaussian, gaussian_times_poly, polynomial
 from .geometry import build_grid_quadrature
 from .isometry import (
-    CYCLIC_ROTATION_2D,
-    FINITE_GROUP_KINDS,
     GROUP_SIZE_CAP,
     finite_group_family,
     finite_group_size,
@@ -75,9 +77,10 @@ EXPERIMENT_DESCRIPTIONS = (
     ("necessity_divergence", "operator blowup alongside a non-integrable kernel"),
 )
 EXPERIMENT_NAMES = tuple(name for name, _ in EXPERIMENT_DESCRIPTIONS)
-# experiments that build the operator and the resolution ** dimension grid
+# experiments that build the operator, and whose resolution is capped at parse time
 _GRID_EXPERIMENTS = ("lp_bound", "sobolev_bound", "gradient_check")
-# the grid checks that share one evaluation per field
+# the checks that build the resolution ** dimension grid and share one
+# evaluation per field on it
 _BOUND_EXPERIMENTS = ("lp_bound", "sobolev_bound")
 
 # largest grid a run may build; its nodes, field values and gradients must
@@ -138,12 +141,12 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunInputs:
-    """What :func:`run` reads of a config; each call looks its constructor up here."""
+    """What :func:`run` reads of a config, built and checked; the family is still a call."""
 
     domain: geometry.Domain
     kernel: KernelForm
     family_measure: Callable[[], tuple]  # returns (family, measure)
-    fields: tuple  # a (label, call that builds the field) pair per field
+    fields: tuple  # a (label, field) pair per field
     options: dict  # every option; the region is a Domain, the necessity kernel a form
 
 
@@ -171,7 +174,8 @@ def _is_int(x) -> bool:
 
 
 def _is_number(x) -> bool:
-    # written so that NaN, the infinities and ints past the double range fail
+    # a finite double, the only number standard JSON has: written so that
+    # NaN, the infinities and ints past the double range fail
     return (isinstance(x, (int, float)) and not isinstance(x, bool)
             and abs(x) <= sys.float_info.max)
 
@@ -180,19 +184,22 @@ def _is_seed(x) -> bool:
     return _is_int(x) and x >= 0
 
 
+def _is_numbers(x) -> bool:
+    return isinstance(x, list) and all(_is_number(v) for v in x)
+
+
 def _is_vector(x, length: int) -> bool:
-    return (isinstance(x, list) and len(x) == length
-            and all(_is_number(v) for v in x))
+    return _is_numbers(x) and len(x) == length
 
 
 def _is_number_tree(x) -> bool:
-    """Whether ``x`` is a JSON number, finite or not, or nested lists of them."""
+    """Whether ``x`` is a number or nested lists of them, not yet a rectangular array."""
     stack = [x]
     while stack:
         item = stack.pop()
         if isinstance(item, list):
             stack.extend(item)
-        elif isinstance(item, bool) or not isinstance(item, (int, float)):
+        elif not _is_number(item):
             return False
     return True
 
@@ -203,6 +210,16 @@ def _check_keys(spec: dict, allowed: set, where: str, errors: list) -> None:
         errors.append(f"{where}: unknown key(s) {unknown}, allowed: {sorted(allowed)}")
 
 
+def _check_number(spec: dict, key: str, where: str, errors: list) -> None:
+    if not _is_number(spec.get(key)):
+        errors.append(f"{where}: {key} must be a number")
+
+
+def _check_vector(spec: dict, key: str, length: int, where: str, errors: list) -> None:
+    if not _is_vector(spec.get(key), length):
+        errors.append(f"{where}: {key} must be a list of {length} numbers")
+
+
 def _check_legendre_nodes(count: int, where: str, errors: list) -> None:
     if count > MAX_LEGENDRE_NODES:
         errors.append(
@@ -211,60 +228,51 @@ def _check_legendre_nodes(count: int, where: str, errors: list) -> None:
         )
 
 
-def _check_span(lower, upper, span: str, where: str, errors: list) -> None:
-    # the grid, the samplers and shrink all work with upper - lower
-    if not all(math.isfinite(float(u) - float(l)) for l, u in zip(lower, upper)):
-        errors.append(f"{where}: {span} exceeds the double range")
+def _build(call, where: str, errors: list):
+    """``call()``, or None with its ValueError recorded as ``"<where>: <message>"``."""
+    try:
+        return call()
+    except ValueError as exc:
+        errors.append(f"{where}: {exc}")
+        return None
 
 
-def _check_size(domain: geometry.Domain, where: str, errors: list) -> None:
+def _check_size(domain: geometry.Domain, where: str, errors: list) -> bool:
+    """Whether the domain's size fits the double range; records the error if not."""
     # the grid weights multiply up to the volume, and the squared distances
-    # between points of the window reach n * extent^2
-    lo, hi = domain.bounding_box()
-    extent = float(np.max(hi - lo))
-    if not (math.isfinite(domain.volume()) and math.isfinite(domain.dimension * extent * extent)):
-        errors.append(f"{where}: its volume or n * extent^2 exceeds the double range")
+    # between points of the window reach n * extent^2; a corner or an extent
+    # past the double range is inf
+    with np.errstate(over="ignore"):
+        lo, hi = domain.bounding_box()
+        extent = float(np.max(hi - lo))
+    if math.isfinite(domain.volume()) and math.isfinite(domain.dimension * extent * extent):
+        return True
+    errors.append(f"{where}: its volume or n * extent^2 exceeds the double range")
+    return False
 
 
 def _parse_domain(spec, n: int, where: str, errors: list, bounded_only=False):
-    """Check a domain spec; return a call that builds the domain."""
+    """Check a domain spec's shape; return a call that builds the domain."""
     if not isinstance(spec, dict):
         errors.append(f"{where} must be an object")
         return None
     shape = spec.get("shape")
     if shape == geometry.BALL:
         _check_keys(spec, {"shape", "center", "radius"}, where, errors)
-        center, radius = spec.get("center"), spec.get("radius")
-        if not _is_vector(center, n):
-            errors.append(f"{where}: center must be a list of {n} numbers")
-        if not (_is_number(radius) and radius > 0):
-            errors.append(f"{where}: radius must be a positive number")
-        elif _is_vector(center, n):
-            r = float(radius)
-            _check_span([c - r for c in center], [c + r for c in center],
-                        "center +- radius", where, errors)
+        _check_vector(spec, "center", n, where, errors)
+        _check_number(spec, "radius", where, errors)
         return lambda: geometry.ball(spec["center"], spec["radius"])
     if shape == geometry.BOX:
         _check_keys(spec, {"shape", "lower", "upper"}, where, errors)
         for key in ("lower", "upper"):
-            if not _is_vector(spec.get(key), n):
-                errors.append(f"{where}: {key} must be a list of {n} numbers")
-        if _is_vector(spec.get("lower"), n) and _is_vector(spec.get("upper"), n):
-            if any(u <= l for l, u in zip(spec["lower"], spec["upper"])):
-                errors.append(f"{where}: upper must exceed lower componentwise")
-            else:
-                _check_span(spec["lower"], spec["upper"], "upper - lower", where, errors)
+            _check_vector(spec, key, n, where, errors)
         return lambda: geometry.box(spec["lower"], spec["upper"])
     if shape == geometry.TRUNCATED:
         if bounded_only:
             errors.append(f"{where}: must be a bounded ball or box")
             return None
         _check_keys(spec, {"shape", "halfwidth"}, where, errors)
-        halfwidth = spec.get("halfwidth")
-        if not (_is_number(halfwidth) and halfwidth > 0):
-            errors.append(f"{where}: halfwidth must be a positive number")
-        else:
-            _check_span([-halfwidth], [halfwidth], "2 * halfwidth", where, errors)
+        _check_number(spec, "halfwidth", where, errors)
         return lambda: geometry.truncated_space(spec["halfwidth"], n)
     errors.append(
         f"{where}: shape must be one of "
@@ -278,7 +286,8 @@ def _parse_family(spec, n: int, seed: int, errors: list):
 
     The call takes the built measure (None for a finite group, which brings
     its own) and returns the (family, measure) pair.  Explicit ``motions``
-    are built here, so a member that is not orthogonal is a config error.
+    are built here, so a member that is not orthogonal is a config error;
+    a finite group's arguments pass its one check, :func:`finite_group_size`.
     """
     if not isinstance(spec, dict):
         errors.append("family must be an object")
@@ -296,23 +305,10 @@ def _parse_family(spec, n: int, seed: int, errors: list):
     if kind == "finite_group":
         _check_keys(spec, {"kind", "group", "order"}, "family", errors)
         group, order = spec.get("group"), spec.get("order")
-        if group not in FINITE_GROUP_KINDS:
-            errors.append(f"family: group must be one of {list(FINITE_GROUP_KINDS)}, got {group!r}")
+        if "order" in spec and not _is_int(order):
+            errors.append("family: order must be an integer")
             return None, None
-        if group == CYCLIC_ROTATION_2D:
-            if n != 2:
-                errors.append("family: cyclic_rotation_2d needs dimension 2")
-            if not (_is_int(order) and order >= 1):
-                errors.append("family: cyclic_rotation_2d needs an integer order >= 1")
-                return None, None
-        elif "order" in spec:
-            errors.append(f"family: order only applies to {CYCLIC_ROTATION_2D}")
-        size = finite_group_size(group, n, order)
-        if size is None:
-            errors.append(
-                f"family: {group} in dimension {n} exceeds the group size cap of "
-                f"{GROUP_SIZE_CAP} members"
-            )
+        size = _build(partial(finite_group_size, group, n, order), "family", errors)
         return size, lambda _: finite_group_family(group, n, order)
     if kind == "shifts":
         if n != 1:
@@ -320,8 +316,7 @@ def _parse_family(spec, n: int, seed: int, errors: list):
         if "offsets" in spec:
             _check_keys(spec, {"kind", "offsets"}, "family", errors)
             offsets = spec["offsets"]
-            if not (isinstance(offsets, list) and len(offsets) >= 1
-                    and all(_is_number(v) for v in offsets)):
+            if not (_is_numbers(offsets) and len(offsets) >= 1):
                 errors.append("family: offsets must be a nonempty list of numbers")
                 return None, None
             return len(offsets), lambda measure: (shift_family(offsets), measure)
@@ -390,34 +385,20 @@ def _parse_measure(spec, family_spec, family_count, seed: int, errors: list):
     count = None
     if scheme == "explicit":
         _check_keys(spec, {"scheme", "nodes", "weights"}, "measure", errors)
-        nodes, weights = spec.get("nodes"), spec.get("weights")
-        ok = (isinstance(nodes, list) and len(nodes) >= 1
-              and all(_is_number(v) for v in nodes))
-        if not ok:
-            errors.append("measure: nodes must be a nonempty list of numbers")
-        if not (isinstance(weights, list) and all(_is_number(v) for v in weights)):
-            errors.append("measure: weights must be a list of numbers")
-        elif any(v < 0 for v in weights):
-            errors.append("measure: weights must be nonnegative")
-        elif ok and len(weights) != len(nodes):
-            errors.append(
-                f"measure: {len(nodes)} nodes but {len(weights)} weights"
-            )
-        if ok:
-            count = len(nodes)
+        for key in ("nodes", "weights"):
+            if not _is_numbers(spec.get(key)):
+                errors.append(f"measure: {key} must be a list of numbers")
+        if _is_numbers(spec.get("nodes")):
+            count = len(spec["nodes"])
     elif scheme in ("gauss_legendre", "monte_carlo"):
         allowed = {"scheme", "interval", "count"}
         if scheme == "monte_carlo":
             allowed.add("seed")
             spec = {"seed": seed, **spec}
         _check_keys(spec, allowed, "measure", errors)
-        interval = spec.get("interval")
-        if not (_is_vector(interval, 2) and interval[1] > interval[0]):
-            errors.append("measure: interval must be [lo, hi] with hi > lo")
-        else:
-            _check_span(interval[:1], interval[1:], "interval hi - lo", "measure", errors)
-        if not (_is_int(spec.get("count")) and spec["count"] >= 1):
-            errors.append("measure: count must be an integer >= 1")
+        _check_vector(spec, "interval", 2, "measure", errors)
+        if not _is_int(spec.get("count")):
+            errors.append("measure: count must be an integer")
         else:
             count = spec["count"]
             if scheme == "gauss_legendre":
@@ -437,9 +418,7 @@ def _parse_measure(spec, family_spec, family_count, seed: int, errors: list):
             f"'monte_carlo', 'finite_group_uniform'], got {scheme!r}"
         )
     if count is not None and family_count is not None and count != family_count:
-        errors.append(
-            f"measure has {count} nodes but the family has {family_count} members"
-        )
+        errors.append(f"measure has {count} nodes but the family has {family_count} members")
     return lambda: discretize(spec)
 
 
@@ -489,33 +468,11 @@ def _parse_field(spec, n: int, index: int, errors: list):
         )
         return None
     if kind != "polynomial":
-        if not _is_vector(spec.get("center"), n):
-            errors.append(f"{where}: center must be a list of {n} numbers")
-        width = spec.get("width")
-        if not (_is_number(width) and width > 0):
-            errors.append(f"{where}: width must be a positive number")
-        elif not 0.0 < float(width) * float(width) < math.inf:
-            # gaussian divides by the square
-            errors.append(f"{where}: width {width} has a square of 0 or past the double range")
-    if kind != "gaussian":
-        # numpy would turn JSON strings and booleans into numbers
-        if not _is_number_tree(spec.get("coeffs")):
-            errors.append(f"{where}: coeffs must be a (nested) list of numbers")
-            return None
-        try:
-            coeffs = np.asarray(spec["coeffs"], dtype=float)
-        except ValueError:
-            errors.append(f"{where}: coeffs must be a (nested) list of numbers")
-            return None
-        except OverflowError:
-            errors.append(f"{where}: coeffs must be finite numbers")
-            return None
-        if coeffs.ndim != n or coeffs.size == 0:
-            errors.append(
-                f"{where}: coeffs must be a depth-{n} nested list (one axis per dimension)"
-            )
-        elif not np.isfinite(coeffs).all():
-            errors.append(f"{where}: coeffs must be finite numbers")
+        _check_vector(spec, "center", n, where, errors)
+        _check_number(spec, "width", where, errors)
+    # numpy would turn JSON strings and booleans into numbers
+    if kind != "gaussian" and not _is_number_tree(spec.get("coeffs")):
+        errors.append(f"{where}: coeffs must be a (nested) list of numbers")
     return f"{index}:{kind}", build
 
 
@@ -523,7 +480,7 @@ def _parse_options(options, n: int, experiments: list, errors: list) -> dict:
     """Check experiment_options; return every option, defaults filled in.
 
     The preservation region comes back as a call that builds it, and the
-    necessity kernel as its form.
+    necessity kernel as its form; the witness passes its one check.
     """
     if not isinstance(options, dict):
         errors.append("experiment_options must be an object")
@@ -560,34 +517,19 @@ def _parse_options(options, n: int, experiments: list, errors: list) -> dict:
         errors.append(f"{where}: {form.description} has a finite L1 norm on [0, inf) "
                       "and is not a necessity witness")
     endpoints = nec["endpoints"]
-    endpoints_ok = (isinstance(endpoints, list) and len(endpoints) >= 2
-                    and all(_is_number(v) and v > 0 for v in endpoints)
-                    and all(b > a for a, b in zip(endpoints, endpoints[1:])))
-    if not endpoints_ok:
-        errors.append(
-            "experiment_options.necessity: endpoints must be >= 2 "
-            "positive increasing numbers"
-        )
+    if not _is_numbers(endpoints):
+        errors.append("experiment_options.necessity: endpoints must be a list of numbers")
     if not _is_number(nec["x0"]):
         errors.append("experiment_options.necessity: x0 must be a number")
     per_panel = nec["points_per_panel"]
-    per_panel_ok = _is_int(per_panel) and per_panel >= 2
-    if not per_panel_ok:
-        errors.append(
-            "experiment_options.necessity: points_per_panel must be an integer >= 2"
-        )
+    if not (_is_int(per_panel) and per_panel >= 2):
+        errors.append("experiment_options.necessity: points_per_panel must be an integer >= 2")
     else:
-        _check_legendre_nodes(
-            per_panel, "experiment_options.necessity: points_per_panel", errors
-        )
-    if endpoints_ok and per_panel_ok:
-        members = witness_member_count(endpoints, per_panel)
-        if members > GROUP_SIZE_CAP:
-            errors.append(
-                f"experiment_options.necessity: endpoints {endpoints} with "
-                f"points_per_panel {per_panel} give {members} witness members, "
-                f"more than the cap of {GROUP_SIZE_CAP}"
-            )
+        _check_legendre_nodes(per_panel, "experiment_options.necessity: points_per_panel", errors)
+        if _is_numbers(endpoints):
+            # the witness's one check, so that the run builds no member of a bad one
+            _build(partial(witness_member_count, endpoints, per_panel),
+                   "experiment_options.necessity", errors)
     return opts
 
 
@@ -669,7 +611,7 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
     field_inputs = [_parse_field(spec, n, i, errors) for i, spec in enumerate(fields)]
 
     ps = raw.get("p", [1.0])
-    if not (isinstance(ps, list) and len(ps) >= 1 and all(_is_number(v) for v in ps)):
+    if not (_is_numbers(ps) and ps):
         errors.append("p must be a nonempty list of numbers")
         ps = [1.0]
     else:
@@ -710,15 +652,23 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
 
     if errors:
         raise ConfigError(errors)
+    # the shapes hold, so each constructor checks its own values
+    measure = _build(measure, "measure", errors)
+    field_inputs = [(label, _build(build, f"fields[{i}]", errors))
+                    for i, (label, build) in enumerate(field_inputs)]
+    if errors:
+        raise ConfigError(errors)
     # built only now: a truncated window and the default region hold n numbers
-    # each, and n is bounded by the size of the config only once the fields parse
-    domain = domain()
-    opts["preservation_region"] = opts["preservation_region"]()
-    _check_size(domain, "domain", errors)
-    _check_size(opts["preservation_region"], "experiment_options.preservation_region", errors)
-    if "gradient_check" in experiments:
+    # each, and n is bounded by the size of the config only once the fields build
+    domain = _build(domain, "domain", errors)
+    region = opts["preservation_region"] = _build(
+        opts["preservation_region"], "experiment_options.preservation_region", errors)
+    if (domain is not None and _check_size(domain, "domain", errors)
+            and "gradient_check" in experiments):
         # a grid that fits has n <= 22, so the draw estimate's floats cannot overflow
         _check_gradient_points(domain, opts, errors)
+    if region is not None:
+        _check_size(region, "experiment_options.preservation_region", errors)
     if errors:
         raise ConfigError(errors)
     return RunConfig(
@@ -734,7 +684,7 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
         options=options,
         seed=seed,
         output=output,
-        inputs=RunInputs(domain, kernel, lambda: family(measure()), tuple(field_inputs), opts),
+        inputs=RunInputs(domain, kernel, partial(family, measure), tuple(field_inputs), opts),
     )
 
 
@@ -787,17 +737,14 @@ def run(config: RunConfig, out_dir) -> int:
     inputs = config.inputs
     domain, opts = inputs.domain, inputs.options
 
-    fields = []
-    operator = quad = None
+    fields = inputs.fields
+    operator = None
     if any(name in _GRID_EXPERIMENTS for name in config.experiments):
-        # only these experiments read a field
-        fields = [(label, build()) for label, build in inputs.fields]
         family, measure = inputs.family_measure()
         kernel = kernel_on_measure(inputs.kernel, measure)
         operator = HausdorffOperator(
             measure=measure, kernel=kernel, family=family, domain=domain
         )
-        quad = build_grid_quadrature(domain, config.resolution)
     elif "measure_preservation" in config.experiments:
         family, _ = inputs.family_measure()
 
@@ -805,6 +752,7 @@ def run(config: RunConfig, out_dir) -> int:
     evaluations = []
     if any(name in _BOUND_EXPERIMENTS for name in config.experiments):
         # one evaluation of each field serves every bound check and every p
+        quad = build_grid_quadrature(domain, config.resolution)
         with_gradients = "sobolev_bound" in config.experiments
         evaluations = _map(threads, lambda f: evaluate_field(
             operator, f, quad, gradients=with_gradients), [f for _, f in fields])

@@ -317,9 +317,28 @@ def run_measure_preservation(
 
 
 def witness_member_count(endpoints, points_per_panel: int) -> int:
-    """Shift members of the necessity witness over finite endpoints: one per
-    node of the unit panels over [0, e], summed over the endpoints e."""
-    return sum(math.ceil(e) * points_per_panel for e in endpoints)
+    """Shift members of the necessity witness: one per node of the unit
+    panels over [0, e], summed over the endpoints e.
+
+    The one check of a witness, so a caller learns before any member is
+    built: raises ValueError unless there are at least two finite, positive,
+    increasing endpoints, ``points_per_panel`` is an integer >= 1, and the
+    members number at most GROUP_SIZE_CAP.
+    """
+    ends = [float(e) for e in endpoints]
+    if len(ends) < 2:
+        raise ValueError("need at least two endpoints")
+    # written so that NaN fails
+    if not (all(0 < e < math.inf for e in ends) and all(a < b for a, b in zip(ends, ends[1:]))):
+        raise ValueError(f"endpoints must be finite, positive and increasing, got {ends}")
+    points_per_panel = geometry._rule_count(points_per_panel, name="points_per_panel")
+    members = sum(math.ceil(e) * points_per_panel for e in ends)
+    if members > GROUP_SIZE_CAP:
+        raise ValueError(
+            f"endpoints {ends} with points_per_panel {points_per_panel} give "
+            f"{members} witness members, more than the cap of {GROUP_SIZE_CAP}"
+        )
+    return members
 
 
 def run_necessity_divergence(
@@ -339,9 +358,8 @@ def run_necessity_divergence(
     kernel mass raises the operator value by at least L times that increment:
     H_{k+1} - H_k >= L (S_{k+1} - S_k), and S_k -> inf drives H_k -> inf.
     Kernels with a finite half-line integral are rejected: truncating them
-    proves nothing.  So are non-finite endpoints, and endpoints whose
-    truncations have more than ``GROUP_SIZE_CAP`` members in all
-    (:func:`witness_member_count`), before any member is built.
+    proves nothing, and so is every witness :func:`witness_member_count`
+    refuses, before any member is built.
 
     Each truncation streams its members in aligned blocks of
     ``_WITNESS_BLOCK``: a block's panel nodes, kernel, shifts and operator
@@ -356,18 +374,7 @@ def run_necessity_divergence(
             f"and is not a necessity witness"
         )
     ends = np.asarray([float(e) for e in endpoints])
-    if ends.ndim != 1 or len(ends) < 2:
-        raise ValueError("need at least two endpoints")
-    # written so that NaN fails
-    if not (np.all(np.isfinite(ends) & (ends > 0)) and np.all(np.diff(ends) > 0)):
-        raise ValueError(f"endpoints must be finite, positive and increasing, got {ends}")
-    points_per_panel = geometry._rule_count(points_per_panel, name="points_per_panel")
-    members = witness_member_count(ends, points_per_panel)
-    if members > GROUP_SIZE_CAP:
-        raise ValueError(
-            f"endpoints {ends} with points_per_panel {points_per_panel} give "
-            f"{members} witness members, more than the cap of {GROUP_SIZE_CAP}"
-        )
+    witness_member_count(ends, points_per_panel)
     x0 = float(x0)
     translation_bound = 1.0
     lower_bound = math.exp(-2.0 * (x0 * x0 + translation_bound**2))

@@ -149,7 +149,12 @@ def polynomial(coeffs, dimension: int | None = None) -> ScalarField:
     ``coeffs`` is an n-dimensional array whose index along axis k is the
     power of x_k; a 1-D array gives a univariate polynomial.
     """
-    c = np.asarray(coeffs, dtype=float)
+    try:
+        c = np.asarray(coeffs, dtype=float)
+    except ValueError:  # a ragged nesting, or an entry that is not a number
+        raise ValueError("polynomial coefficients must be a rectangular array of numbers") from None
+    if c.size == 0:
+        raise ValueError("polynomial needs at least one coefficient")
     if not np.isfinite(c).all():
         raise ValueError("polynomial coefficients must be finite")
     if dimension is None:
@@ -207,12 +212,7 @@ def polynomial(coeffs, dimension: int | None = None) -> ScalarField:
 def gaussian_times_poly(center, width: float, coeffs) -> ScalarField:
     """Product of a gaussian envelope and a polynomial factor."""
     g = gaussian(center, width)
-    c = np.asarray(coeffs, dtype=float)
-    p = polynomial(c, dimension=c.ndim if c.ndim > 0 else 1)
-    if p.dimension != g.dimension:
-        raise ValueError(
-            f"polynomial dimension {p.dimension} vs gaussian dimension {g.dimension}"
-        )
+    p = polynomial(coeffs, dimension=g.dimension)
 
     def evaluate(pts, gradients):
         pv, pg = p._call(pts, gradients)

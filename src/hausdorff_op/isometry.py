@@ -46,7 +46,8 @@ class IsometryFamily:
         if b.shape != v.shape[:2]:
             raise ValueError(f"offsets shape {b.shape} does not match matrices shape {v.shape}")
         eye = np.eye(v.shape[1])
-        defects = np.abs(np.matmul(v.transpose(0, 2, 1), v) - eye).max(axis=(1, 2))
+        with np.errstate(over="ignore", invalid="ignore"):  # a huge entry gives an inf defect
+            defects = np.abs(np.matmul(v.transpose(0, 2, 1), v) - eye).max(axis=(1, 2))
         bad = ~(defects <= ORTHOGONALITY_TOL)  # a NaN defect fails too
         if bad.any():
             i = int(np.argmax(bad))
@@ -133,21 +134,40 @@ CYCLIC_ROTATION_2D = "cyclic_rotation_2d"
 FINITE_GROUP_KINDS = (SIGN_FLIPS, SIGNED_PERMUTATIONS, CYCLIC_ROTATION_2D)
 
 
-def finite_group_size(kind: str, dimension: int, order: int | None = None) -> int | None:
-    """Member count of a finite group kind, or None when it exceeds GROUP_SIZE_CAP.
+def finite_group_size(kind: str, dimension: int, order: int | None = None) -> int:
+    """Member count of a finite group kind: the one check of a group's arguments.
 
-    The count is multiplied up factor by factor (2 per axis for sign_flips,
-    2k for axis k of signed_permutations, whose size is 2^n n!) and the
-    product stops at the first factor that takes it past the cap, so a huge
-    dimension costs a few steps and never a huge factorial.
+    Raises ValueError on an unknown kind, a dimension below 1, an ``order``
+    given to a kind other than cyclic_rotation_2d, a cyclic_rotation_2d
+    outside dimension 2 or without an order >= 1, and a group of more than
+    GROUP_SIZE_CAP members.  The count is multiplied up factor by factor (2
+    per axis for sign_flips, 2k for axis k of signed_permutations, whose size
+    is 2^n n!) and stops at the first factor that takes it past the cap, so a
+    huge dimension costs a few steps and never a huge factorial.
     """
+    if kind not in FINITE_GROUP_KINDS:
+        raise ValueError(f"unknown group kind {kind!r}, expected one of {FINITE_GROUP_KINDS}")
+    if dimension < 1:
+        raise ValueError(f"dimension must be >= 1, got {dimension}")
     if kind == CYCLIC_ROTATION_2D:
-        return order if order <= GROUP_SIZE_CAP else None
-    size = 1
-    for k in range(1, dimension + 1):
-        size *= 2 if kind == SIGN_FLIPS else 2 * k
-        if size > GROUP_SIZE_CAP:
-            return None
+        if dimension != 2:
+            raise ValueError(f"cyclic_rotation_2d needs dimension 2, got {dimension}")
+        if order is None or order < 1:
+            raise ValueError(f"cyclic_rotation_2d needs order >= 1, got {order}")
+        size = order
+    elif order is not None:
+        raise ValueError(f"order only applies to {CYCLIC_ROTATION_2D}")
+    else:
+        size = 1
+        for k in range(1, dimension + 1):
+            size *= 2 if kind == SIGN_FLIPS else 2 * k
+            if size > GROUP_SIZE_CAP:
+                break
+    if size > GROUP_SIZE_CAP:
+        raise ValueError(
+            f"{kind} in dimension {dimension} exceeds the group size cap of "
+            f"{GROUP_SIZE_CAP} members"
+        )
     return size
 
 
@@ -160,25 +180,10 @@ def finite_group_family(
     signed_permutations the full hyperoctahedral group (2^n * n!), and
     cyclic_rotation_2d the ``order`` rotations by multiples of 2*pi/order
     (dimension 2 only, and the only kind that takes an ``order``).  Groups
-    larger than GROUP_SIZE_CAP members are refused.
+    larger than GROUP_SIZE_CAP members are refused: the arguments pass
+    :func:`finite_group_size` before any member is built.
     """
-    if kind not in FINITE_GROUP_KINDS:
-        raise ValueError(f"unknown group kind {kind!r}, expected one of {FINITE_GROUP_KINDS}")
-    if dimension < 1:
-        raise ValueError(f"dimension must be >= 1, got {dimension}")
-    if kind == CYCLIC_ROTATION_2D:
-        if dimension != 2:
-            raise ValueError(f"cyclic_rotation_2d needs dimension 2, got {dimension}")
-        if order is None or order < 1:
-            raise ValueError(f"cyclic_rotation_2d needs order >= 1, got {order}")
-    elif order is not None:
-        raise ValueError(f"order only applies to {CYCLIC_ROTATION_2D}")
     size = finite_group_size(kind, dimension, order)
-    if size is None:
-        raise ValueError(
-            f"{kind} in dimension {dimension} exceeds the group size cap of "
-            f"{GROUP_SIZE_CAP} members"
-        )
     if kind == CYCLIC_ROTATION_2D:
         angles = (2.0 * math.pi * k / order for k in range(order))
         mats = np.array([[[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]]

@@ -143,6 +143,29 @@ def test_all_violations_are_collected():
     assert "config invalid (5 error(s))" in str(exc.value)
 
 
+def test_value_errors_follow_the_shape_errors():
+    # the constructors check values only once every node has its shape
+    config = _minimal_config(domain={"shape": "ball", "center": [0.0], "radius": -1.0},
+                             fields=[{"kind": "gaussian", "center": [0.0]}])
+    with pytest.raises(ConfigError) as exc:
+        parse_config(json.dumps(config))
+    assert exc.value.errors == ["fields[0]: width must be a number"]
+    config["fields"][0]["width"] = 1.0
+    with pytest.raises(ConfigError) as exc:
+        parse_config(json.dumps(config))
+    assert exc.value.errors == ["domain: radius must be finite and > 0, got -1.0"]
+
+
+def test_a_huge_motion_entry_is_refused_without_a_warning(recwarn):
+    # V^T V overflows to an inf defect, which fails the orthogonality check
+    config = _minimal_config(family={"kind": "motions", "members": [{"matrix": [[1e308]]}]})
+    with pytest.raises(ConfigError) as exc:
+        parse_config(json.dumps(config))
+    assert exc.value.errors == [
+        "family member 0 is not orthogonal: max |V^T V - I| = inf exceeds 1e-12"]
+    assert not recwarn.list
+
+
 def test_unknown_top_level_key():
     with pytest.raises(ConfigError, match=r"unknown key\(s\) \['verbose'\]"):
         parse_config(json.dumps(_minimal_config(verbose=True)))
@@ -189,8 +212,7 @@ def test_non_finite_coefficients_rejected(bad):
     text = json.dumps(_minimal_config()).replace("[0.0, 1.0]", f"[0.0, {bad}]")
     with pytest.raises(ConfigError) as exc:
         parse_config(text)
-    message = "a (nested) list of numbers" if bad in ('"1"', "true") else "finite numbers"
-    assert exc.value.errors == [f"fields[0]: coeffs must be {message}"]
+    assert exc.value.errors == ["fields[0]: coeffs must be a (nested) list of numbers"]
 
 
 _HUGE = 10**400
@@ -199,7 +221,7 @@ _HUGE = 10**400
 _HUGE_NUMBERS = {
     "domain.radius": (
         _minimal_config(domain={"shape": "ball", "center": [0.0], "radius": _HUGE}),
-        "domain: radius must be a positive number",
+        "domain: radius must be a number",
     ),
     "domain.upper": (
         _minimal_config(domain={"shape": "box", "lower": [0.0], "upper": [_HUGE]}),
@@ -211,7 +233,7 @@ _HUGE_NUMBERS = {
             family={"kind": "shifts", "from_measure": True},
             measure={"scheme": "monte_carlo", "interval": [-_HUGE, 1.0], "count": 4},
         ),
-        "measure: interval must be [lo, hi] with hi > lo",
+        "measure: interval must be a list of 2 numbers",
     ),
     "measure.weights": (
         _minimal_config(measure={"scheme": "explicit", "nodes": [0.0], "weights": [_HUGE]}),
@@ -234,7 +256,7 @@ _HUGE_NUMBERS = {
     "necessity.endpoints": (
         _minimal_config(experiments=["necessity_divergence"],
                         experiment_options={"necessity": {"endpoints": [1.0, _HUGE]}}),
-        "experiment_options.necessity: endpoints must be >= 2 positive increasing numbers",
+        "experiment_options.necessity: endpoints must be a list of numbers",
     ),
     "necessity.x0": (
         _minimal_config(experiments=["necessity_divergence"],
@@ -357,12 +379,12 @@ def test_haar_count_is_capped():
         parse_config(json.dumps(config))
 
 
-def _group_config(group, dimension):
+def _group_config(group, dimension, **family):
     # a 3-D field: only the dimension-3 config is meant to parse
     config = _minimal_config(
         dimension=dimension,
         domain={"shape": "truncated_space", "halfwidth": 2.0},
-        family={"kind": "finite_group", "group": group},
+        family={"kind": "finite_group", "group": group, **family},
         fields=[{"kind": "polynomial", "coeffs": [[[1.0]]]}],
         experiments=["measure_preservation"],
     )
@@ -406,7 +428,7 @@ def test_necessity_witness_is_capped_at_parse_time():
     with pytest.raises(ConfigError) as exc:
         parse_config(json.dumps(_necessity_config(endpoints=[10, 1e12])))
     assert exc.value.errors == [
-        "experiment_options.necessity: endpoints [10, 1000000000000.0] with "
+        "experiment_options.necessity: endpoints [10.0, 1000000000000.0] with "
         "points_per_panel 8 give 8000000000080 witness members, more than the cap "
         f"of {GROUP_SIZE_CAP}"
     ]
@@ -451,6 +473,9 @@ def _gradient_inset_config(domain, **options):
 _BALL3 = {"shape": "ball", "center": [0.0, 0.0], "radius": 3.0}
 _BOX_1_BY_4 = {"shape": "box", "lower": [-0.5, -2.0], "upper": [0.5, 2.0]}
 _WINDOW_2 = {"shape": "truncated_space", "halfwidth": 2.0}
+
+
+_WIDTH_RULE = "width must be finite and > 0 with a finite nonzero square"
 
 
 def _inset_message(key, value, what):
@@ -549,28 +574,30 @@ _CAPPED_INPUTS = {
     ),
     # spans past the double range: the grid, the samplers and shrink all
     # work with upper - lower, and a gaussian divides by its width squared;
-    # the size check below caps a 1-D span at sqrt(max double), 1.34e154
+    # the size check caps a 1-D span at sqrt(max double), 1.34e154
     "ball_span": (
         _minimal_config(domain={"shape": "ball", "center": [0.0], "radius": 5e153}),
         _minimal_config(domain={"shape": "ball", "center": [0.0], "radius": 1e308}),
-        "domain: center +- radius exceeds the double range",
+        "domain: its volume or n * extent^2 exceeds the double range",
     ),
     "box_span": (
         _minimal_config(domain={"shape": "box", "lower": [-5e153], "upper": [5e153]}),
         _minimal_config(domain={"shape": "box", "lower": [-1e308], "upper": [1e308]}),
-        "domain: upper - lower exceeds the double range",
+        "domain: its volume or n * extent^2 exceeds the double range",
     ),
     "window_span": (
         _minimal_config(domain={"shape": "truncated_space", "halfwidth": 5e153}),
         _minimal_config(domain={"shape": "truncated_space", "halfwidth": 1e308}),
-        "domain: 2 * halfwidth exceeds the double range",
+        "domain: its volume or n * extent^2 exceeds the double range",
     ),
+    # a corner of the region's bounding box is past the double range
     "preservation_region_span": (
         _minimal_config(experiments=["measure_preservation"], experiment_options={
             "preservation_region": {"shape": "ball", "center": [5e153], "radius": 5e153}}),
         _minimal_config(experiments=["measure_preservation"], experiment_options={
             "preservation_region": {"shape": "ball", "center": [1e308], "radius": 8e307}}),
-        "experiment_options.preservation_region: center +- radius exceeds the double range",
+        "experiment_options.preservation_region: its volume or n * extent^2 exceeds "
+        "the double range",
     ),
     # sizes past the double range: the grid weights multiply up to the
     # volume, and squared distances over the window reach n * extent^2
@@ -597,17 +624,90 @@ _CAPPED_INPUTS = {
             "scheme": "monte_carlo", "interval": [-8e307, 8e307], "count": 4}},
         {**_shift_measure_config("monte_carlo", 4), "measure": {
             "scheme": "monte_carlo", "interval": [-1e308, 1e308], "count": 4}},
-        "measure: interval hi - lo exceeds the double range",
+        "measure: interval [-1e+308, 1e+308] is longer than the largest double",
     ),
     "gaussian_width_small": (
         _minimal_config(fields=[{"kind": "gaussian", "center": [0.0], "width": 1e-154}]),
         _minimal_config(fields=[{"kind": "gaussian", "center": [0.0], "width": 1e-300}]),
-        "fields[0]: width 1e-300 has a square of 0 or past the double range",
+        f"fields[0]: {_WIDTH_RULE}, got 1e-300",
     ),
     "gaussian_width_large": (
         _minimal_config(fields=[{"kind": "gaussian", "center": [0.0], "width": 1e154}]),
         _minimal_config(fields=[{"kind": "gaussian", "center": [0.0], "width": 1e155}]),
-        "fields[0]: width 1e+155 has a square of 0 or past the double range",
+        f"fields[0]: {_WIDTH_RULE}, got 1e+155",
+    ),
+    # every value rule is its library constructor's, reported under the node
+    "ball_radius": (
+        _minimal_config(domain={"shape": "ball", "center": [0.0], "radius": 1e-300}),
+        _minimal_config(domain={"shape": "ball", "center": [0.0], "radius": 0}),
+        "domain: radius must be finite and > 0, got 0",
+    ),
+    "box_corners": (
+        _minimal_config(domain={"shape": "box", "lower": [0.0], "upper": [1e-300]}),
+        _minimal_config(domain={"shape": "box", "lower": [0.0], "upper": [0.0]}),
+        "domain: box needs upper > lower componentwise",
+    ),
+    "window_halfwidth": (
+        _minimal_config(domain={"shape": "truncated_space", "halfwidth": 1e-300}),
+        _minimal_config(domain={"shape": "truncated_space", "halfwidth": 0}),
+        "domain: halfwidth must be finite and > 0, got 0",
+    ),
+    "gaussian_width_zero": (
+        _minimal_config(fields=[{"kind": "gaussian", "center": [0.0], "width": 1.0}]),
+        _minimal_config(fields=[{"kind": "gaussian", "center": [0.0], "width": 0}]),
+        f"fields[0]: {_WIDTH_RULE}, got 0",
+    ),
+    "negative_weight": (
+        _minimal_config(measure={"scheme": "explicit", "nodes": [0.0], "weights": [0.0]}),
+        _minimal_config(measure={"scheme": "explicit", "nodes": [0.0], "weights": [-1.0]}),
+        "measure: negative weight -1.0 at node index 0",
+    ),
+    "weight_count": (
+        _minimal_config(measure={"scheme": "explicit", "nodes": [0.0], "weights": [1.0]}),
+        _minimal_config(measure={"scheme": "explicit", "nodes": [0.0], "weights": [1.0, 1.0]}),
+        "measure: 1 nodes vs 2 weights",
+    ),
+    "reversed_interval": (
+        _shift_measure_config("gauss_legendre", 4),
+        {**_shift_measure_config("gauss_legendre", 4), "measure": {
+            "scheme": "gauss_legendre", "interval": [1.0, 0.0], "count": 4}},
+        "measure: empty interval [1.0, 0.0]",
+    ),
+    "empty_coeffs": (
+        _minimal_config(fields=[{"kind": "polynomial", "coeffs": [0.0]}]),
+        _minimal_config(fields=[{"kind": "polynomial", "coeffs": []}]),
+        "fields[0]: polynomial needs at least one coefficient",
+    ),
+    "ragged_coeffs": (
+        {**_group_config("sign_flips", 2),
+         "fields": [{"kind": "polynomial", "coeffs": [[1.0, 0.5], [0.2, 0.0]]}]},
+        {**_group_config("sign_flips", 2),
+         "fields": [{"kind": "polynomial", "coeffs": [[1.0, 0.5], [0.2]]}]},
+        "fields[0]: polynomial coefficients must be a rectangular array of numbers",
+    ),
+    "coeffs_depth": (
+        _minimal_config(fields=[{"kind": "gaussian_times_poly", "center": [0.0], "width": 1.0,
+                                 "coeffs": [1.0, 0.5]}]),
+        _minimal_config(fields=[{"kind": "gaussian_times_poly", "center": [0.0], "width": 1.0,
+                                 "coeffs": [[1.0, 0.5]]}]),
+        "fields[0]: coefficient array has 2 axes but dimension is 1",
+    ),
+    "cyclic_rotation_dimension": (
+        {**_group_config("cyclic_rotation_2d", 2, order=4),
+         "fields": [{"kind": "polynomial", "coeffs": [[1.0]]}]},
+        _group_config("cyclic_rotation_2d", 3, order=4),
+        "family: cyclic_rotation_2d needs dimension 2, got 3",
+    ),
+    "sign_flips_order": (
+        _group_config("sign_flips", 3),
+        _group_config("sign_flips", 3, order=4),
+        "family: order only applies to cyclic_rotation_2d",
+    ),
+    "necessity_endpoints_order": (
+        _necessity_config(endpoints=[1.0, 2.0]),
+        _necessity_config(endpoints=[2.0, 1.0]),
+        "experiment_options.necessity: endpoints must be finite, positive and increasing, "
+        "got [2.0, 1.0]",
     ),
 }
 
@@ -821,29 +921,18 @@ def _two_field_grid_config(experiments):
     )
 
 
-def test_fields_are_built_only_for_the_experiments_that_read_them(tmp_path, monkeypatch):
-    built = []
-    for name in ("gaussian", "gaussian_times_poly", "polynomial"):
-        def counted(*args, build=getattr(cli, name), name=name, **kwargs):
-            built.append(name)
-            return build(*args, **kwargs)
-        monkeypatch.setattr(cli, name, counted)
-    bound = _two_field_grid_config(["lp_bound"])
-    bound["fields"].append({"kind": "polynomial", "coeffs": [[1.0, 0.5], [0.2, 0.0]]})
-    others = _two_field_grid_config(["measure_preservation", "necessity_divergence"])
-    others["experiment_options"].update(
-        preservation_samples=1000, preservation_members=2,
-        necessity={"endpoints": [5.0, 50.0], "points_per_panel": 4},
-    )
-    for config, code, want in ((bound, 0, ["gaussian", "gaussian_times_poly", "polynomial"]),
-                               (others, 1, [])):  # the necessity gate fails by design
-        parse_config(json.dumps(config))
-        assert built == []
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
-        assert main(["run", str(path), "--out", str(tmp_path / f"out{code}")]) == code
-        assert built == want
-        built.clear()
+def test_a_gradient_check_alone_builds_no_grid(tmp_path, monkeypatch):
+    # only the bound checks read the resolution ** dimension grid
+    config = parse_config(json.dumps(_two_field_grid_config(["gradient_check"])))
+    assert run(config, tmp_path / "grid") == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(cli, "build_grid_quadrature", refuse)
+    assert run(config, tmp_path / "none") == 0
+    for name in ("results.csv", "summary.txt"):
+        assert (tmp_path / "grid" / name).read_bytes() == (tmp_path / "none" / name).read_bytes()
 
 
 def test_thread_count_is_clamped_to_the_available_cpus(monkeypatch):

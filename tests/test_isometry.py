@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hausdorff_op import isometry
 from hausdorff_op.geometry import ball, box, truncated_space
 from hausdorff_op.isometry import (
     CYCLIC_ROTATION_2D,
@@ -127,14 +128,34 @@ def test_group_size_cap():
 
 def test_finite_group_size_stops_at_the_cap():
     assert finite_group_size(SIGN_FLIPS, 19) == 2**19
-    assert finite_group_size(SIGN_FLIPS, 20) is None  # 1,048,576 members
     assert finite_group_size(SIGNED_PERMUTATIONS, 3) == 48
     assert finite_group_size(SIGNED_PERMUTATIONS, 7) == 2**7 * math.factorial(7)
-    assert finite_group_size(SIGNED_PERMUTATIONS, 8) is None  # 10,321,920 members
     assert finite_group_size(CYCLIC_ROTATION_2D, 2, GROUP_SIZE_CAP) == GROUP_SIZE_CAP
-    assert finite_group_size(CYCLIC_ROTATION_2D, 2, GROUP_SIZE_CAP + 1) is None
+    for args in ((SIGN_FLIPS, 20),  # 1,048,576 members
+                 (SIGNED_PERMUTATIONS, 8),  # 10,321,920 members
+                 (CYCLIC_ROTATION_2D, 2, GROUP_SIZE_CAP + 1)):
+        with pytest.raises(ValueError, match=f"exceeds the group size cap of {GROUP_SIZE_CAP}"):
+            finite_group_size(*args)
     # a huge dimension stops after a few factors, with no n! computed
-    assert finite_group_size(SIGNED_PERMUTATIONS, 10**18) is None
+    with pytest.raises(ValueError, match="signed_permutations in dimension 10"):
+        finite_group_size(SIGNED_PERMUTATIONS, 10**18)
+
+
+@pytest.mark.parametrize("args, match", [
+    (("rotations", 2), "unknown group kind 'rotations'"),
+    ((SIGN_FLIPS, 0), "dimension must be >= 1, got 0"),
+    ((SIGN_FLIPS, 2, 4), "order only applies to cyclic_rotation_2d"),
+    ((CYCLIC_ROTATION_2D, 3, 4), "cyclic_rotation_2d needs dimension 2, got 3"),
+    ((CYCLIC_ROTATION_2D, 2), "cyclic_rotation_2d needs order >= 1, got None"),
+    ((CYCLIC_ROTATION_2D, 2, 0), "cyclic_rotation_2d needs order >= 1, got 0"),
+])
+def test_finite_group_size_is_the_one_check_of_a_group(monkeypatch, args, match):
+    with pytest.raises(ValueError, match=match):
+        finite_group_size(*args)
+    # the family refuses the same arguments through it, before building a member
+    monkeypatch.setattr(isometry, "IsometryFamily", None)
+    with pytest.raises(ValueError, match=match):
+        finite_group_family(*args)
 
 
 def test_family_arrays_are_stacked_once_and_read_only():
