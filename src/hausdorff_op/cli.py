@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -39,7 +38,6 @@ import numpy as np
 from . import geometry
 from .experiments import (
     TOLERANCES,
-    DivergenceReport,
     ExperimentReport,
     evaluate_field,
     interior_points,
@@ -708,31 +706,21 @@ def _is_fatal(report: ExperimentReport) -> bool:
     return not (report.name == "sobolev_bound" and report.p is not None and report.p > 1)
 
 
-def _thread_count() -> int:
-    """``HAUSDORFF_OP_THREADS``, at least 1 and at most the CPUs this process may use."""
-    raw = os.environ.get("HAUSDORFF_OP_THREADS", "").strip()
-    try:
-        threads = int(raw)
-    except ValueError:
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    return max(1, min(threads, cpus))
-
-
-def _map(threads: int, fn, items) -> list:
-    """``[fn(item) for item in items]``, on a pool of ``threads`` when more than 1."""
-    if threads == 1:
-        return [fn(item) for item in items]
-    from concurrent.futures import ThreadPoolExecutor  # not loaded by a 1-thread run
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+def _bound_reports(evaluation, label: str, config: RunConfig) -> list:
+    """(check, row label, report) for each bound check in the config and each p."""
+    runners = {"lp_bound": run_lp_bound, "sobolev_bound": run_sobolev_bound}
+    return [(name, f"{name} p={p:g} field={label}", runners[name](evaluation, p, seed=config.seed))
+            for name in config.experiments if name in runners for p in config.p]
 
 
 def run(config: RunConfig, out_dir) -> int:
-    """Execute the configured experiments and write artifacts into out_dir."""
+    """Execute the configured experiments and write artifacts into out_dir.
+
+    When a bound check runs, each field is evaluated once, reduced to its
+    rows for every bound check and every p, and freed before the next field
+    is evaluated.  The rows are then written in config order: each
+    experiment in turn, then field, then p.
+    """
     n = config.dimension
     inputs = config.inputs
     domain, opts = inputs.domain, inputs.options
@@ -748,47 +736,36 @@ def run(config: RunConfig, out_dir) -> int:
     elif "measure_preservation" in config.experiments:
         family, _ = inputs.family_measure()
 
-    threads = _thread_count()
-    evaluations = []
+    bound_reports = []
     if any(name in _BOUND_EXPERIMENTS for name in config.experiments):
-        # one evaluation of each field serves every bound check and every p
         quad = build_grid_quadrature(domain, config.resolution)
         with_gradients = "sobolev_bound" in config.experiments
-        evaluations = _map(threads, lambda f: evaluate_field(
-            operator, f, quad, gradients=with_gradients), [f for _, f in fields])
+        for label, f in fields:
+            # the evaluation is a temporary, so one field's arrays are alive at a time
+            bound_reports += _bound_reports(
+                evaluate_field(operator, f, quad, gradients=with_gradients), label, config)
 
-    # (label, call) per output row, in config order
-    calls = []
+    reports, divergences = [], []
     for name in config.experiments:
         if name in _BOUND_EXPERIMENTS:
-            runner = run_lp_bound if name == "lp_bound" else run_sobolev_bound
-            for (label, _), evaluation in zip(fields, evaluations):
-                for p in config.p:
-                    calls.append((f"{name} p={p:g} field={label}",
-                                  partial(runner, evaluation, p, seed=config.seed)))
+            reports += [(label, r) for check, label, r in bound_reports if check == name]
         elif name == "gradient_check":
             seed = config.seed + _GRADIENT_SEED_OFFSET
             points = interior_points(domain, opts["gradient_points"], seed,
                                      _gradient_inset(opts)[1])
             for label, f in fields:
-                calls.append((f"gradient_check field={label}", partial(
-                    run_gradient_check, operator, f, points, opts["gradient_step"], seed=seed)))
+                reports.append((f"gradient_check field={label}", run_gradient_check(
+                    operator, f, points, opts["gradient_step"], seed=seed)))
         elif name == "measure_preservation":
             members = min(opts["preservation_members"], len(family))
             for i in range(members):
-                calls.append((f"measure_preservation member={i}", partial(
-                    run_measure_preservation, family, i, opts["preservation_region"],
-                    opts["preservation_samples"], config.seed + _PRESERVATION_SEED_OFFSET + i)))
+                reports.append((f"measure_preservation member={i}", run_measure_preservation(
+                    family, i, opts["preservation_region"], opts["preservation_samples"],
+                    config.seed + _PRESERVATION_SEED_OFFSET + i)))
         else:
             nec = opts["necessity"]
-            calls.append(("necessity_divergence", partial(
-                run_necessity_divergence, nec["kernel"], nec["endpoints"], nec["x0"],
-                nec["points_per_panel"])))
-    results = _map(threads, lambda call: call[1](), calls)
-    ordered = [(label, r) for (label, _), r in zip(calls, results)]
-
-    reports = [(label, r) for label, r in ordered if isinstance(r, ExperimentReport)]
-    divergences = [(label, r) for label, r in ordered if isinstance(r, DivergenceReport)]
+            divergences.append(("necessity_divergence", run_necessity_divergence(
+                nec["kernel"], nec["endpoints"], nec["x0"], nec["points_per_panel"])))
 
     header = "experiment,p,lhs,rhs,bound_constant,margin,resolution,seed,passed"
     rows = [header] + [_report_row(r) for _, r in reports]

@@ -4,7 +4,9 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import time
+import weakref
 from pathlib import Path
 
 import pytest
@@ -20,7 +22,6 @@ from hausdorff_op.cli import (
     MAX_PRESERVATION_SAMPLES,
     ConfigError,
     _is_fatal,
-    _thread_count,
     main,
     parse_config,
     run,
@@ -935,14 +936,39 @@ def test_a_gradient_check_alone_builds_no_grid(tmp_path, monkeypatch):
         assert (tmp_path / "grid" / name).read_bytes() == (tmp_path / "none" / name).read_bytes()
 
 
-def test_thread_count_is_clamped_to_the_available_cpus(monkeypatch):
-    # the pool is never started: each job of a million-member preservation
-    # check could otherwise get an OS thread
-    monkeypatch.setenv("HAUSDORFF_OP_THREADS", "1000000")
-    assert _thread_count() == len(os.sched_getaffinity(0))
-    for raw in ("abc", "0", "-3", ""):
-        monkeypatch.setenv("HAUSDORFF_OP_THREADS", raw)
-        assert _thread_count() == 1
+def test_each_field_evaluation_is_freed_before_the_next_is_built(tmp_path, monkeypatch):
+    # one field's arrays are alive at a time, however many fields the config lists
+    config = _two_field_grid_config(["lp_bound", "sobolev_bound", "gradient_check"])
+    config["fields"] *= 2
+    evaluate, evaluations, alive = cli.evaluate_field, [], []
+
+    def tracked(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in evaluations))
+        evaluation = evaluate(*args, **kwargs)
+        evaluations.append(weakref.ref(evaluation))
+        return evaluation
+
+    monkeypatch.setattr(cli, "evaluate_field", tracked)
+    assert run(parse_config(json.dumps(config)), tmp_path) == 0
+    assert alive == [0, 0, 0, 0]
+
+
+def test_the_run_starts_no_thread(tmp_path, monkeypatch):
+    config = _two_field_grid_config(["lp_bound", "sobolev_bound", "measure_preservation"])
+    config["experiment_options"].update(preservation_samples=1000, preservation_members=2)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    monkeypatch.setenv("HAUSDORFF_OP_THREADS", "1")
+    assert main(["run", str(path), "--out", str(tmp_path / "1")]) == 0
+
+    def refuse(self):
+        raise AssertionError("the run started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    monkeypatch.setenv("HAUSDORFF_OP_THREADS", "2")
+    assert main(["run", str(path), "--out", str(tmp_path / "2")]) == 0
+    for name in ("results.csv", "summary.txt"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
 
 def test_output_does_not_depend_on_thread_count(tmp_path, monkeypatch):
@@ -1036,7 +1062,7 @@ def test_run_does_not_import_scipy(tmp_path):
 
 
 def test_import_leaves_out_argparse_and_the_thread_pool():
-    # a 1-thread run needs neither: cli imports them where they are used
+    # the run starts no thread, and only main parses arguments
     script = (
         "import sys\n"
         "import hausdorff_op.cli\n"
