@@ -12,15 +12,15 @@ library constructors': once the walk has passed, the measure, fields, domain
 and preservation region are built, and a constructor's ``ValueError``
 becomes an error named by its node.  The run builds the family, whose size
 is a count in the config, except explicit ``motions``, built in the walk; a
-finite group and the necessity witness pass the library's one check of
-their arguments there.
+finite group, and the necessity witness when it is listed, pass the
+library's one check of their arguments there.
 Artifacts: ``results.csv`` (one row per bound check), ``divergence.csv``
 (present when the divergence experiment ran), and ``summary.txt``.  Numeric
 CSV cells use 17 significant digits so reruns diff byte-identically.
 
-Exit code 0 means every fatal check passed.  Sobolev checks at p > 1 are
-informative only: the proved constant applies at p = 1, so they never flip
-the exit code.
+Exit code 0 means every fatal check passed; each report says whether it
+is fatal.  Sobolev checks at p > 1 are informative only: the proved
+constant applies at p = 1, so they never flip the exit code.
 """
 
 from __future__ import annotations
@@ -58,13 +58,7 @@ from .isometry import (
     rotation_family,
     shift_family,
 )
-from .measure_kernel import (
-    KERNEL_FORM_NAMES,
-    KernelForm,
-    discretize,
-    kernel_form,
-    kernel_on_measure,
-)
+from .measure_kernel import KernelForm, discretize, kernel_form, kernel_on_measure
 from .operator import HausdorffOperator
 
 EXPERIMENT_DESCRIPTIONS = (
@@ -425,22 +419,13 @@ def _parse_kernel(spec, where: str, errors: list) -> KernelForm | None:
     if not isinstance(spec, dict):
         errors.append(f"{where} must be an object")
         return None
-    name = spec.get("name")
-    if name not in KERNEL_FORM_NAMES:
-        errors.append(
-            f"{where}: unknown kernel {name!r}, whitelist: {list(KERNEL_FORM_NAMES)}"
-        )
-        return None
     params = {k: v for k, v in spec.items() if k != "name"}
     bad = [k for k, v in params.items() if not _is_number(v)]
     errors.extend(f"{where}: kernel parameter {k} must be a number" for k in bad)
     if bad:
         return None
-    try:
-        return kernel_form(name, **params)
-    except (ValueError, TypeError) as exc:
-        errors.append(f"{where}: {exc}")
-        return None
+    # the form's constructor is the one whitelist check
+    return _build(partial(kernel_form, spec.get("name"), **params), where, errors)
 
 
 def _parse_field(spec, n: int, index: int, errors: list):
@@ -478,7 +463,8 @@ def _parse_options(options, n: int, experiments: list, errors: list) -> dict:
     """Check experiment_options; return every option, defaults filled in.
 
     The preservation region comes back as a call that builds it, and the
-    necessity kernel as its form; the witness passes its one check.
+    necessity kernel as its form.  When necessity_divergence is listed, the
+    witness passes its one check, :func:`witness_member_count`.
     """
     if not isinstance(options, dict):
         errors.append("experiment_options must be an object")
@@ -509,13 +495,10 @@ def _parse_options(options, n: int, experiments: list, errors: list) -> dict:
         return opts
     _check_keys(spec, set(_NECESSITY_DEFAULTS), "experiment_options.necessity", errors)
     nec = opts["necessity"] = {**_NECESSITY_DEFAULTS, **spec}
-    where = "experiment_options.necessity.kernel"
-    form = nec["kernel"] = _parse_kernel(nec["kernel"], where, errors)
-    if form is not None and form.integrable_on_halfline and "necessity_divergence" in experiments:
-        errors.append(f"{where}: {form.description} has a finite L1 norm on [0, inf) "
-                      "and is not a necessity witness")
-    endpoints = nec["endpoints"]
-    if not _is_numbers(endpoints):
+    form = nec["kernel"] = _parse_kernel(
+        nec["kernel"], "experiment_options.necessity.kernel", errors)
+    before = len(errors)
+    if not _is_numbers(nec["endpoints"]):
         errors.append("experiment_options.necessity: endpoints must be a list of numbers")
     if not _is_number(nec["x0"]):
         errors.append("experiment_options.necessity: x0 must be a number")
@@ -524,10 +507,10 @@ def _parse_options(options, n: int, experiments: list, errors: list) -> dict:
         errors.append("experiment_options.necessity: points_per_panel must be an integer >= 2")
     else:
         _check_legendre_nodes(per_panel, "experiment_options.necessity: points_per_panel", errors)
-        if _is_numbers(endpoints):
-            # the witness's one check, so that the run builds no member of a bad one
-            _build(partial(witness_member_count, endpoints, per_panel),
-                   "experiment_options.necessity", errors)
+    if "necessity_divergence" in experiments and form is not None and len(errors) == before:
+        # so that the run builds no member of a witness that would be refused
+        _build(partial(witness_member_count, form, nec["endpoints"], per_panel, nec["x0"]),
+               "experiment_options.necessity", errors)
     return opts
 
 
@@ -702,10 +685,6 @@ def _report_row(r: ExperimentReport) -> str:
     ])
 
 
-def _is_fatal(report: ExperimentReport) -> bool:
-    return not (report.name == "sobolev_bound" and report.p is not None and report.p > 1)
-
-
 def _bound_reports(evaluation, label: str, config: RunConfig) -> list:
     """(check, row label, report) for each bound check in the config and each p."""
     runners = {"lp_bound": run_lp_bound, "sobolev_bound": run_sobolev_bound}
@@ -796,12 +775,11 @@ def run(config: RunConfig, out_dir) -> int:
         "",
     ]
     for label, r in reports:
-        fatal = _is_fatal(r)
         if r.passed:
             status = "PASS"
         else:
-            status = "FAIL" if fatal else "FAIL (informative)"
-            if fatal:
+            status = "FAIL" if r.fatal else "FAIL (informative)"
+            if r.fatal:
                 fatal_failures += 1
             else:
                 informative_failures += 1

@@ -13,7 +13,8 @@ and both checks, reduce those stored arrays, so a field is evaluated once
 per (operator, field, quadrature).  The reductions are the ones
 :func:`~.field.lp_norm` and :func:`~.field.sobolev_norm` use, so each side
 is bitwise equal to ``lp_norm(operator.push(f), p, quad)`` and its kin.
-A bound row passes only when both of its sides are finite.
+Both checks reach their verdict in :func:`_bound_report`: a bound row
+passes only when both of its sides are finite.
 The gradient check takes central differences of ``operator.push(f)``.
 
 The divergence experiment is the odd one out: it reports a sequence (one
@@ -94,7 +95,8 @@ class ExperimentReport:
 
     ``resolution`` is nodes per axis for grid experiments and the sample
     count for Monte Carlo ones.  ``p`` is None for experiments that p does
-    not parametrize.
+    not parametrize.  A report that is not ``fatal`` is informative: its
+    failure does not fail the run.
     """
 
     name: str
@@ -107,6 +109,7 @@ class ExperimentReport:
     seed: int
     passed: bool
     notes: str = ""
+    fatal: bool = True
 
 
 @dataclass(frozen=True)
@@ -152,33 +155,31 @@ def evaluate_field(
     return FieldEvaluation(operator, quad, f_values, hf_values, f_gradients, hf_gradients)
 
 
+def _bound_report(name: str, ev: FieldEvaluation, p: float, seed: int, constant: float,
+                  lhs: float, rhs: float, **extra) -> ExperimentReport:
+    """The row of ``lhs <= rhs`` at the tolerance ``TOLERANCES[name]``."""
+    # inf <= inf holds, but an overflowed side proves nothing
+    passed = math.isfinite(lhs) and math.isfinite(rhs) and lhs <= rhs * (1.0 + TOLERANCES[name])
+    return ExperimentReport(
+        name=name, p=float(p), lhs=lhs, rhs=rhs, bound_constant=constant, margin=rhs - lhs,
+        resolution=ev.quad.resolution, seed=seed, passed=bool(passed), **extra)
+
+
 def run_lp_bound(evaluation: FieldEvaluation, p: float, seed: int = 0) -> ExperimentReport:
     """Check ||Hf||_p <= ||phi||_1 * ||f||_p on the evaluation's quadrature."""
     ev = evaluation
     constant = ev.operator.kernel_l1()
     lhs = lp_norm_of_values(ev.hf_values, p, ev.quad)
     rhs = constant * lp_norm_of_values(ev.f_values, p, ev.quad)
-    tol = TOLERANCES["lp_bound"]
-    return ExperimentReport(
-        name="lp_bound",
-        p=float(p),
-        lhs=lhs,
-        rhs=rhs,
-        bound_constant=constant,
-        margin=rhs - lhs,
-        resolution=ev.quad.resolution,
-        seed=seed,
-        # inf <= inf holds, but an overflowed side proves nothing
-        passed=bool(math.isfinite(lhs) and math.isfinite(rhs) and lhs <= rhs * (1.0 + tol)),
-    )
+    return _bound_report("lp_bound", ev, p, seed, constant, lhs, rhs)
 
 
 def run_sobolev_bound(evaluation: FieldEvaluation, p: float, seed: int = 0) -> ExperimentReport:
     """Check ||Hf||_{W^{1,p}} <= (C n + 1) ||phi||_1 ||f||_{W^{1,p}}.
 
     The evaluation must carry gradients.  The constant is proved for p = 1;
-    for p > 1 the experiment still runs but is informational (the sharp
-    constant there is not explicit).
+    for p > 1 the experiment still runs but is informative, not fatal (the
+    sharp constant there is not explicit).
     """
     ev = evaluation
     if ev.f_gradients is None:
@@ -188,20 +189,10 @@ def run_sobolev_bound(evaluation: FieldEvaluation, p: float, seed: int = 0) -> E
     constant = (jac * n + 1.0) * ev.operator.kernel_l1()
     lhs = sobolev_norm_of_arrays(ev.hf_values, ev.hf_gradients, p, ev.quad).sobolev
     rhs = constant * sobolev_norm_of_arrays(ev.f_values, ev.f_gradients, p, ev.quad).sobolev
-    tol = TOLERANCES["sobolev_bound"]
-    notes = "" if p == 1 else "informative for p > 1; the proved constant applies at p = 1"
-    return ExperimentReport(
-        name="sobolev_bound",
-        p=float(p),
-        lhs=lhs,
-        rhs=rhs,
-        bound_constant=constant,
-        margin=rhs - lhs,
-        resolution=ev.quad.resolution,
-        seed=seed,
-        passed=bool(math.isfinite(lhs) and math.isfinite(rhs) and lhs <= rhs * (1.0 + tol)),
-        notes=notes,
-    )
+    fatal = p == 1
+    notes = "" if fatal else "informative for p > 1; the proved constant applies at p = 1"
+    return _bound_report("sobolev_bound", ev, p, seed, constant, lhs, rhs,
+                         notes=notes, fatal=fatal)
 
 
 def interior_points(domain: Domain, count: int, seed: int, margin: float) -> np.ndarray:
@@ -316,15 +307,28 @@ def run_measure_preservation(
     )
 
 
-def witness_member_count(endpoints, points_per_panel: int) -> int:
+def _witness_lower_bound(x0: float) -> float:
+    """L = exp(-2 (x0^2 + 1)): the folded witness integrand is at least L |phi|."""
+    translation_bound = 1.0
+    return math.exp(-2.0 * (x0 * x0 + translation_bound**2))
+
+
+def witness_member_count(form: KernelForm, endpoints, points_per_panel: int, x0: float) -> int:
     """Shift members of the necessity witness: one per node of the unit
     panels over [0, e], summed over the endpoints e.
 
     The one check of a witness, so a caller learns before any member is
-    built: raises ValueError unless there are at least two finite, positive,
-    increasing endpoints, ``points_per_panel`` is an integer >= 1, and the
-    members number at most GROUP_SIZE_CAP.
+    built: raises ValueError unless the form's |phi| is not integrable on
+    [0, inf), there are at least two finite, positive, increasing
+    endpoints, ``points_per_panel`` is an integer >= 1, the members number
+    at most GROUP_SIZE_CAP, and the lower bound L = exp(-2 (x0^2 + 1)) is a
+    positive double, which holds for |x0| up to about 19.27.
     """
+    if form.integrable_on_halfline:
+        raise ValueError(
+            f"kernel form {form.description} has a finite L1 norm on [0, inf) "
+            f"and is not a necessity witness"
+        )
     ends = [float(e) for e in endpoints]
     if len(ends) < 2:
         raise ValueError("need at least two endpoints")
@@ -337,6 +341,12 @@ def witness_member_count(endpoints, points_per_panel: int) -> int:
         raise ValueError(
             f"endpoints {ends} with points_per_panel {points_per_panel} give "
             f"{members} witness members, more than the cap of {GROUP_SIZE_CAP}"
+        )
+    # written so that NaN fails; then every H_k >= L S_k > 0 and the growth is defined
+    if not _witness_lower_bound(float(x0)) > 0.0:
+        raise ValueError(
+            f"x0 {x0} makes the lower bound exp(-2 (x0^2 + 1)) underflow to 0; "
+            "|x0| may be at most about 19.27"
         )
     return members
 
@@ -357,9 +367,9 @@ def run_necessity_divergence(
     For integer endpoints the unit panels are nested, so every increment of
     kernel mass raises the operator value by at least L times that increment:
     H_{k+1} - H_k >= L (S_{k+1} - S_k), and S_k -> inf drives H_k -> inf.
-    Kernels with a finite half-line integral are rejected: truncating them
-    proves nothing, and so is every witness :func:`witness_member_count`
-    refuses, before any member is built.
+    Every witness :func:`witness_member_count` refuses is refused here,
+    before any member is built: an integrable kernel, whose truncations
+    prove nothing, and an x0 whose L underflows.
 
     Each truncation streams its members in aligned blocks of
     ``_WITNESS_BLOCK``: a block's panel nodes, kernel, shifts and operator
@@ -368,16 +378,10 @@ def run_necessity_divergence(
     stays flat in the endpoints and both sums are bitwise those over the
     whole truncation at once.
     """
-    if form.integrable_on_halfline:
-        raise ValueError(
-            f"kernel form {form.description} has a finite L1 norm on [0, inf) "
-            f"and is not a necessity witness"
-        )
+    witness_member_count(form, endpoints, points_per_panel, x0)
     ends = np.asarray([float(e) for e in endpoints])
-    witness_member_count(ends, points_per_panel)
     x0 = float(x0)
-    translation_bound = 1.0
-    lower_bound = math.exp(-2.0 * (x0 * x0 + translation_bound**2))
+    lower_bound = _witness_lower_bound(x0)
     witness = gaussian(center=[0.0], width=1.0)
     domain = geometry.truncated_space(max(2.0, abs(x0) + 2.0), 1)
     l1_norms = np.empty(len(ends))

@@ -518,6 +518,9 @@ def build_grid_quadrature(domain: Domain, resolution: int) -> DomainQuadrature:
     Returns
     -------
     DomainQuadrature
+
+    Raises ValueError when no grid node lies in a ball, as can happen at an
+    even resolution in high dimension.
     """
     resolution = _rule_count(resolution, name="resolution")
     if resolution < 2:
@@ -533,6 +536,9 @@ def build_grid_quadrature(domain: Domain, resolution: int) -> DomainQuadrature:
     weights = weights.ravel()
     if domain.shape == BALL:
         inside = domain.contains_many(nodes)
+        if not inside.any():
+            raise ValueError(f"no node of the {resolution}-point grid in dimension {n} "
+                             "lies in the ball; raise the resolution")
         nodes = nodes[inside]
         weights = weights[inside]
     return DomainQuadrature(

@@ -5,16 +5,18 @@ kernel is the list of weight-function values on those nodes.  Kernels bound
 everything downstream through their discrete L1 norm, so that norm uses the
 same deterministic pairwise reduction as the operator itself.
 
-Kernel forms are a fixed whitelist (no expression parser): ``exp_decay(a)``
-is exp(-a*u), ``power(a)`` is (1+|u|)^(-a), ``constant(c)``, and
-``indicator(lo, hi)``.  Each form knows whether its half-line integral
-diverges, which is what the divergence experiment's guard consumes.
+Kernel forms are a fixed whitelist (no expression parser), one row each of
+the ``_FORMS`` table: a form's parameter names, its formula and whether
+its |phi| is integrable on [0, inf), which the necessity witness's check
+reads.  :func:`kernel_form` is the one whitelist check.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -156,26 +158,31 @@ def discretize(spec: dict) -> DiscretizedMeasure:
 # kernel forms
 
 
+class _Form(NamedTuple):
+    params: tuple[str, ...]
+    phi: Callable  # phi(u, *params)
+    integrable: Callable  # integrable(*params): whether |phi| has a finite integral on [0, inf)
+
+
+_FORMS = {
+    "exp_decay": _Form(("a",), lambda u, a: np.exp(-a * u), lambda a: True),
+    "power": _Form(("a",), lambda u, a: (1.0 + np.abs(u)) ** (-a), lambda a: a > 1.0),
+    "constant": _Form(("c",), lambda u, c: np.full_like(u, c), lambda c: c == 0.0),
+    "indicator": _Form(("lo", "hi"), lambda u, lo, hi: np.where((u >= lo) & (u <= hi), 1.0, 0.0),
+                       lambda lo, hi: True),
+}
+KERNEL_FORM_NAMES = tuple(_FORMS)
+
+
 @dataclass(frozen=True)
 class KernelForm:
-    """A whitelisted kernel shape with frozen parameters."""
+    """A whitelisted kernel shape with frozen parameters, in the order of its ``_FORMS`` row."""
 
     name: str
     params: tuple[tuple[str, float], ...]
 
-    def _p(self, key: str) -> float:
-        return dict(self.params)[key]
-
     def __call__(self, u) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        if self.name == "exp_decay":
-            return np.exp(-self._p("a") * u)
-        if self.name == "power":
-            return (1.0 + np.abs(u)) ** (-self._p("a"))
-        if self.name == "constant":
-            return np.full_like(u, self._p("c"))
-        lo, hi = self._p("lo"), self._p("hi")
-        return np.where((u >= lo) & (u <= hi), 1.0, 0.0)
+        return _FORMS[self.name].phi(np.asarray(u, dtype=float), *(v for _, v in self.params))
 
     @property
     def description(self) -> str:
@@ -185,48 +192,27 @@ class KernelForm:
     @property
     def integrable_on_halfline(self) -> bool:
         """Whether the |form| integral over [0, inf) is finite."""
-        if self.name == "exp_decay":
-            return True
-        if self.name == "power":
-            return self._p("a") > 1.0
-        if self.name == "constant":
-            return self._p("c") == 0.0
-        return True
-
-
-KERNEL_FORM_NAMES = ("exp_decay", "power", "constant", "indicator")
+        return _FORMS[self.name].integrable(*(v for _, v in self.params))
 
 
 def kernel_form(name: str, **params: float) -> KernelForm:
     """Validated constructor for the whitelisted kernel forms."""
-    expected = {
-        "exp_decay": ("a",),
-        "power": ("a",),
-        "constant": ("c",),
-        "indicator": ("lo", "hi"),
-    }
-    if name not in expected:
-        raise ValueError(
-            f"unknown kernel form {name!r}, expected one of {KERNEL_FORM_NAMES}"
-        )
-    keys = expected[name]
+    # a tuple, so that a name that is a list or a dict is unknown, not unhashable
+    if name not in KERNEL_FORM_NAMES:
+        raise ValueError(f"unknown kernel form {name!r}, expected one of {KERNEL_FORM_NAMES}")
+    keys = _FORMS[name].params
     if set(params) != set(keys):
         raise ValueError(
             f"kernel form {name!r} takes parameters {keys}, got {tuple(sorted(params))}"
         )
     for key in keys:
         if not np.isfinite(params[key]):
-            raise ValueError(
-                f"kernel form {name!r} needs a finite {key}, got {key}={params[key]}"
-            )
-    if name in ("exp_decay", "power") and params["a"] <= 0:
+            raise ValueError(f"kernel form {name!r} needs a finite {key}, got {key}={params[key]}")
+    if "a" in params and params["a"] <= 0:
         raise ValueError(f"kernel form {name!r} needs a > 0, got a={params['a']}")
-    if name == "indicator" and not params["hi"] > params["lo"]:
-        raise ValueError(
-            f"indicator needs hi > lo, got lo={params['lo']} hi={params['hi']}"
-        )
-    frozen = tuple((k, float(params[k])) for k in keys)
-    return KernelForm(name=name, params=frozen)
+    if "hi" in params and not params["hi"] > params["lo"]:
+        raise ValueError(f"indicator needs hi > lo, got lo={params['lo']} hi={params['hi']}")
+    return KernelForm(name=name, params=tuple((k, float(params[k])) for k in keys))
 
 
 @dataclass(frozen=True)
@@ -253,8 +239,17 @@ def kernel_from_values(values) -> Kernel:
 
 
 def kernel_on_measure(form: KernelForm, measure: DiscretizedMeasure) -> Kernel:
-    """Evaluate a whitelisted form on a measure's nodes."""
-    return Kernel(values=form(measure.nodes))
+    """Evaluate a whitelisted form on a measure's nodes.
+
+    Raises ValueError naming the form and the first node where it is not
+    finite (exp_decay overflows far left of 0), without a numpy warning.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = form(measure.nodes)
+    if not np.all(np.isfinite(values)):
+        node = float(measure.nodes[np.argmin(np.isfinite(values))])
+        raise ValueError(f"kernel {form.description} is not finite at measure node {node!r}")
+    return Kernel(values=values)
 
 
 def kernel_l1_norm(kernel: Kernel, measure: DiscretizedMeasure) -> float:

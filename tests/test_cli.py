@@ -21,13 +21,15 @@ from hausdorff_op.cli import (
     MAX_LEGENDRE_NODES,
     MAX_PRESERVATION_SAMPLES,
     ConfigError,
-    _is_fatal,
     main,
     parse_config,
     run,
 )
-from hausdorff_op.experiments import ExperimentReport
+from hausdorff_op.experiments import evaluate_field, run_lp_bound, run_sobolev_bound
+from hausdorff_op.geometry import build_grid_quadrature
 from hausdorff_op.isometry import GROUP_SIZE_CAP
+from hausdorff_op.measure_kernel import KERNEL_FORM_NAMES, kernel_on_measure
+from hausdorff_op.operator import HausdorffOperator
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import workloads  # noqa: E402
@@ -110,9 +112,19 @@ def test_unknown_kernel_lists_whitelist():
     with pytest.raises(ConfigError) as exc:
         parse_config(json.dumps(config))
     (message,) = exc.value.errors
-    assert "unknown kernel 'gauss'" in message
+    assert "kernel: unknown kernel form 'gauss', expected one of" in message
     for name in ("exp_decay", "power", "constant", "indicator"):
         assert name in message
+
+
+def test_kernel_name_that_is_a_list_lists_whitelist():
+    # the whitelist is a tuple, so an unhashable name is unknown, not a TypeError
+    config = _minimal_config(kernel={"name": ["power"], "a": 1.0})
+    with pytest.raises(ConfigError) as exc:
+        parse_config(json.dumps(config))
+    assert exc.value.errors == [
+        f"kernel: unknown kernel form ['power'], expected one of {KERNEL_FORM_NAMES}"
+    ]
 
 
 def test_bad_kernel_parameters_are_named():
@@ -562,7 +574,7 @@ _CAPPED_INPUTS = {
     "necessity_power_kernel": (
         _necessity_config(kernel={"name": "power", "a": 1.0}),
         _necessity_config(kernel={"name": "power", "a": 2.0}),
-        "experiment_options.necessity.kernel: power(a=2) has a finite L1 norm on "
+        "experiment_options.necessity: kernel form power(a=2) has a finite L1 norm on "
         "[0, inf) and is not a necessity witness",
     ),
     "necessity_exp_decay_kernel": (
@@ -570,8 +582,22 @@ _CAPPED_INPUTS = {
         {**_necessity_config(kernel={"name": "exp_decay", "a": 1.0}),
          "experiments": ["lp_bound"]},
         _necessity_config(kernel={"name": "exp_decay", "a": 1.0}),
-        "experiment_options.necessity.kernel: exp_decay(a=1) has a finite L1 norm on "
-        "[0, inf) and is not a necessity witness",
+        "experiment_options.necessity: kernel form exp_decay(a=1) has a finite L1 norm "
+        "on [0, inf) and is not a necessity witness",
+    ),
+    # the witness's lower bound exp(-2 (x0^2 + 1)) is a positive double up to
+    # |x0| = 19.276; past it the growth factor would be 0 / 0
+    "necessity_x0": (
+        _necessity_config(x0=19),
+        _necessity_config(x0=20),
+        "experiment_options.necessity: x0 20 makes the lower bound exp(-2 (x0^2 + 1)) "
+        "underflow to 0; |x0| may be at most about 19.27",
+    ),
+    "necessity_x0_far": (
+        _necessity_config(x0=-19.27),
+        _necessity_config(x0=30.0),
+        "experiment_options.necessity: x0 30.0 makes the lower bound exp(-2 (x0^2 + 1)) "
+        "underflow to 0; |x0| may be at most about 19.27",
     ),
     # spans past the double range: the grid, the samplers and shrink all
     # work with upper - lower, and a gaussian divides by its width squared;
@@ -799,6 +825,17 @@ def test_main_past_a_cap_exits_2_without_output(tmp_path, capsys, name):
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_witness_values_are_checked_only_when_it_runs():
+    # shapes are checked always; the witness's values when it is listed
+    options = {"necessity": {"endpoints": [10, 1e12], "x0": 30.0,
+                             "kernel": {"name": "exp_decay", "a": 1.0}}}
+    assert parse_config(json.dumps(_minimal_config(experiment_options=options)))
+    options["necessity"]["x0"] = "0"
+    with pytest.raises(ConfigError) as exc:
+        parse_config(json.dumps(_minimal_config(experiment_options=options)))
+    assert exc.value.errors == ["experiment_options.necessity: x0 must be a number"]
 
 
 def test_main_oversized_necessity_witness_exits_2(tmp_path, capsys):
@@ -1179,21 +1216,48 @@ def test_narrow_gaussian_workload_runs_clean(tmp_path):
     assert all(r["passed"] == "true" for r in rows)
 
 
+def test_main_empty_ball_grid_exits_2(tmp_path, capsys):
+    # the 2-point rule's nodes are +-r/sqrt(3) per axis, at distance
+    # r sqrt(4/3) from the center in dimension 4
+    config = {**_ball_gradient_config(4), "experiments": ["lp_bound"], "resolution": 2}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "error: no node of the 2-point grid in dimension 4 lies in the ball; "
+        "raise the resolution\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_main_kernel_overflow_exits_2_without_a_warning(tmp_path, capsys):
+    # exp(-u) overflows at the nodes far left of 0; under the error filter
+    # for RuntimeWarning a numpy warning would escape main
+    config = _shift_measure_config("gauss_legendre", 64)
+    config["measure"]["interval"] = [-1000.0, 0.0]
+    config["kernel"] = {"name": "exp_decay", "a": 1.0}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: kernel exp_decay(a=1) is not finite at measure node -9")
+    assert "Warning" not in err
+    assert not (tmp_path / "out").exists()
+
+
 # failure tiers
 
 
-def _synthetic(name, p):
-    return ExperimentReport(
-        name=name, p=p, lhs=1.0, rhs=0.5, bound_constant=1.0,
-        margin=-0.5, resolution=8, seed=0, passed=False,
-    )
-
-
 def test_only_high_p_sobolev_is_informative():
-    assert not _is_fatal(_synthetic("sobolev_bound", 2.0))
-    assert _is_fatal(_synthetic("sobolev_bound", 1.0))
-    assert _is_fatal(_synthetic("lp_bound", 2.0))
-    assert _is_fatal(_synthetic("measure_preservation", None))
+    config = parse_config(json.dumps(_minimal_config(resolution=8)))
+    inputs = config.inputs
+    family, measure = inputs.family_measure()
+    operator = HausdorffOperator(measure=measure, kernel=kernel_on_measure(inputs.kernel, measure),
+                                 family=family, domain=inputs.domain)
+    quad = build_grid_quadrature(inputs.domain, config.resolution)
+    ev = evaluate_field(operator, inputs.fields[0][1], quad, gradients=True)
+    assert run_sobolev_bound(ev, 1.0).fatal
+    assert not run_sobolev_bound(ev, 2.0).fatal
+    assert run_lp_bound(ev, 2.0).fatal
 
 
 # parse fuzzing

@@ -399,6 +399,18 @@ def test_necessity_rejects_integrable_kernels():
             run_necessity_divergence(form, [10.0, 100.0])
 
 
+def test_necessity_refuses_an_x0_whose_lower_bound_underflows():
+    # exp(-2 (x0^2 + 1)) is a positive double for |x0| up to 19.276
+    form = kernel_form("power", a=1.0)
+    report = run_necessity_divergence(form, [10.0, 100.0], x0=19.0)
+    assert report.lower_bound_constant > 0.0
+    assert np.all(report.operator_values_at_x0 > 0.0)
+    assert math.isfinite(report.growth_factor)
+    for x0 in (20.0, -30.0, math.nan):
+        with pytest.raises(ValueError, match="underflow to 0"):
+            run_necessity_divergence(form, [10.0, 100.0], x0=x0)
+
+
 def test_necessity_endpoint_validation():
     form = kernel_form("power", a=1.0)
     with pytest.raises(ValueError, match="at least two endpoints"):

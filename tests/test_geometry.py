@@ -253,6 +253,17 @@ def test_rule_arguments_are_checked():
     assert quad.resolution == 7 and type(quad.resolution) is int
 
 
+@pytest.mark.parametrize("dimension, resolution", [(4, 2), (9, 4)])
+def test_ball_grid_with_no_node_inside_is_refused(dimension, resolution):
+    # an even rule has no node at the center, and in high dimension its
+    # innermost node lies outside the inscribed ball
+    with pytest.raises(ValueError, match=(
+            f"no node of the {resolution}-point grid in dimension {dimension} lies in the "
+            "ball; raise the resolution")):
+        build_grid_quadrature(ball([0.0] * dimension, 1.0), resolution)
+    assert len(build_grid_quadrature(ball([0.0] * dimension, 1.0), resolution + 1).nodes) >= 1
+
+
 def test_box_weight_sum_exact():
     quad = build_grid_quadrature(box([0.0], [1.0]), 16)
     assert quad.weights.sum() == pytest.approx(1.0, abs=1e-14)

@@ -195,6 +195,14 @@ def test_l1_norm_exp_decay_against_closed_form_and_trapezoid():
     assert value == pytest.approx(oracle, abs=1e-8)
 
 
+def test_kernel_overflow_names_the_form_and_node():
+    # exp(-u) overflows for u below about -709.78, without a numpy warning
+    m = explicit_measure([0.0, -700.0, -710.0, -800.0], [1.0] * 4)
+    with pytest.raises(ValueError, match=r"^kernel exp_decay\(a=1\) is not finite at "
+                                         r"measure node -710\.0$"):
+        kernel_on_measure(kernel_form("exp_decay", a=1.0), m)
+
+
 def test_l1_norm_misaligned_lengths():
     m = explicit_measure([0.0, 1.0], [1.0, 1.0])
     k = kernel_from_values([1.0])
