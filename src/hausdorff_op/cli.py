@@ -1,19 +1,18 @@
 """Config-driven experiment runner behind the ``hausdorff-op`` console script.
 
-A run is described by one JSON file, and :func:`parse_config` walks it once:
-each node's parser checks the node and returns what :func:`run` reads of it,
-so every dispatch on a ``shape``, ``kind`` or ``scheme`` and every option
-default is written once.  The walk is strict (unknown keys are rejected,
-every violation is reported, not just the first) because a silent typo in a
-tolerance or kernel name would invalidate a verification run.  It checks
-what the library cannot: keys, JSON types (a number is a finite double),
-lengths against the dimension and the CLI's own caps.  Value rules are the
-library constructors': once the walk has passed, the measure, fields, domain
-and preservation region are built, and a constructor's ``ValueError``
-becomes an error named by its node.  The run builds the family, whose size
-is a count in the config, except explicit ``motions``, built in the walk; a
-finite group, and the necessity witness when it is listed, pass the
-library's one check of their arguments there.
+A run is described by one JSON file, and :func:`parse_config` walks it once.
+The schema is data: each kind of node has a table mapping each key to its
+JSON shape (a number is a finite double) and, if it may be left out, its
+default, and one walker, :func:`_walk`, checks every node against its table.
+The node parsers keep only the calls that build the nodes and the rules
+across keys and nodes: the CLI's caps, counts that must agree, explicit
+``motions``.  The walk is strict (unknown keys are rejected, every
+violation is reported) because a silent typo in a tolerance or kernel name
+would invalidate a verification run.  Value rules are the library
+constructors': once the walk has passed, the measure, fields, domain and
+preservation region are built, and a constructor's ``ValueError`` becomes
+an error named by its node; a finite group, a Haar family's stack and the
+necessity witness pass the library's checks during the walk.
 Artifacts: ``results.csv`` (one row per bound check), ``divergence.csv``
 (present when the divergence experiment ran), and ``summary.txt``.  Numeric
 CSV cells use 17 significant digits so reruns diff byte-identically.
@@ -25,6 +24,7 @@ constant applies at p = 1, so they never flip the exit code.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import sys
@@ -32,6 +32,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,6 +53,7 @@ from .field import P_MAX, P_MIN, gaussian, gaussian_times_poly, polynomial
 from .geometry import build_grid_quadrature
 from .isometry import (
     GROUP_SIZE_CAP,
+    check_stack_entries,
     finite_group_family,
     finite_group_size,
     motion_family,
@@ -91,31 +93,6 @@ MAX_BALL_DRAWS = 10**7
 # largest preservation sample per member; the check streams its samples in
 # blocks, so this bounds time, not memory
 MAX_PRESERVATION_SAMPLES = 10**8
-
-_TOP_KEYS = {
-    "dimension", "domain", "family", "measure", "kernel", "fields", "p",
-    "resolution", "experiments", "experiment_options", "seed", "output",
-}
-_REQUIRED_KEYS = ("dimension", "domain", "family", "kernel", "fields", "experiments")
-# every experiment option, and its value when the config leaves it out
-_OPTION_DEFAULTS = {
-    "gradient_points": 50,
-    "gradient_step": TOLERANCES["gradient_step"],
-    "gradient_margin": 0.05,
-    "preservation_samples": 100_000,
-    # a family with fewer members checks them all
-    "preservation_members": 10,
-    # the unit box about the origin, built in _parse_options for the dimension
-    "preservation_region": None,
-    "necessity": {},
-}
-# the default necessity witness: 88,880 folded shifts in all
-_NECESSITY_DEFAULTS = {
-    "kernel": {"name": "power", "a": 1.0},
-    "endpoints": [10.0, 100.0, 1000.0, 10000.0],
-    "x0": 0.0,
-    "points_per_panel": 8,
-}
 
 # seed offsets keep per-experiment streams distinct under one config seed
 _GRADIENT_SEED_OFFSET = 11
@@ -172,18 +149,6 @@ def _is_number(x) -> bool:
             and abs(x) <= sys.float_info.max)
 
 
-def _is_seed(x) -> bool:
-    return _is_int(x) and x >= 0
-
-
-def _is_numbers(x) -> bool:
-    return isinstance(x, list) and all(_is_number(v) for v in x)
-
-
-def _is_vector(x, length: int) -> bool:
-    return _is_numbers(x) and len(x) == length
-
-
 def _is_number_tree(x) -> bool:
     """Whether ``x`` is a number or nested lists of them, not yet a rectangular array."""
     stack = [x]
@@ -196,28 +161,150 @@ def _is_number_tree(x) -> bool:
     return True
 
 
-def _check_keys(spec: dict, allowed: set, where: str, errors: list) -> None:
+# the schema: one table per kind of node, mapping each key to its shape
+
+_REQUIRED = object()  # the default of a key the config may not leave out
+
+
+class _Key(NamedTuple):
+    """A key of a node table: its JSON shape, and its default if it may be left out."""
+
+    test: Callable  # test(value, n), with n the dimension
+    phrase: str  # the shape in "<where>: <key> must be <phrase>"; {n} is the dimension
+    default: object = _REQUIRED
+
+    def optional(self, default) -> _Key:
+        return self._replace(default=default)
+
+
+def _at_least(low: int) -> _Key:
+    return _Key(lambda v, n: _is_int(v) and v >= low, f"an integer >= {low}")
+
+
+_ANY = _Key(lambda v, n: True, "anything")
+_INT = _Key(lambda v, n: _is_int(v), "an integer")
+_NUMBER = _Key(lambda v, n: _is_number(v), "a number")
+_POSITIVE = _Key(lambda v, n: _is_number(v) and v > 0, "a positive number")
+_NUMBERS = _Key(lambda v, n: isinstance(v, list) and all(_is_number(x) for x in v),
+               "a list of numbers")
+_VECTOR = _Key(lambda v, n: _NUMBERS.test(v, n) and len(v) == n, "a list of {n} numbers")
+_INTERVAL = _Key(lambda v, n: _NUMBERS.test(v, n) and len(v) == 2, "a list of 2 numbers")
+# numpy would turn JSON strings and booleans into numbers
+_COEFFS = _Key(lambda v, n: _is_number_tree(v), "a (nested) list of numbers")
+_BOOL = _Key(lambda v, n: isinstance(v, bool), "a boolean")
+_NONEMPTY_NUMBERS = _Key(lambda v, n: _NUMBERS.test(v, n) and len(v) >= 1,
+                         "a nonempty list of numbers")
+_LIST = _Key(lambda v, n: isinstance(v, list) and len(v) >= 1, "a nonempty list")
+_COUNT = _at_least(1)
+_RULE_SIZE = _at_least(2)  # of a Gauss-Legendre rule
+# None is the config seed, filled in by the walk
+_SEED = _at_least(0).optional(None)
+
+_DOMAINS = {
+    geometry.BALL: {"center": _VECTOR, "radius": _NUMBER},
+    geometry.BOX: {"lower": _VECTOR, "upper": _VECTOR},
+    geometry.TRUNCATED: {"halfwidth": _NUMBER},
+}
+_FAMILIES = {
+    "rotations_haar": {
+        "count": _Key(lambda v, n: _is_int(v) and 1 <= v <= GROUP_SIZE_CAP,
+                      f"an integer in [1, {GROUP_SIZE_CAP}]"),
+        "seed": _SEED,
+    },
+    # the group's values pass its one check, finite_group_size
+    "finite_group": {"group": _ANY.optional(None), "order": _INT.optional(None)},
+    "shifts": {"offsets": _NONEMPTY_NUMBERS},
+    "motions": {"members": _LIST},
+}
+# shifts without offsets, one per measure node; _parse_family requires from_measure
+_MEASURE_SHIFTS = {"from_measure": _ANY.optional(None), "fold": _BOOL.optional(False)}
+# one of the motions' members; _parse_family checks the values against n
+_MOTION = {"matrix": _ANY.optional(None), "offset": _ANY.optional(None)}
+_MEASURES = {
+    "explicit": {"nodes": _NUMBERS, "weights": _NUMBERS},
+    "gauss_legendre": {"interval": _INTERVAL, "count": _INT},
+    "monte_carlo": {"interval": _INTERVAL, "count": _INT, "seed": _SEED},
+}
+_FIELDS = {
+    "gaussian": {"center": _VECTOR, "width": _NUMBER},
+    "polynomial": {"coeffs": _COEFFS},
+    "gaussian_times_poly": {"center": _VECTOR, "width": _NUMBER, "coeffs": _COEFFS},
+}
+_OPTIONS = {
+    "gradient_points": _COUNT.optional(50),
+    "preservation_samples": _COUNT.optional(100_000),
+    # a family with fewer members checks them all
+    "preservation_members": _COUNT.optional(10),
+    "gradient_step": _POSITIVE.optional(TOLERANCES["gradient_step"]),
+    "gradient_margin": _POSITIVE.optional(0.05),
+    # both nodes are walked by _parse_options; no region is the unit box
+    "preservation_region": _ANY.optional(None),
+    "necessity": _ANY.optional({}),
+}
+# the default necessity witness: 88,880 folded shifts in all
+_NECESSITY = {
+    "kernel": _ANY.optional({"name": "power", "a": 1.0}),  # its form, by _parse_kernel
+    "endpoints": _NUMBERS.optional([10.0, 100.0, 1000.0, 10000.0]),
+    "x0": _NUMBER.optional(0.0),
+    "points_per_panel": _RULE_SIZE.optional(8),
+}
+# the top level: its keys and defaults; parse_config checks the values in
+# turn, so that each error follows those of the nodes before it
+_TOP = {
+    "dimension": _ANY, "domain": _ANY, "family": _ANY, "measure": _ANY.optional(None),
+    "kernel": _ANY, "fields": _ANY, "p": _ANY.optional([1.0]), "resolution": _ANY.optional(64),
+    "experiments": _ANY, "experiment_options": _ANY.optional({}), "seed": _ANY.optional(0),
+    "output": _ANY.optional(None),
+}
+
+
+def _walk(spec, where: str, tables: dict, errors: list, n: int = 1, tag=None,
+          rules=None, seed: int = 0):
+    """Check one config node against its table; return a checked copy, or None.
+
+    ``tables`` is the node's table or, with ``tag``, a table per value of
+    that key.  The walk checks that the node is an object with a known tag,
+    rejects unknown keys, then checks each key's shape in table order: a key
+    left out takes a copy of its default (a seed the config ``seed``), and a
+    required one left out fails.  The copy holds the tag and each key that
+    passed.  ``rules`` maps the tag or a key to a check that runs right after
+    it, so that its errors follow that key's; a rule that returns False ends
+    the walk, which then returns None.
+    """
+    if not isinstance(spec, dict):
+        errors.append(f"{where} must be an object")
+        return None
+    rules = rules or {}
+    node, table = {}, tables
+    if tag is not None:
+        kind = spec.get(tag)
+        # a list or a dict is unhashable, so the type is tested first
+        if not (isinstance(kind, str) and kind in tables):
+            errors.append(f"{where}: {tag} must be one of {list(tables)}, got {kind!r}")
+            return None
+        node[tag], table = kind, tables[kind]
+        if tag in rules and rules[tag](node) is False:
+            return None
+    allowed = {*node, *table}
     unknown = sorted(set(spec) - allowed)
     if unknown:
         errors.append(f"{where}: unknown key(s) {unknown}, allowed: {sorted(allowed)}")
-
-
-def _check_number(spec: dict, key: str, where: str, errors: list) -> None:
-    if not _is_number(spec.get(key)):
-        errors.append(f"{where}: {key} must be a number")
-
-
-def _check_vector(spec: dict, key: str, length: int, where: str, errors: list) -> None:
-    if not _is_vector(spec.get(key), length):
-        errors.append(f"{where}: {key} must be a list of {length} numbers")
+    for key, shape in table.items():
+        if key not in spec and shape.default is not _REQUIRED:
+            node[key] = seed if shape is _SEED else copy.deepcopy(shape.default)
+        elif shape.test(spec.get(key), n):
+            node[key] = spec.get(key)
+        else:
+            errors.append(f"{where}: {key} must be {shape.phrase.format(n=n)}")
+        if key in rules and rules[key](node) is False:
+            return None
+    return node
 
 
 def _check_legendre_nodes(count: int, where: str, errors: list) -> None:
     if count > MAX_LEGENDRE_NODES:
-        errors.append(
-            f"{where} {count} asks for a Gauss-Legendre rule of more than "
-            f"{MAX_LEGENDRE_NODES} nodes"
-        )
+        errors.append(f"{where} {count} asks for a Gauss-Legendre rule of more than "
+                      f"{MAX_LEGENDRE_NODES} nodes")
 
 
 def _build(call, where: str, errors: list):
@@ -243,175 +330,124 @@ def _check_size(domain: geometry.Domain, where: str, errors: list) -> bool:
     return False
 
 
+# each kind of node's build call, made once the walk has passed; the lambdas
+# look the constructors up when called, so that a tracer replacing them sees them
+_DOMAIN_BUILDS = {
+    geometry.BALL: lambda d, n: geometry.ball(d["center"], d["radius"]),
+    geometry.BOX: lambda d, n: geometry.box(d["lower"], d["upper"]),
+    geometry.TRUNCATED: lambda d, n: geometry.truncated_space(d["halfwidth"], n),
+}
+_FIELD_BUILDS = {
+    "gaussian": lambda f, n: gaussian(f["center"], f["width"]),
+    "polynomial": lambda f, n: polynomial(f["coeffs"], dimension=n),
+    "gaussian_times_poly": lambda f, n: gaussian_times_poly(f["center"], f["width"], f["coeffs"]),
+}
+
+
 def _parse_domain(spec, n: int, where: str, errors: list, bounded_only=False):
-    """Check a domain spec's shape; return a call that builds the domain."""
-    if not isinstance(spec, dict):
-        errors.append(f"{where} must be an object")
-        return None
-    shape = spec.get("shape")
-    if shape == geometry.BALL:
-        _check_keys(spec, {"shape", "center", "radius"}, where, errors)
-        _check_vector(spec, "center", n, where, errors)
-        _check_number(spec, "radius", where, errors)
-        return lambda: geometry.ball(spec["center"], spec["radius"])
-    if shape == geometry.BOX:
-        _check_keys(spec, {"shape", "lower", "upper"}, where, errors)
-        for key in ("lower", "upper"):
-            _check_vector(spec, key, n, where, errors)
-        return lambda: geometry.box(spec["lower"], spec["upper"])
-    if shape == geometry.TRUNCATED:
-        if bounded_only:
+    """Walk a domain spec; return a call that builds the domain."""
+
+    def bounded(node):
+        if bounded_only and node["shape"] == geometry.TRUNCATED:
             errors.append(f"{where}: must be a bounded ball or box")
-            return None
-        _check_keys(spec, {"shape", "halfwidth"}, where, errors)
-        _check_number(spec, "halfwidth", where, errors)
-        return lambda: geometry.truncated_space(spec["halfwidth"], n)
-    errors.append(
-        f"{where}: shape must be one of "
-        f"['{geometry.BALL}', '{geometry.BOX}', '{geometry.TRUNCATED}'], got {shape!r}"
-    )
-    return None
+            return False
+
+    node = _walk(spec, where, _DOMAINS, errors, n, tag="shape", rules={"shape": bounded})
+    return node and partial(_DOMAIN_BUILDS[node["shape"]], node, n)
 
 
 def _parse_family(spec, n: int, seed: int, errors: list):
-    """Check the family spec; return (its member count when derivable, a call).
+    """Walk the family spec; return (its member count when derivable, a call).
 
     The call takes the built measure (None for a finite group, which brings
     its own) and returns the (family, measure) pair.  Explicit ``motions``
-    are built here, so a member that is not orthogonal is a config error;
-    a finite group's arguments pass its one check, :func:`finite_group_size`.
+    are built here, so a member that is not orthogonal is a config error; a
+    finite group's arguments pass its one check, :func:`finite_group_size`,
+    and a Haar count and dimension the stack cap, :func:`check_stack_entries`.
     """
-    if not isinstance(spec, dict):
-        errors.append("family must be an object")
-        return None, None
-    kind = spec.get("kind")
+
+    def one_dimensional(node):
+        if node["kind"] == "shifts" and n != 1:
+            errors.append("family: shifts need dimension 1")
+
+    def from_measure(node):
+        if node["from_measure"] is not True:
+            errors.append("family: shifts need either offsets or from_measure = true")
+
+    tables = ({**_FAMILIES, "shifts": _MEASURE_SHIFTS}
+              if isinstance(spec, dict) and "offsets" not in spec else _FAMILIES)
+    node = _walk(spec, "family", tables, errors, n, tag="kind", seed=seed, rules={
+        "kind": one_dimensional, "from_measure": from_measure,
+        # a Haar family without a count is not walked further
+        "count": lambda node: "count" in node,
+    })
+    kind = node and node["kind"]
     if kind == "rotations_haar":
-        _check_keys(spec, {"kind", "count", "seed"}, "family", errors)
-        count = spec.get("count")
-        if not (_is_int(count) and 1 <= count <= GROUP_SIZE_CAP):
-            errors.append(f"family: count must be an integer in [1, {GROUP_SIZE_CAP}]")
-            return None, None
-        if "seed" in spec and not _is_seed(spec["seed"]):
-            errors.append("family: seed must be an integer >= 0")
-        return count, lambda measure: (rotation_family(n, count, spec.get("seed", seed)), measure)
-    if kind == "finite_group":
-        _check_keys(spec, {"kind", "group", "order"}, "family", errors)
-        group, order = spec.get("group"), spec.get("order")
-        if "order" in spec and not _is_int(order):
-            errors.append("family: order must be an integer")
-            return None, None
+        count = node["count"]
+        _build(partial(check_stack_entries, count, n), "family", errors)
+        return count, lambda measure: (rotation_family(n, count, node["seed"]), measure)
+    if kind == "finite_group" and "order" in node:
+        group, order = node["group"], node["order"]
         size = _build(partial(finite_group_size, group, n, order), "family", errors)
         return size, lambda _: finite_group_family(group, n, order)
-    if kind == "shifts":
-        if n != 1:
-            errors.append("family: shifts need dimension 1")
-        if "offsets" in spec:
-            _check_keys(spec, {"kind", "offsets"}, "family", errors)
-            offsets = spec["offsets"]
-            if not (_is_numbers(offsets) and len(offsets) >= 1):
-                errors.append("family: offsets must be a nonempty list of numbers")
-                return None, None
-            return len(offsets), lambda measure: (shift_family(offsets), measure)
-        _check_keys(spec, {"kind", "from_measure", "fold"}, "family", errors)
-        if spec.get("from_measure") is not True:
-            errors.append("family: shifts need either offsets or from_measure = true")
-        fold = spec.get("fold", False)
-        if not isinstance(fold, bool):
-            errors.append("family: fold must be a boolean")
+    if kind == "shifts" and "offsets" in node:
+        return len(node["offsets"]), lambda measure: (shift_family(node["offsets"]), measure)
+    if kind == "shifts" and "from_measure" in node:
         # the count is the measure's by construction
+        fold = node.get("fold")
         return None, lambda measure: (shift_family(
             measure.nodes - np.floor(measure.nodes) if fold else measure.nodes), measure)
-    if kind == "motions":
-        _check_keys(spec, {"kind", "members"}, "family", errors)
-        members = spec.get("members")
-        if not (isinstance(members, list) and len(members) >= 1):
-            errors.append("family: members must be a nonempty list")
-            return None, None
-        before = len(errors)
-        for i, member in enumerate(members):
-            if not isinstance(member, dict):
-                errors.append(f"family: member {i} must be an object")
-                continue
-            _check_keys(member, {"matrix", "offset"}, f"family member {i}", errors)
-            matrix = member.get("matrix")
-            if not (isinstance(matrix, list) and len(matrix) == n
-                    and all(_is_vector(row, n) for row in matrix)):
-                errors.append(f"family: member {i} matrix must be {n}x{n}")
-            if "offset" in member and not _is_vector(member["offset"], n):
-                errors.append(f"family: member {i} offset must be a list of {n} numbers")
-        if len(errors) > before:
-            return len(members), None
-        try:  # the family's own check names the first member that is not orthogonal
-            family = motion_family([(m["matrix"], m.get("offset")) for m in members])
-        except ValueError as exc:
-            errors.append(str(exc))
-            return len(members), None
-        return len(members), lambda measure: (family, measure)
-    errors.append(
-        "family: kind must be one of "
-        "['rotations_haar', 'finite_group', 'shifts', 'motions'], "
-        f"got {kind!r}"
-    )
-    return None, None
+    if kind != "motions" or "members" not in node:
+        return None, None
+    members, before = node["members"], len(errors)
+    for i, member in enumerate(members):
+        if not isinstance(member, dict):
+            errors.append(f"family: member {i} must be an object")
+            continue
+        _walk(member, f"family member {i}", _MOTION, errors)
+        matrix = member.get("matrix")
+        if not (isinstance(matrix, list) and len(matrix) == n
+                and all(_VECTOR.test(row, n) for row in matrix)):
+            errors.append(f"family: member {i} matrix must be {n}x{n}")
+        if "offset" in member and not _VECTOR.test(member["offset"], n):
+            errors.append(f"family: member {i} offset must be a list of {n} numbers")
+    if len(errors) > before:
+        return len(members), None
+    try:  # the family's own check names the first member that is not orthogonal
+        family = motion_family([(m["matrix"], m.get("offset")) for m in members])
+    except ValueError as exc:
+        errors.append(str(exc))
+        return len(members), None
+    return len(members), lambda measure: (family, measure)
 
 
 def _parse_measure(spec, family_spec, family_count, seed: int, errors: list):
-    """Check the measure spec against the family; return a call that builds it."""
-    family_kind = family_spec.get("kind") if isinstance(family_spec, dict) else None
-    if family_kind == "finite_group":
-        if isinstance(spec, dict) and spec.get("scheme") == "finite_group_uniform":
-            _check_keys(spec, {"scheme"}, "measure", errors)
-        elif spec is not None:
-            errors.append(
-                "measure: a finite_group family carries its own uniform measure; "
-                "omit the measure or set scheme = 'finite_group_uniform'"
-            )
+    """Walk the measure spec against the family; return a call that builds it."""
+    if isinstance(family_spec, dict) and family_spec.get("kind") == "finite_group":
+        if spec is not None:
+            errors.append("measure: a finite_group family carries its own uniform measure; "
+                          "omit the measure")
         return lambda: None  # the family call builds it
     if spec is None:
         errors.append("missing required key 'measure' (only finite_group families omit it)")
         return None
-    if not isinstance(spec, dict):
-        errors.append("measure must be an object")
+
+    def capped(node):
+        count = node.get("count", 0)
+        if node["scheme"] == "gauss_legendre":
+            _check_legendre_nodes(count, "measure: count", errors)
+        elif count > GROUP_SIZE_CAP:  # the monte_carlo nodes can become a shift family
+            errors.append(f"measure: count {count} exceeds the family size cap of "
+                          f"{GROUP_SIZE_CAP}")
+
+    node = _walk(spec, "measure", _MEASURES, errors, tag="scheme", seed=seed,
+                 rules={"count": capped})
+    if node is None:
         return None
-    scheme = spec.get("scheme")
-    count = None
-    if scheme == "explicit":
-        _check_keys(spec, {"scheme", "nodes", "weights"}, "measure", errors)
-        for key in ("nodes", "weights"):
-            if not _is_numbers(spec.get(key)):
-                errors.append(f"measure: {key} must be a list of numbers")
-        if _is_numbers(spec.get("nodes")):
-            count = len(spec["nodes"])
-    elif scheme in ("gauss_legendre", "monte_carlo"):
-        allowed = {"scheme", "interval", "count"}
-        if scheme == "monte_carlo":
-            allowed.add("seed")
-            spec = {"seed": seed, **spec}
-        _check_keys(spec, allowed, "measure", errors)
-        _check_vector(spec, "interval", 2, "measure", errors)
-        if not _is_int(spec.get("count")):
-            errors.append("measure: count must be an integer")
-        else:
-            count = spec["count"]
-            if scheme == "gauss_legendre":
-                _check_legendre_nodes(count, "measure: count", errors)
-            elif count > GROUP_SIZE_CAP:
-                # the monte_carlo nodes can become a shift family
-                errors.append(
-                    f"measure: count {count} exceeds the family size cap of {GROUP_SIZE_CAP}"
-                )
-        if "seed" in spec and not _is_seed(spec["seed"]):
-            errors.append("measure: seed must be an integer >= 0")
-    elif scheme == "finite_group_uniform":
-        errors.append("measure: finite_group_uniform requires a finite_group family")
-    else:
-        errors.append(
-            "measure: scheme must be one of ['explicit', 'gauss_legendre', "
-            f"'monte_carlo', 'finite_group_uniform'], got {scheme!r}"
-        )
+    count = len(node["nodes"]) if "nodes" in node else node.get("count")
     if count is not None and family_count is not None and count != family_count:
         errors.append(f"measure has {count} nodes but the family has {family_count} members")
-    return lambda: discretize(spec)
+    return lambda: discretize(node)
 
 
 def _parse_kernel(spec, where: str, errors: list) -> KernelForm | None:
@@ -428,89 +464,42 @@ def _parse_kernel(spec, where: str, errors: list) -> KernelForm | None:
     return _build(partial(kernel_form, spec.get("name"), **params), where, errors)
 
 
-def _parse_field(spec, n: int, index: int, errors: list):
-    """Check a field spec; return (its label, a call that builds the field)."""
-    where = f"fields[{index}]"
-    if not isinstance(spec, dict):
-        errors.append(f"{where} must be an object")
-        return None
-    kind = spec.get("kind")
-    if kind == "gaussian":
-        _check_keys(spec, {"kind", "center", "width"}, where, errors)
-        build = lambda: gaussian(spec["center"], spec["width"])
-    elif kind == "polynomial":
-        _check_keys(spec, {"kind", "coeffs"}, where, errors)
-        build = lambda: polynomial(spec["coeffs"], dimension=n)
-    elif kind == "gaussian_times_poly":
-        _check_keys(spec, {"kind", "center", "width", "coeffs"}, where, errors)
-        build = lambda: gaussian_times_poly(spec["center"], spec["width"], spec["coeffs"])
-    else:
-        errors.append(
-            f"{where}: kind must be one of ['gaussian', 'polynomial', "
-            f"'gaussian_times_poly'], got {kind!r}"
-        )
-        return None
-    if kind != "polynomial":
-        _check_vector(spec, "center", n, where, errors)
-        _check_number(spec, "width", where, errors)
-    # numpy would turn JSON strings and booleans into numbers
-    if kind != "gaussian" and not _is_number_tree(spec.get("coeffs")):
-        errors.append(f"{where}: coeffs must be a (nested) list of numbers")
-    return f"{index}:{kind}", build
-
-
 def _parse_options(options, n: int, experiments: list, errors: list) -> dict:
-    """Check experiment_options; return every option, defaults filled in.
+    """Walk experiment_options; return every option, defaults filled in.
 
     The preservation region comes back as a call that builds it, and the
     necessity kernel as its form.  When necessity_divergence is listed, the
     witness passes its one check, :func:`witness_member_count`.
     """
-    if not isinstance(options, dict):
-        errors.append("experiment_options must be an object")
+
+    def capped(opts):  # once the three counts are walked
+        for key, cap, per in (("gradient_points", MAX_GRID_NODES, ""),
+                              ("preservation_samples", MAX_PRESERVATION_SAMPLES, " per member")):
+            if opts.get(key, 0) > cap:
+                errors.append(
+                    f"experiment_options: {key} {opts[key]} exceeds the cap of {cap}{per}")
+
+    opts = _walk(options, "experiment_options", _OPTIONS, errors, n,
+                 rules={"preservation_members": capped})
+    if opts is None:
         return {}
-    _check_keys(options, set(_OPTION_DEFAULTS), "experiment_options", errors)
-    opts = {**_OPTION_DEFAULTS, **options}
-    for key in ("gradient_points", "preservation_samples", "preservation_members"):
-        if not (_is_int(opts[key]) and opts[key] >= 1):
-            errors.append(f"experiment_options: {key} must be an integer >= 1")
-    for key, cap, per in (("gradient_points", MAX_GRID_NODES, ""),
-                          ("preservation_samples", MAX_PRESERVATION_SAMPLES, " per member")):
-        count = opts[key]
-        if _is_int(count) and count > cap:
-            errors.append(f"experiment_options: {key} {count} exceeds the cap of {cap}{per}")
-    for key in ("gradient_step", "gradient_margin"):
-        if not (_is_number(opts[key]) and opts[key] > 0):
-            errors.append(f"experiment_options: {key} must be a positive number")
-    if "preservation_region" in options:
-        opts["preservation_region"] = _parse_domain(
-            options["preservation_region"], n,
-            "experiment_options.preservation_region", errors, bounded_only=True,
-        )
-    else:
-        opts["preservation_region"] = lambda: geometry.box([-0.5] * n, [0.5] * n)
-    spec = opts["necessity"]
-    if not isinstance(spec, dict):
-        errors.append("experiment_options.necessity must be an object")
+    opts["preservation_region"] = (
+        _parse_domain(options["preservation_region"], n,
+                      "experiment_options.preservation_region", errors, bounded_only=True)
+        if "preservation_region" in options else lambda: geometry.box([-0.5] * n, [0.5] * n))
+    where = "experiment_options.necessity"
+    nec = opts["necessity"] = _walk(opts["necessity"], where, _NECESSITY, errors, rules={
+        "kernel": lambda nec: nec.update(
+            kernel=_parse_kernel(nec["kernel"], f"{where}.kernel", errors))})
+    if nec is None or "points_per_panel" not in nec:
         return opts
-    _check_keys(spec, set(_NECESSITY_DEFAULTS), "experiment_options.necessity", errors)
-    nec = opts["necessity"] = {**_NECESSITY_DEFAULTS, **spec}
-    form = nec["kernel"] = _parse_kernel(
-        nec["kernel"], "experiment_options.necessity.kernel", errors)
     before = len(errors)
-    if not _is_numbers(nec["endpoints"]):
-        errors.append("experiment_options.necessity: endpoints must be a list of numbers")
-    if not _is_number(nec["x0"]):
-        errors.append("experiment_options.necessity: x0 must be a number")
-    per_panel = nec["points_per_panel"]
-    if not (_is_int(per_panel) and per_panel >= 2):
-        errors.append("experiment_options.necessity: points_per_panel must be an integer >= 2")
-    else:
-        _check_legendre_nodes(per_panel, "experiment_options.necessity: points_per_panel", errors)
-    if "necessity_divergence" in experiments and form is not None and len(errors) == before:
+    _check_legendre_nodes(nec["points_per_panel"], f"{where}: points_per_panel", errors)
+    if ("necessity_divergence" in experiments and len(errors) == before
+            and nec["kernel"] is not None and len(nec) == len(_NECESSITY)):
         # so that the run builds no member of a witness that would be refused
-        _build(partial(witness_member_count, form, nec["endpoints"], per_panel, nec["x0"]),
-               "experiment_options.necessity", errors)
+        _build(partial(witness_member_count, nec["kernel"], nec["endpoints"],
+                       nec["points_per_panel"], nec["x0"]), where, errors)
     return opts
 
 
@@ -563,52 +552,48 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
         raise ConfigError(["top level must be a JSON object"])
     raw.update(overrides or {})
     errors: list[str] = []
-    _check_keys(raw, _TOP_KEYS, "config", errors)
-    for key in _REQUIRED_KEYS:
-        if key not in raw:
-            errors.append(f"missing required key '{key}'")
+    top = _walk(raw, "config", _TOP, errors)
+    errors += [f"missing required key '{key}'" for key, shape in _TOP.items()
+               if shape.default is _REQUIRED and key not in raw]
 
-    n = raw.get("dimension")
-    if not (_is_int(n) and n >= 1):
-        errors.append("dimension must be an integer >= 1")
+    n = top["dimension"]
+    if not _COUNT.test(n, 1):
+        errors.append(f"dimension must be {_COUNT.phrase}")
         raise ConfigError(errors)
-    seed = raw.get("seed", 0)
-    if not _is_seed(seed):
-        errors.append("seed must be an integer >= 0")
+    seed = top["seed"]
+    if not _SEED.test(seed, n):
+        errors.append(f"seed must be {_SEED.phrase}")
         seed = 0
 
     domain = _parse_domain(raw["domain"], n, "domain", errors) if "domain" in raw else None
     family_count, family = (_parse_family(raw["family"], n, seed, errors)
                             if "family" in raw else (None, None))
-    measure = None
-    if raw.get("family") is not None or "measure" in raw:
-        measure = _parse_measure(raw.get("measure"), raw.get("family"), family_count, seed, errors)
+    measure = (_parse_measure(top["measure"], top["family"], family_count, seed, errors)
+               if top["family"] is not None or "measure" in raw else None)
     kernel = _parse_kernel(raw["kernel"], "kernel", errors) if "kernel" in raw else None
 
-    fields = raw.get("fields", [])
-    if "fields" in raw and not (isinstance(fields, list) and len(fields) >= 1):
-        errors.append("fields must be a nonempty list")
-        fields = []
-    field_inputs = [_parse_field(spec, n, i, errors) for i, spec in enumerate(fields)]
+    fields = top["fields"] if _LIST.test(top["fields"], n) else []
+    if "fields" in raw and not fields:
+        errors.append(f"fields must be {_LIST.phrase}")
+    field_nodes = [_walk(spec, f"fields[{i}]", _FIELDS, errors, n, tag="kind")
+                   for i, spec in enumerate(fields)]
 
-    ps = raw.get("p", [1.0])
-    if not (_is_numbers(ps) and ps):
-        errors.append("p must be a nonempty list of numbers")
+    ps = top["p"]
+    if not _NONEMPTY_NUMBERS.test(ps, n):
+        errors.append(f"p must be {_NONEMPTY_NUMBERS.phrase}")
         ps = [1.0]
-    else:
-        bad = [v for v in ps if not P_MIN <= v <= P_MAX]
-        if bad:
-            errors.append(f"p values must lie in [{P_MIN:g}, {P_MAX:g}], got {bad}")
+    bad = [v for v in ps if not P_MIN <= v <= P_MAX]
+    if bad:
+        errors.append(f"p values must lie in [{P_MIN:g}, {P_MAX:g}], got {bad}")
 
-    resolution = raw.get("resolution", 64)
-    if not (_is_int(resolution) and resolution >= 2):
-        errors.append("resolution must be an integer >= 2")
+    resolution = top["resolution"]
+    if not _RULE_SIZE.test(resolution, n):
+        errors.append(f"resolution must be {_RULE_SIZE.phrase}")
         resolution = 64
 
-    experiments = raw.get("experiments", [])
-    if "experiments" in raw and not (isinstance(experiments, list) and len(experiments) >= 1):
-        errors.append("experiments must be a nonempty list")
-        experiments = []
+    experiments = top["experiments"] if _LIST.test(top["experiments"], n) else []
+    if "experiments" in raw and not experiments:
+        errors.append(f"experiments must be {_LIST.phrase}")
     unknown = [e for e in experiments if e not in EXPERIMENT_NAMES]
     if unknown:
         errors.append(f"unknown experiment(s) {unknown}, known: {list(EXPERIMENT_NAMES)}")
@@ -624,19 +609,18 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
                 f"{MAX_GRID_NODES} grid nodes"
             )
 
-    options = raw.get("experiment_options", {})
-    opts = _parse_options(options, n, experiments, errors)
+    opts = _parse_options(top["experiment_options"], n, experiments, errors)
 
-    output = raw.get("output")
+    output = top["output"]
     if output is not None and not isinstance(output, str):
         errors.append("output must be a string path")
-
     if errors:
         raise ConfigError(errors)
     # the shapes hold, so each constructor checks its own values
     measure = _build(measure, "measure", errors)
-    field_inputs = [(label, _build(build, f"fields[{i}]", errors))
-                    for i, (label, build) in enumerate(field_inputs)]
+    field_inputs = [(f"{i}:{f['kind']}", _build(partial(_FIELD_BUILDS[f["kind"]], f, n),
+                                                 f"fields[{i}]", errors))
+                    for i, f in enumerate(field_nodes)]
     if errors:
         raise ConfigError(errors)
     # built only now: a truncated window and the default region hold n numbers
@@ -662,7 +646,7 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
         p=tuple(float(v) for v in ps),
         resolution=resolution,
         experiments=tuple(experiments),
-        options=options,
+        options=top["experiment_options"],
         seed=seed,
         output=output,
         inputs=RunInputs(domain, kernel, partial(family, measure), tuple(field_inputs), opts),
@@ -700,7 +684,6 @@ def run(config: RunConfig, out_dir) -> int:
     is evaluated.  The rows are then written in config order: each
     experiment in turn, then field, then p.
     """
-    n = config.dimension
     inputs = config.inputs
     domain, opts = inputs.domain, inputs.options
 
@@ -709,9 +692,8 @@ def run(config: RunConfig, out_dir) -> int:
     if any(name in _GRID_EXPERIMENTS for name in config.experiments):
         family, measure = inputs.family_measure()
         kernel = kernel_on_measure(inputs.kernel, measure)
-        operator = HausdorffOperator(
-            measure=measure, kernel=kernel, family=family, domain=domain
-        )
+        operator = HausdorffOperator(measure=measure, kernel=kernel, family=family,
+                                     domain=domain)
     elif "measure_preservation" in config.experiments:
         family, _ = inputs.family_measure()
 
@@ -724,7 +706,7 @@ def run(config: RunConfig, out_dir) -> int:
             bound_reports += _bound_reports(
                 evaluate_field(operator, f, quad, gradients=with_gradients), label, config)
 
-    reports, divergences = [], []
+    reports, divergence = [], None
     for name in config.experiments:
         if name in _BOUND_EXPERIMENTS:
             reports += [(label, r) for check, label, r in bound_reports if check == name]
@@ -743,8 +725,8 @@ def run(config: RunConfig, out_dir) -> int:
                     config.seed + _PRESERVATION_SEED_OFFSET + i)))
         else:
             nec = opts["necessity"]
-            divergences.append(("necessity_divergence", run_necessity_divergence(
-                nec["kernel"], nec["endpoints"], nec["x0"], nec["points_per_panel"])))
+            divergence = run_necessity_divergence(
+                nec["kernel"], nec["endpoints"], nec["x0"], nec["points_per_panel"])
 
     header = "experiment,p,lhs,rhs,bound_constant,margin,resolution,seed,passed"
     rows = [header] + [_report_row(r) for _, r in reports]
@@ -753,61 +735,45 @@ def run(config: RunConfig, out_dir) -> int:
     out.mkdir(parents=True, exist_ok=True)
     (out / "results.csv").write_text("\n".join(rows) + "\n", encoding="utf-8", newline="\n")
 
-    if divergences:
-        drows = ["endpoint,l1_norm,h_value,ratio,lower_bound"]
-        for _, d in divergences:
-            for k in range(len(d.truncation_points)):
-                drows.append(",".join([
-                    _fmt(d.truncation_points[k]), _fmt(d.l1_norms[k]),
-                    _fmt(d.operator_values_at_x0[k]), _fmt(d.ratios[k]),
-                    _fmt(d.lower_bound_constant),
-                ]))
-        (out / "divergence.csv").write_text(
-            "\n".join(drows) + "\n", encoding="utf-8", newline="\n"
-        )
+    d = divergence
+    if d is not None:
+        drows = ["endpoint,l1_norm,h_value,ratio,lower_bound"] + [",".join(_fmt(v) for v in (
+            d.truncation_points[k], d.l1_norms[k], d.operator_values_at_x0[k], d.ratios[k],
+            d.lower_bound_constant)) for k in range(len(d.truncation_points))]
+        (out / "divergence.csv").write_text("\n".join(drows) + "\n", encoding="utf-8",
+                                            newline="\n")
 
-    fatal_failures = 0
-    informative_failures = 0
+    # whether each failure is fatal; a failed divergence always is
+    failed = [r.fatal for _, r in reports if not r.passed]
+    if d is not None and not d.passed:
+        failed.append(True)
+    fatal_failures = sum(failed)
+    informative_failures = len(failed) - fatal_failures
+    code = 0 if fatal_failures == 0 else 1
     lines = [
         "hausdorff-op run summary",
-        f"dimension={n} resolution={config.resolution} seed={config.seed}",
+        f"dimension={config.dimension} resolution={config.resolution} seed={config.seed}",
         f"experiments={','.join(config.experiments)}",
         "",
     ]
     for label, r in reports:
-        if r.passed:
-            status = "PASS"
-        else:
-            status = "FAIL" if r.fatal else "FAIL (informative)"
-            if r.fatal:
-                fatal_failures += 1
-            else:
-                informative_failures += 1
-        line = f"{status:<19} {label}  lhs={r.lhs:.6g} rhs={r.rhs:.6g} margin={r.margin:.6g}"
-        if r.notes:
-            line += f"  [{r.notes}]"
-        lines.append(line)
-    for label, d in divergences:
-        if d.passed:
-            status = "PASS"
-        else:
-            status = "FAIL"
-            fatal_failures += 1
+        status = "PASS" if r.passed else "FAIL" if r.fatal else "FAIL (informative)"
+        lines.append(f"{status:<19} {label}  lhs={r.lhs:.6g} rhs={r.rhs:.6g} margin={r.margin:.6g}"
+                     + (f"  [{r.notes}]" if r.notes else ""))
+    if d is not None:
         lines.append(
-            f"{status:<19} {label}  growth={d.growth_factor:.6g} "
-            f"min_ratio={d.ratios.min():.6g} bound={d.lower_bound_constant:.6g}"
+            f"{'PASS' if d.passed else 'FAIL':<19} necessity_divergence  "
+            f"growth={d.growth_factor:.6g} min_ratio={d.ratios.min():.6g} "
+            f"bound={d.lower_bound_constant:.6g}"
         )
         if d.notes:
             lines.append(f"                    [{d.notes}]")
-    lines.append("")
-    lines.append(f"fatal failures: {fatal_failures}")
-    lines.append(f"informative failures: {informative_failures}")
-    code = 0 if fatal_failures == 0 else 1
-    lines.append(f"exit code: {code}")
+    lines += ["", f"fatal failures: {fatal_failures}",
+              f"informative failures: {informative_failures}", f"exit code: {code}"]
     (out / "summary.txt").write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
     print(f"wrote {out / 'results.csv'} ({len(reports)} row(s))"
-          + (f" and {out / 'divergence.csv'}" if divergences else ""))
+          + (f" and {out / 'divergence.csv'}" if d is not None else ""))
     print(f"fatal failures: {fatal_failures}; informative failures: {informative_failures}")
     return code
 
@@ -824,10 +790,8 @@ def main(argv=None) -> int:
     runp.add_argument("--out", help="output directory (default: config output, else '.')")
     runp.add_argument("--seed", type=int, help="override the config seed")
     runp.add_argument("--resolution", type=int, help="override the config resolution")
-    runp.add_argument(
-        "--list-experiments", action="store_true",
-        help="list experiment names and exit",
-    )
+    runp.add_argument("--list-experiments", action="store_true",
+                      help="list experiment names and exit")
     args = parser.parse_args(argv)
 
     if args.list_experiments:

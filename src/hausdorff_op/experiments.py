@@ -71,7 +71,8 @@ TOLERANCES = {
     "preservation_sigma": 3.0,
     # | |det V| - 1 | ceiling for rigid motions
     "determinant": 1e-12,
-    # additive slack under the pointwise ratio lower bound
+    # relative slack under the pointwise ratio lower bound L: a ratio passes
+    # at L (1 - slack), so the check keeps its meaning however small L is
     "necessity_ratio_slack": 1e-9,
     # required growth of the operator value, last endpoint over first; this is
     # the CLI verdict for necessity_divergence and cannot be reached when the
@@ -405,7 +406,7 @@ def run_necessity_divergence(
         l1_norms[k] = l1_sum.total()
         values[k] = value_sum.total()
     ratios = values / l1_norms
-    ratio_ok = bool(np.all(ratios >= lower_bound - TOLERANCES["necessity_ratio_slack"]))
+    ratio_ok = bool(np.all(ratios >= lower_bound * (1 - TOLERANCES["necessity_ratio_slack"])))
     increasing = bool(np.all(np.diff(values) > 0))
     growth = float(values[-1] / values[0])
     growth_ok = growth >= TOLERANCES["necessity_growth_factor"]

@@ -37,6 +37,10 @@ from .summation import pairwise_sum
 
 P_MIN = 1.0
 P_MAX = 16.0
+# most coefficients a polynomial may have: its power tables hold at most one
+# float64 per coefficient per point, so at the operator's 16,384-row field
+# blocks this caps them near 128 MiB
+MAX_POLYNOMIAL_COEFFS = 1024
 
 
 class ScalarField:
@@ -147,7 +151,8 @@ def polynomial(coeffs, dimension: int | None = None) -> ScalarField:
     """Multivariate polynomial sum_a coeffs[a] * x^a.
 
     ``coeffs`` is an n-dimensional array whose index along axis k is the
-    power of x_k; a 1-D array gives a univariate polynomial.
+    power of x_k; a 1-D array gives a univariate polynomial.  It has at most
+    MAX_POLYNOMIAL_COEFFS entries.
     """
     try:
         c = np.asarray(coeffs, dtype=float)
@@ -155,6 +160,9 @@ def polynomial(coeffs, dimension: int | None = None) -> ScalarField:
         raise ValueError("polynomial coefficients must be a rectangular array of numbers") from None
     if c.size == 0:
         raise ValueError("polynomial needs at least one coefficient")
+    if c.size > MAX_POLYNOMIAL_COEFFS:
+        raise ValueError(f"polynomial has {c.size} coefficients, more than the cap of "
+                         f"{MAX_POLYNOMIAL_COEFFS}")
     if not np.isfinite(c).all():
         raise ValueError("polynomial coefficients must be finite")
     if dimension is None:

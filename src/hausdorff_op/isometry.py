@@ -23,6 +23,9 @@ from .measure_kernel import DiscretizedMeasure, finite_group_uniform_measure
 ORTHOGONALITY_TOL = 1e-12
 DOMAIN_PRESERVATION_TOL = 1e-9
 GROUP_SIZE_CAP = 1_000_000
+# most entries a family's (members, n, n) matrix stack may hold: 128 MiB of
+# float64.  A 16-D sign_flips group is exactly at the cap
+STACK_ENTRIES_CAP = 1 << 24
 
 
 class IsometryFamily:
@@ -77,16 +80,31 @@ class IsometryFamily:
         return self._offsets
 
 
+def check_stack_entries(members: int, dimension: int) -> None:
+    """Raise ValueError for a (members, n, n) stack past STACK_ENTRIES_CAP entries.
+
+    n is ``dimension``; the error names the members, n and the cap.
+    """
+    entries = members * dimension * dimension
+    if entries > STACK_ENTRIES_CAP:
+        raise ValueError(
+            f"{members} members in dimension {dimension} make {entries} matrix entries, "
+            f"more than the cap of {STACK_ENTRIES_CAP}"
+        )
+
+
 def haar_orthogonal_sample(dimension: int, count: int, seed: int) -> np.ndarray:
     """Haar-uniform draws from O(n) as a (count, n, n) array.
 
     QR of a standard Gaussian matrix with sign(diag R) folded into the
-    columns of Q; without the sign fix the draw is not Haar.
+    columns of Q; without the sign fix the draw is not Haar.  The stack
+    must fit :func:`check_stack_entries`.
     """
     if dimension < 1:
         raise ValueError(f"dimension must be >= 1, got {dimension}")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
+    check_stack_entries(count, dimension)
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((count, dimension, dimension))
     q, r = np.linalg.qr(g)
@@ -139,8 +157,9 @@ def finite_group_size(kind: str, dimension: int, order: int | None = None) -> in
 
     Raises ValueError on an unknown kind, a dimension below 1, an ``order``
     given to a kind other than cyclic_rotation_2d, a cyclic_rotation_2d
-    outside dimension 2 or without an order >= 1, and a group of more than
-    GROUP_SIZE_CAP members.  The count is multiplied up factor by factor (2
+    outside dimension 2 or without an order >= 1, a group of more than
+    GROUP_SIZE_CAP members, and then one whose matrices exceed
+    :func:`check_stack_entries`.  The count is multiplied up factor by factor (2
     per axis for sign_flips, 2k for axis k of signed_permutations, whose size
     is 2^n n!) and stops at the first factor that takes it past the cap, so a
     huge dimension costs a few steps and never a huge factorial.
@@ -168,6 +187,7 @@ def finite_group_size(kind: str, dimension: int, order: int | None = None) -> in
             f"{kind} in dimension {dimension} exceeds the group size cap of "
             f"{GROUP_SIZE_CAP} members"
         )
+    check_stack_entries(size, dimension)
     return size
 
 

@@ -27,7 +27,8 @@ from hausdorff_op.cli import (
 )
 from hausdorff_op.experiments import evaluate_field, run_lp_bound, run_sobolev_bound
 from hausdorff_op.geometry import build_grid_quadrature
-from hausdorff_op.isometry import GROUP_SIZE_CAP
+from hausdorff_op.field import MAX_POLYNOMIAL_COEFFS
+from hausdorff_op.isometry import GROUP_SIZE_CAP, STACK_ENTRIES_CAP
 from hausdorff_op.measure_kernel import KERNEL_FORM_NAMES, kernel_on_measure
 from hausdorff_op.operator import HausdorffOperator
 
@@ -156,6 +157,56 @@ def test_all_violations_are_collected():
     assert "config invalid (5 error(s))" in str(exc.value)
 
 
+_ORDERED_ERRORS = {
+    # the option caps come after the three counts, and before the other options
+    "options": ({"experiment_options": {
+        "gradient_points": 10**9, "preservation_members": 0, "gradient_step": -1}}, [
+        "experiment_options: preservation_members must be an integer >= 1",
+        "experiment_options: gradient_points 1000000000 exceeds the cap of 4194304",
+        "experiment_options: gradient_step must be a positive number",
+    ]),
+    # from_measure is checked before fold, and the count cap before the seed
+    "measure": ({
+        "domain": {"shape": "truncated_space", "halfwidth": 8.0},
+        "family": {"kind": "shifts", "from_measure": "yes", "fold": 1},
+        "measure": {"scheme": "monte_carlo", "interval": [0.0, 1.0], "count": 2 * 10**6,
+                    "seed": -1}}, [
+        "family: shifts need either offsets or from_measure = true",
+        "family: fold must be a boolean",
+        "measure: count 2000000 exceeds the family size cap of 1000000",
+        "measure: seed must be an integer >= 0",
+    ]),
+    # a Haar family without a count is not walked further
+    "haar": ({"family": {"kind": "rotations_haar", "count": 0, "seed": -1}}, [
+        "family: count must be an integer in [1, 1000000]",
+    ]),
+    # rules on the tag come before the unknown keys; the necessity kernel
+    # comes before the other necessity keys
+    "tags": ({
+        "dimension": 2,
+        "domain": {"shape": "box", "lower": [0.0, 0.0], "upper": [1.0, 1.0]},
+        "family": {"kind": "shifts", "offsets": [0.0], "x": 1},
+        "fields": [{"kind": "gaussian", "center": [0.0, 0.0], "width": 1.0}],
+        "experiment_options": {
+            "preservation_region": {"shape": "truncated_space", "halfwidth": 1.0, "x": 1},
+            "necessity": {"kernel": {"name": "power", "a": "1"}, "x0": "0"}}}, [
+        "family: shifts need dimension 1",
+        "family: unknown key(s) ['x'], allowed: ['kind', 'offsets']",
+        "experiment_options.preservation_region: must be a bounded ball or box",
+        "experiment_options.necessity.kernel: kernel parameter a must be a number",
+        "experiment_options.necessity: x0 must be a number",
+    ]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ORDERED_ERRORS))
+def test_rules_keep_their_place_among_the_shape_errors(name):
+    overrides, errors = _ORDERED_ERRORS[name]
+    with pytest.raises(ConfigError) as exc:
+        parse_config(json.dumps(_minimal_config(**overrides)))
+    assert exc.value.errors == errors
+
+
 def test_value_errors_follow_the_shape_errors():
     # the constructors check values only once every node has its shape
     config = _minimal_config(domain={"shape": "ball", "center": [0.0], "radius": -1.0},
@@ -177,6 +228,29 @@ def test_a_huge_motion_entry_is_refused_without_a_warning(recwarn):
     assert exc.value.errors == [
         "family member 0 is not orthogonal: max |V^T V - I| = inf exceeds 1e-12"]
     assert not recwarn.list
+
+
+@pytest.mark.parametrize("node, tag, kinds", [
+    ("domain", "shape", ["ball", "box", "truncated_space"]),
+    ("family", "kind", ["rotations_haar", "finite_group", "shifts", "motions"]),
+    ("measure", "scheme", ["explicit", "gauss_legendre", "monte_carlo"]),
+])
+def test_a_tag_that_is_a_list_lists_the_kinds(node, tag, kinds):
+    # a list is unhashable: the walk reports it and raises no TypeError
+    config = _minimal_config()
+    config[node] = {**config[node], tag: ["x"]}
+    with pytest.raises(ConfigError) as exc:
+        parse_config(json.dumps(config))
+    assert exc.value.errors == [f"{node}: {tag} must be one of {kinds}, got ['x']"]
+
+
+def test_defaults_are_copies():
+    # a run that changes its options leaves the next parse's defaults alone
+    text = json.dumps(_minimal_config(experiments=["necessity_divergence"]))
+    endpoints = parse_config(text).inputs.options["necessity"]["endpoints"]
+    endpoints.append(1e5)
+    assert parse_config(text).inputs.options["necessity"]["endpoints"] == [
+        10.0, 100.0, 1000.0, 10000.0]
 
 
 def test_unknown_top_level_key():
@@ -390,6 +464,29 @@ def test_haar_count_is_capped():
     config = _minimal_config(family={"kind": "rotations_haar", "count": 10**6 + 1})
     with pytest.raises(ConfigError, match=r"count must be an integer in \[1, 1000000\]"):
         parse_config(json.dumps(config))
+
+
+def _haar_config(dimension, count):
+    """A Haar family of ``count`` members in ``dimension``, with a measure to match."""
+    return _minimal_config(
+        dimension=dimension,
+        domain={"shape": "truncated_space", "halfwidth": 2.0},
+        family={"kind": "rotations_haar", "count": count},
+        measure={"scheme": "monte_carlo", "interval": [0.0, 1.0], "count": count},
+        fields=[{"kind": "gaussian", "center": [0.0] * dimension, "width": 1.0}],
+        experiments=["measure_preservation"],
+    )
+
+
+def test_a_haar_stack_past_its_cap_exits_2_at_once(tmp_path, capsys):
+    # 10^6 draws of 100 x 100 matrices would ask for 10^10 normals, 80 GB
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_haar_config(100, GROUP_SIZE_CAP)))
+    start = time.perf_counter()
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert time.perf_counter() - start < 0.05
+    assert "make 10000000000 matrix entries" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def _group_config(group, dimension, **family):
@@ -704,6 +801,28 @@ _CAPPED_INPUTS = {
         _minimal_config(fields=[{"kind": "polynomial", "coeffs": [0.0]}]),
         _minimal_config(fields=[{"kind": "polynomial", "coeffs": []}]),
         "fields[0]: polynomial needs at least one coefficient",
+    ),
+    # a family's (members, n, n) matrix stack holds at most 2^24 entries:
+    # 10^6 Haar draws fit in 4-D, and a sign_flips group up to 16-D
+    "haar_stack_entries": (
+        _haar_config(4, GROUP_SIZE_CAP),
+        _haar_config(5, GROUP_SIZE_CAP),
+        f"family: {GROUP_SIZE_CAP} members in dimension 5 make {25 * GROUP_SIZE_CAP} matrix "
+        f"entries, more than the cap of {STACK_ENTRIES_CAP}",
+    ),
+    "sign_flips_stack_entries": (
+        _ball_gradient_config(16, gradient_points=35),
+        _ball_gradient_config(17, gradient_points=35),
+        f"family: {2**17} members in dimension 17 make {2**17 * 17 * 17} matrix entries, "
+        f"more than the cap of {STACK_ENTRIES_CAP}",
+    ),
+    # a polynomial's power tables grow with its coefficient count
+    "polynomial_coefficients": (
+        _minimal_config(fields=[{"kind": "polynomial", "coeffs": [0.5] * MAX_POLYNOMIAL_COEFFS}]),
+        _minimal_config(fields=[{"kind": "polynomial",
+                                 "coeffs": [0.5] * (MAX_POLYNOMIAL_COEFFS + 1)}]),
+        f"fields[0]: polynomial has {MAX_POLYNOMIAL_COEFFS + 1} coefficients, more than the "
+        f"cap of {MAX_POLYNOMIAL_COEFFS}",
     ),
     "ragged_coeffs": (
         {**_group_config("sign_flips", 2),
@@ -1263,6 +1382,81 @@ def test_only_high_p_sobolev_is_informative():
 # parse fuzzing
 
 _WORKLOAD_CONFIGS = [workloads.make_config(name, 3) for name in workloads.WORKLOADS]
+# small configs that reach every node kind the workloads leave out: a box
+# domain and region, each finite group, shifts by offsets and folded from a
+# measure, explicit motions, explicit and monte_carlo measures, constant and
+# indicator kernels, polynomial fields, every experiment option
+_FUZZ_BASES = [
+    {
+        "dimension": 2,
+        "domain": {"shape": "box", "lower": [-1.0, -1.0], "upper": [1.0, 1.0]},
+        "family": {"kind": "finite_group", "group": "cyclic_rotation_2d", "order": 4},
+        "kernel": {"name": "constant", "c": 1.0},
+        "fields": [{"kind": "polynomial", "coeffs": [[1.0, 0.5], [0.2, 0.0]]}],
+        "resolution": 8,
+        "experiments": ["lp_bound", "measure_preservation"],
+        "experiment_options": {
+            "preservation_samples": 100, "preservation_members": 2,
+            "preservation_region": {"shape": "box", "lower": [-0.5, -0.5], "upper": [0.5, 0.5]},
+        },
+    },
+    {
+        "dimension": 3,
+        "domain": {"shape": "ball", "center": [0.0, 0.0, 0.0], "radius": 2.0},
+        "family": {"kind": "finite_group", "group": "sign_flips"},
+        "kernel": {"name": "exp_decay", "a": 2.0},
+        "fields": [{"kind": "gaussian", "center": [0.1, 0.0, -0.1], "width": 1.0}],
+        "resolution": 4,
+        "experiments": ["gradient_check"],
+        "experiment_options": {"gradient_points": 10, "gradient_step": 1e-4,
+                               "gradient_margin": 0.1},
+    },
+    {
+        "dimension": 2,
+        "domain": {"shape": "truncated_space", "halfwidth": 3.0},
+        "family": {"kind": "finite_group", "group": "signed_permutations"},
+        "kernel": {"name": "power", "a": 1.0},
+        "fields": [{"kind": "gaussian_times_poly", "center": [0.0, 0.5], "width": 0.9,
+                    "coeffs": [[1.0], [0.5]]}],
+        "experiments": ["necessity_divergence"],
+        "experiment_options": {"necessity": {
+            "kernel": {"name": "constant", "c": 1.0}, "endpoints": [2.0, 4.0], "x0": 0.5,
+            "points_per_panel": 4}},
+    },
+    {
+        "dimension": 1,
+        "domain": {"shape": "truncated_space", "halfwidth": 4.0},
+        "family": {"kind": "shifts", "offsets": [0.0, 0.5]},
+        "measure": {"scheme": "explicit", "nodes": [0.1, 0.2], "weights": [0.5, 0.5]},
+        "kernel": {"name": "indicator", "lo": 0.0, "hi": 1.0},
+        "fields": [{"kind": "polynomial", "coeffs": [1.0, -0.5]}],
+        "p": [1.0, 2.0],
+        "experiments": ["lp_bound", "sobolev_bound"],
+        "seed": 5,
+    },
+    {
+        "dimension": 1,
+        "domain": {"shape": "box", "lower": [0.0], "upper": [1.0]},
+        "family": {"kind": "shifts", "from_measure": True, "fold": True},
+        "measure": {"scheme": "monte_carlo", "interval": [0.0, 1.0], "count": 3, "seed": 2},
+        "kernel": {"name": "exp_decay", "a": 1.0},
+        "fields": [{"kind": "gaussian", "center": [0.5], "width": 0.5}],
+        "experiments": ["measure_preservation"],
+        "output": "out",
+    },
+    {
+        "dimension": 2,
+        "domain": {"shape": "truncated_space", "halfwidth": 2.0},
+        "family": {"kind": "motions", "members": [
+            {"matrix": [[0.0, -1.0], [1.0, 0.0]], "offset": [0.5, 0.0]},
+            {"matrix": [[1.0, 0.0], [0.0, 1.0]]}]},
+        "measure": {"scheme": "monte_carlo", "interval": [0.0, 1.0], "count": 2},
+        "kernel": {"name": "power", "a": 0.5},
+        "fields": [{"kind": "gaussian", "center": [0.0, 0.0], "width": 1.0}],
+        "resolution": 4,
+        "experiments": ["lp_bound"],
+    },
+]
 _DELETE = object()
 # a wrong type, a huge, negative or empty value, or a deletion
 _MUTATIONS = [
@@ -1281,10 +1475,16 @@ def _leaf_paths(node, path=()):
     return [leaf for key, child in children for leaf in _leaf_paths(child, path + (key,))]
 
 
+@pytest.mark.parametrize("index", range(len(_FUZZ_BASES)))
+def test_fuzz_bases_parse(index):
+    # the fuzzer's mutations start from configs that pass the walk
+    assert parse_config(json.dumps(_FUZZ_BASES[index]))
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.data())
 def test_mutated_workload_configs_raise_only_config_errors(data):
-    config = copy.deepcopy(data.draw(st.sampled_from(_WORKLOAD_CONFIGS)))
+    config = copy.deepcopy(data.draw(st.sampled_from(_WORKLOAD_CONFIGS + _FUZZ_BASES)))
     paths = st.sampled_from(_leaf_paths(config))
     for path in data.draw(st.lists(paths, min_size=1, max_size=3, unique=True)):
         value = data.draw(st.sampled_from(_MUTATIONS))

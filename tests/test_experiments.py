@@ -549,6 +549,20 @@ def test_necessity_offcenter_base_point_lowers_the_bound():
     assert np.all(report.ratios >= report.lower_bound_constant - 1e-9)
 
 
+def test_necessity_ratio_check_holds_far_from_the_origin(monkeypatch):
+    # at x0 = 5 the bound L = exp(-52) is far below 1e-9, so an absolute
+    # slack would pass any ratio; an operator a trillion times too small
+    # must still be caught
+    form, ends = kernel_form("power", a=1.0), [10.0, 100.0]
+    assert run_necessity_divergence(form, ends, x0=5.0).notes.count("ratio") == 0
+    apply_many = HausdorffOperator.apply_many
+    monkeypatch.setattr(HausdorffOperator, "apply_many",
+                        lambda self, *args, **kwargs: apply_many(self, *args, **kwargs) * 1e-12)
+    report = run_necessity_divergence(form, ends, x0=5.0)
+    assert report.lower_bound_constant == pytest.approx(math.exp(-52.0))
+    assert "a ratio fell below the pointwise lower bound" in report.notes
+
+
 # report helpers
 
 

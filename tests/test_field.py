@@ -66,6 +66,21 @@ def test_polynomial_multi_index():
     assert grads[:, 1] == pytest.approx(3 + 4 * x, rel=1e-13)
 
 
+def test_polynomial_coefficients_are_capped():
+    cap = field.MAX_POLYNOMIAL_COEFFS
+    assert cap == 1024
+    assert polynomial(np.ones(cap)).dimension == 1
+    assert polynomial(np.ones((32, 32))).dimension == 2
+    message = f"polynomial has {cap + 1} coefficients, more than the cap of {cap}"
+    with pytest.raises(ValueError, match=message):
+        polynomial(np.ones(cap + 1))
+    with pytest.raises(ValueError, match="polynomial has 1089 coefficients"):
+        polynomial(np.ones((33, 33)))
+    # the product with a gaussian builds its polynomial factor the same way
+    with pytest.raises(ValueError, match=message):
+        gaussian_times_poly([0.0], 1.0, np.ones(cap + 1))
+
+
 def test_gaussian_times_poly_product_rule():
     f = gaussian_times_poly([0.0], 1.0, [0.0, 1.0])  # x * exp(-x^2)
     pts = np.linspace(-1.5, 1.5, 11)[:, None]

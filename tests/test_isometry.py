@@ -13,6 +13,7 @@ from hausdorff_op.isometry import (
     IsometryFamily,
     check_domain_preserving,
     GROUP_SIZE_CAP,
+    STACK_ENTRIES_CAP,
     finite_group_family,
     finite_group_size,
     haar_orthogonal_sample,
@@ -78,6 +79,16 @@ def test_haar_orthogonal_deterministic_and_orthogonal():
     assert np.abs(a.T @ a - np.eye(4)).max() <= 1e-12
 
 
+def test_haar_stack_is_capped_before_any_draw(monkeypatch):
+    assert 4 * 4 * 10**6 <= STACK_ENTRIES_CAP < 5 * 5 * 10**6
+    # a draw past the cap would allocate its normals first
+    monkeypatch.setattr(np.random, "default_rng", None)
+    with pytest.raises(ValueError, match="1000000 members in dimension 5 make 25000000 matrix"):
+        haar_orthogonal_sample(5, 10**6, seed=0)
+    with pytest.raises(ValueError, match=f"more than the cap of {STACK_ENTRIES_CAP}"):
+        rotation_family(100, 10**6, seed=0)
+
+
 def test_rotation_family_members_are_rotations():
     fam = rotation_family(3, 8, seed=1)
     assert len(fam) == 8
@@ -127,10 +138,16 @@ def test_group_size_cap():
 
 
 def test_finite_group_size_stops_at_the_cap():
-    assert finite_group_size(SIGN_FLIPS, 19) == 2**19
+    # the largest groups whose matrix stacks fit STACK_ENTRIES_CAP
+    assert finite_group_size(SIGN_FLIPS, 16) * 16 * 16 == STACK_ENTRIES_CAP
     assert finite_group_size(SIGNED_PERMUTATIONS, 3) == 48
-    assert finite_group_size(SIGNED_PERMUTATIONS, 7) == 2**7 * math.factorial(7)
+    assert finite_group_size(SIGNED_PERMUTATIONS, 6) == 2**6 * math.factorial(6)
     assert finite_group_size(CYCLIC_ROTATION_2D, 2, GROUP_SIZE_CAP) == GROUP_SIZE_CAP
+    # under the member cap, but past the entries cap
+    for args, members in (((SIGN_FLIPS, 17), 2**17),
+                          ((SIGNED_PERMUTATIONS, 7), 2**7 * math.factorial(7))):
+        with pytest.raises(ValueError, match=f"{members} members in dimension {args[1]} make"):
+            finite_group_size(*args)
     for args in ((SIGN_FLIPS, 20),  # 1,048,576 members
                  (SIGNED_PERMUTATIONS, 8),  # 10,321,920 members
                  (CYCLIC_ROTATION_2D, 2, GROUP_SIZE_CAP + 1)):

@@ -1,10 +1,13 @@
-"""The README's library quick start runs as written against ``src``."""
+"""The README's library quick start runs as written against ``src``, and its
+config table describes the CLI's schema."""
 
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+from hausdorff_op import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -18,3 +21,32 @@ def test_readme_library_quick_start_runs():
         [sys.executable, "-c", block], env=env, capture_output=True, text=True, timeout=120
     )
     assert result.returncode == 0, result.stderr
+
+
+def _config_rows() -> dict:
+    """The README's config table: each top-level key and the text of its row."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| key | value |", 1)[1].split("\n\n", 1)[0]
+    return dict(re.findall(r"^\| `(\w+)` \| (.*) \|$", table, re.M))
+
+
+def test_readme_config_table_lists_the_schema():
+    rows = _config_rows()
+    assert set(rows) == set(cli._TOP)
+    # each README row, with the tables of the nodes it describes: a dict of
+    # tables per tag value, or one table
+    nodes = {
+        "domain": [cli._DOMAINS],
+        "family": [cli._FAMILIES, cli._MEASURE_SHIFTS, cli._MOTION],
+        "measure": [cli._MEASURES],
+        "fields": [cli._FIELDS],
+        "experiment_options": [cli._OPTIONS, cli._NECESSITY],
+    }
+    for row, tables in nodes.items():
+        for table in tables:
+            tagged = all(isinstance(value, dict) for value in table.values())
+            keys = [key for value in table.values() for key in value] if tagged else []
+            for name in [*table, *keys]:
+                assert re.search(rf'["`]{name}["`]', rows[row]), (row, name)
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert "finite_group_uniform" not in readme
