@@ -1,18 +1,18 @@
 """Config-driven experiment runner behind the ``hausdorff-op`` console script.
 
-A run is described by one JSON file, and :func:`parse_config` walks it once.
-The schema is data: each kind of node has a table mapping each key to its
-JSON shape (a number is a finite double) and, if it may be left out, its
-default, and one walker, :func:`_walk`, checks every node against its table.
-The node parsers keep only the calls that build the nodes and the rules
-across keys and nodes: the CLI's caps, counts that must agree, explicit
-``motions``.  The walk is strict (unknown keys are rejected, every
-violation is reported) because a silent typo in a tolerance or kernel name
-would invalidate a verification run.  Value rules are the library
-constructors': once the walk has passed, the measure, fields, domain and
-preservation region are built, and a constructor's ``ValueError`` becomes
-an error named by its node; a finite group, a Haar family's stack and the
-necessity witness pass the library's checks during the walk.
+A run is described by one JSON file, and :func:`parse_config` checks it in
+two passes.  The schema is data: each kind of node has a table mapping each
+key to its JSON shape (a number is a finite double) and, if it may be left
+out, its default.  Pass one walks every node against its table with one
+walker, :func:`_walk`, and never stops early: unknown keys are rejected and
+every violation is reported, because a silent typo in a tolerance or kernel
+name would invalidate a verification run.  Pass two runs every value rule,
+in build order, on the values whose shapes passed: the CLI's caps, counts
+that must agree, the library's checks of a family, a kernel and the
+necessity witness, then the builds of the measure, fields, domain and
+preservation region, where a constructor's ``ValueError`` becomes an error
+named by its node.  So every shape error comes in table order, then every
+value error in build order.
 Artifacts: ``results.csv`` (one row per bound check), ``divergence.csv``
 (present when the divergence experiment ran), and ``summary.txt``.  Numeric
 CSV cells use 17 significant digits so reruns diff byte-identically.
@@ -216,9 +216,9 @@ _FAMILIES = {
     "shifts": {"offsets": _NONEMPTY_NUMBERS},
     "motions": {"members": _LIST},
 }
-# shifts without offsets, one per measure node; _parse_family requires from_measure
+# shifts without offsets, one per measure node; pass two requires from_measure
 _MEASURE_SHIFTS = {"from_measure": _ANY.optional(None), "fold": _BOOL.optional(False)}
-# one of the motions' members; _parse_family checks the values against n
+# one of the motions' members; pass one checks the values against n
 _MOTION = {"matrix": _ANY.optional(None), "offset": _ANY.optional(None)}
 _MEASURES = {
     "explicit": {"nodes": _NUMBERS, "weights": _NUMBERS},
@@ -237,19 +237,19 @@ _OPTIONS = {
     "preservation_members": _COUNT.optional(10),
     "gradient_step": _POSITIVE.optional(TOLERANCES["gradient_step"]),
     "gradient_margin": _POSITIVE.optional(0.05),
-    # both nodes are walked by _parse_options; no region is the unit box
+    # both nodes are walked in pass one; no region is the unit box
     "preservation_region": _ANY.optional(None),
     "necessity": _ANY.optional({}),
 }
 # the default necessity witness: 88,880 folded shifts in all
 _NECESSITY = {
-    "kernel": _ANY.optional({"name": "power", "a": 1.0}),  # its form, by _parse_kernel
+    "kernel": _ANY.optional({"name": "power", "a": 1.0}),  # its form, by kernel_form
     "endpoints": _NUMBERS.optional([10.0, 100.0, 1000.0, 10000.0]),
     "x0": _NUMBER.optional(0.0),
     "points_per_panel": _RULE_SIZE.optional(8),
 }
-# the top level: its keys and defaults; parse_config checks the values in
-# turn, so that each error follows those of the nodes before it
+# the top level: its keys and defaults; pass one checks the values in
+# turn, so that each shape error follows those of the nodes before it
 _TOP = {
     "dimension": _ANY, "domain": _ANY, "family": _ANY, "measure": _ANY.optional(None),
     "kernel": _ANY, "fields": _ANY, "p": _ANY.optional([1.0]), "resolution": _ANY.optional(64),
@@ -258,8 +258,7 @@ _TOP = {
 }
 
 
-def _walk(spec, where: str, tables: dict, errors: list, n: int = 1, tag=None,
-          rules=None, seed: int = 0):
+def _walk(spec, where: str, tables: dict, errors: list, n: int = 1, tag=None, seed: int = 0):
     """Check one config node against its table; return a checked copy, or None.
 
     ``tables`` is the node's table or, with ``tag``, a table per value of
@@ -267,14 +266,11 @@ def _walk(spec, where: str, tables: dict, errors: list, n: int = 1, tag=None,
     rejects unknown keys, then checks each key's shape in table order: a key
     left out takes a copy of its default (a seed the config ``seed``), and a
     required one left out fails.  The copy holds the tag and each key that
-    passed.  ``rules`` maps the tag or a key to a check that runs right after
-    it, so that its errors follow that key's; a rule that returns False ends
-    the walk, which then returns None.
+    passed.
     """
     if not isinstance(spec, dict):
         errors.append(f"{where} must be an object")
         return None
-    rules = rules or {}
     node, table = {}, tables
     if tag is not None:
         kind = spec.get(tag)
@@ -283,8 +279,6 @@ def _walk(spec, where: str, tables: dict, errors: list, n: int = 1, tag=None,
             errors.append(f"{where}: {tag} must be one of {list(tables)}, got {kind!r}")
             return None
         node[tag], table = kind, tables[kind]
-        if tag in rules and rules[tag](node) is False:
-            return None
     allowed = {*node, *table}
     unknown = sorted(set(spec) - allowed)
     if unknown:
@@ -296,8 +290,6 @@ def _walk(spec, where: str, tables: dict, errors: list, n: int = 1, tag=None,
             node[key] = spec.get(key)
         else:
             errors.append(f"{where}: {key} must be {shape.phrase.format(n=n)}")
-        if key in rules and rules[key](node) is False:
-            return None
     return node
 
 
@@ -330,8 +322,8 @@ def _check_size(domain: geometry.Domain, where: str, errors: list) -> bool:
     return False
 
 
-# each kind of node's build call, made once the walk has passed; the lambdas
-# look the constructors up when called, so that a tracer replacing them sees them
+# each kind of node's build call, made in pass two; the lambdas look the
+# constructors up when called, so that a tracer replacing them sees them
 _DOMAIN_BUILDS = {
     geometry.BALL: lambda d, n: geometry.ball(d["center"], d["radius"]),
     geometry.BOX: lambda d, n: geometry.box(d["lower"], d["upper"]),
@@ -342,165 +334,250 @@ _FIELD_BUILDS = {
     "polynomial": lambda f, n: polynomial(f["coeffs"], dimension=n),
     "gaussian_times_poly": lambda f, n: gaussian_times_poly(f["center"], f["width"], f["coeffs"]),
 }
+# each family's call at run time: it takes the built measure (None for a
+# finite group, which brings its own) and returns the (family, measure) pair;
+# a motions family was built in pass two, which is its orthogonality check
+_FAMILY_BUILDS = {
+    "rotations_haar": lambda f, n, m: (rotation_family(n, f["count"], f["seed"]), m),
+    "finite_group": lambda f, n, m: finite_group_family(f["group"], n, f["order"]),
+    # shifts by the offsets, or by the measure's nodes, folded into [0, 1) with fold
+    "shifts": lambda f, n, m: (shift_family(
+        f["offsets"] if "offsets" in f else m.nodes - np.floor(m.nodes) if f["fold"]
+        else m.nodes), m),
+    "motions": lambda f, n, m: (f["motions"], m),
+}
+_REGION = "experiment_options.preservation_region"
+_WITNESS = "experiment_options.necessity"
 
 
-def _parse_domain(spec, n: int, where: str, errors: list, bounded_only=False):
-    """Walk a domain spec; return a call that builds the domain."""
+def _check_shapes(raw: dict, errors: list) -> tuple[dict, set]:
+    """Pass one: walk every node against its table, in table order.
 
-    def bounded(node):
-        if bounded_only and node["shape"] == geometry.TRUNCATED:
-            errors.append(f"{where}: must be a bounded ball or box")
-            return False
-
-    node = _walk(spec, where, _DOMAINS, errors, n, tag="shape", rules={"shape": bounded})
-    return node and partial(_DOMAIN_BUILDS[node["shape"]], node, n)
-
-
-def _parse_family(spec, n: int, seed: int, errors: list):
-    """Walk the family spec; return (its member count when derivable, a call).
-
-    The call takes the built measure (None for a finite group, which brings
-    its own) and returns the (family, measure) pair.  Explicit ``motions``
-    are built here, so a member that is not orthogonal is a config error; a
-    finite group's arguments pass its one check, :func:`finite_group_size`,
-    and a Haar count and dimension the stack cap, :func:`check_stack_entries`.
+    Returns the checked values by where they sit in the config (a node that
+    is not an object or has no known tag is None), and the set of nodes
+    whose walk found no error.  It stops early only at a bad ``dimension``,
+    which every length is checked against.
     """
+    top = _walk(raw, "config", _TOP, errors)
+    errors += [f"missing required key '{key}'" for key, shape in _TOP.items()
+               if shape.default is _REQUIRED and key not in raw]
+    n = top["dimension"]
+    if not _COUNT.test(n, 1):
+        errors.append(f"dimension must be {_COUNT.phrase}")
+        raise ConfigError(errors)
+    seed = top["seed"]
+    if not _SEED.test(seed, n):
+        errors.append(f"seed must be {_SEED.phrase}")
+        seed = 0
+    checked, sound = {"dimension": n, "seed": seed}, set()
 
-    def one_dimensional(node):
-        if node["kind"] == "shifts" and n != 1:
-            errors.append("family: shifts need dimension 1")
+    def walk(where, spec, tables, tag=None):
+        before = len(errors)
+        checked[where] = _walk(spec, where, tables, errors, n, tag, seed)
+        if len(errors) == before:
+            sound.add(where)
+        return checked[where]
 
-    def from_measure(node):
-        if node["from_measure"] is not True:
-            errors.append("family: shifts need either offsets or from_measure = true")
+    def kernel(where, spec):  # its parameters are numbers; kernel_form checks the rest
+        checked[where] = None
+        if not isinstance(spec, dict):
+            errors.append(f"{where} must be an object")
+            return
+        bad = [k for k, v in spec.items() if k != "name" and not _is_number(v)]
+        errors.extend(f"{where}: kernel parameter {k} must be a number" for k in bad)
+        if not bad:
+            checked[where] = spec
 
-    tables = ({**_FAMILIES, "shifts": _MEASURE_SHIFTS}
-              if isinstance(spec, dict) and "offsets" not in spec else _FAMILIES)
-    node = _walk(spec, "family", tables, errors, n, tag="kind", seed=seed, rules={
-        "kind": one_dimensional, "from_measure": from_measure,
-        # a Haar family without a count is not walked further
-        "count": lambda node: "count" in node,
-    })
-    kind = node and node["kind"]
-    if kind == "rotations_haar":
-        count = node["count"]
-        _build(partial(check_stack_entries, count, n), "family", errors)
-        return count, lambda measure: (rotation_family(n, count, node["seed"]), measure)
-    if kind == "finite_group" and "order" in node:
-        group, order = node["group"], node["order"]
-        size = _build(partial(finite_group_size, group, n, order), "family", errors)
-        return size, lambda _: finite_group_family(group, n, order)
-    if kind == "shifts" and "offsets" in node:
-        return len(node["offsets"]), lambda measure: (shift_family(node["offsets"]), measure)
-    if kind == "shifts" and "from_measure" in node:
-        # the count is the measure's by construction
-        fold = node.get("fold")
-        return None, lambda measure: (shift_family(
-            measure.nodes - np.floor(measure.nodes) if fold else measure.nodes), measure)
-    if kind != "motions" or "members" not in node:
-        return None, None
-    members, before = node["members"], len(errors)
-    for i, member in enumerate(members):
-        if not isinstance(member, dict):
-            errors.append(f"family: member {i} must be an object")
-            continue
-        _walk(member, f"family member {i}", _MOTION, errors)
-        matrix = member.get("matrix")
-        if not (isinstance(matrix, list) and len(matrix) == n
-                and all(_VECTOR.test(row, n) for row in matrix)):
-            errors.append(f"family: member {i} matrix must be {n}x{n}")
-        if "offset" in member and not _VECTOR.test(member["offset"], n):
-            errors.append(f"family: member {i} offset must be a list of {n} numbers")
-    if len(errors) > before:
-        return len(members), None
-    try:  # the family's own check names the first member that is not orthogonal
-        family = motion_family([(m["matrix"], m.get("offset")) for m in members])
-    except ValueError as exc:
-        errors.append(str(exc))
-        return len(members), None
-    return len(members), lambda measure: (family, measure)
-
-
-def _parse_measure(spec, family_spec, family_count, seed: int, errors: list):
-    """Walk the measure spec against the family; return a call that builds it."""
-    if isinstance(family_spec, dict) and family_spec.get("kind") == "finite_group":
-        if spec is not None:
+    if "domain" in raw:
+        walk("domain", raw["domain"], _DOMAINS, "shape")
+    family_spec, measure_spec = top["family"], top["measure"]
+    family = None
+    if "family" in raw:
+        shifts = isinstance(family_spec, dict) and "offsets" not in family_spec
+        family = walk("family", family_spec,
+                      {**_FAMILIES, "shifts": _MEASURE_SHIFTS} if shifts else _FAMILIES, "kind")
+    if family and "members" in family:
+        members, before = family["members"], len(errors)
+        for i, member in enumerate(members):
+            if not isinstance(member, dict):
+                errors.append(f"family: member {i} must be an object")
+                continue
+            _walk(member, f"family member {i}", _MOTION, errors)
+            matrix = member.get("matrix")
+            if not (isinstance(matrix, list) and len(matrix) == n
+                    and all(_VECTOR.test(row, n) for row in matrix)):
+                errors.append(f"family: member {i} matrix must be {n}x{n}")
+            if "offset" in member and not _VECTOR.test(member["offset"], n):
+                errors.append(f"family: member {i} offset must be a list of {n} numbers")
+        if len(errors) > before:
+            sound.discard("family")
+        else:  # the (matrix, offset) pairs that pass two builds
+            family["motions"] = [(m["matrix"], m.get("offset")) for m in members]
+    if family and family["kind"] == "finite_group":
+        if measure_spec is not None:
             errors.append("measure: a finite_group family carries its own uniform measure; "
                           "omit the measure")
-        return lambda: None  # the family call builds it
-    if spec is None:
+    elif measure_spec is not None:
+        walk("measure", measure_spec, _MEASURES, "scheme")
+    elif family_spec is not None or "measure" in raw:
         errors.append("missing required key 'measure' (only finite_group families omit it)")
-        return None
+    if "kernel" in raw:
+        kernel("kernel", raw["kernel"])
 
-    def capped(node):
-        count = node.get("count", 0)
-        if node["scheme"] == "gauss_legendre":
+    fields = top["fields"] if _LIST.test(top["fields"], n) else []
+    if "fields" in raw and not fields:
+        errors.append(f"fields must be {_LIST.phrase}")
+    checked["fields"] = [walk(f"fields[{i}]", spec, _FIELDS, "kind")
+                         for i, spec in enumerate(fields)]
+
+    ps = top["p"]
+    if not _NONEMPTY_NUMBERS.test(ps, n):
+        errors.append(f"p must be {_NONEMPTY_NUMBERS.phrase}")
+        ps = [1.0]
+    bad = [v for v in ps if not P_MIN <= v <= P_MAX]
+    if bad:
+        errors.append(f"p values must lie in [{P_MIN:g}, {P_MAX:g}], got {bad}")
+    checked["p"] = ps
+
+    checked["resolution"] = top["resolution"]
+    if not _RULE_SIZE.test(top["resolution"], n):
+        errors.append(f"resolution must be {_RULE_SIZE.phrase}")
+        checked["resolution"] = 64
+
+    experiments = checked["experiments"] = (
+        top["experiments"] if _LIST.test(top["experiments"], n) else [])
+    if "experiments" in raw and not experiments:
+        errors.append(f"experiments must be {_LIST.phrase}")
+    unknown = [e for e in experiments if e not in EXPERIMENT_NAMES]
+    if unknown:
+        errors.append(f"unknown experiment(s) {unknown}, known: {list(EXPERIMENT_NAMES)}")
+    elif len(set(experiments)) != len(experiments):
+        errors.append("experiments must not repeat")
+
+    options = walk("experiment_options", top["experiment_options"], _OPTIONS)
+    if options is not None:
+        if "preservation_region" in top["experiment_options"]:
+            walk(_REGION, options["preservation_region"], _DOMAINS, "shape")
+        necessity = walk(_WITNESS, options["necessity"], _NECESSITY)
+        if necessity is not None:
+            kernel(f"{_WITNESS}.kernel", necessity["kernel"])
+
+    output = checked["output"] = top["output"]
+    if output is not None and not isinstance(output, str):
+        errors.append("output must be a string path")
+    return checked, sound
+
+
+def _check_values(checked: dict, sound: set, errors: list) -> RunInputs | None:
+    """Pass two: every value rule, in build order, on the checked values it reads.
+
+    A rule runs when the values it reads passed pass one, whatever failed
+    elsewhere, and a node is built once its walk and every rule on it
+    passed.  Returns what the run reads, or None when any error was found.
+    """
+    n, experiments = checked["dimension"], checked["experiments"]
+
+    def form(where):  # a kernel's form: its constructor is the one whitelist check
+        spec = checked.get(where)
+        if spec is not None:
+            params = {k: v for k, v in spec.items() if k != "name"}
+            return _build(partial(kernel_form, spec.get("name"), **params), where, errors)
+
+    family, before = checked.get("family") or {}, len(errors)
+    kind = family.get("kind")
+    if kind == "shifts" and n != 1:
+        errors.append("family: shifts need dimension 1")
+    if "from_measure" in family and family["from_measure"] is not True:
+        errors.append("family: shifts need either offsets or from_measure = true")
+    if kind == "rotations_haar" and "count" in family:
+        _build(partial(check_stack_entries, family["count"], n), "family", errors)
+    if kind == "finite_group" and "order" in family:
+        _build(partial(finite_group_size, family["group"], n, family["order"]), "family", errors)
+    if "motions" in family:
+        try:  # the family's own check names the first member that is not orthogonal
+            family["motions"] = motion_family(family["motions"])
+        except ValueError as exc:
+            errors.append(str(exc))
+    if len(errors) > before:
+        sound.discard("family")
+
+    measure, before = checked.get("measure"), len(errors)
+    if measure is not None:
+        count = measure.get("count", 0)
+        if measure["scheme"] == "gauss_legendre":
             _check_legendre_nodes(count, "measure: count", errors)
         elif count > GROUP_SIZE_CAP:  # the monte_carlo nodes can become a shift family
             errors.append(f"measure: count {count} exceeds the family size cap of "
                           f"{GROUP_SIZE_CAP}")
+        # the member count the family states: a Haar count, its offsets or members
+        members = family.get("count") or len(family.get("offsets") or family.get("members") or [])
+        count = len(measure["nodes"]) if "nodes" in measure else measure.get("count")
+        if count is not None and members and count != members:
+            errors.append(f"measure has {count} nodes but the family has {members} members")
+    if len(errors) > before:
+        sound.discard("measure")
+    kernel = form("kernel")
 
-    node = _walk(spec, "measure", _MEASURES, errors, tag="scheme", seed=seed,
-                 rules={"count": capped})
-    if node is None:
+    resolution = checked["resolution"]
+    if any(name in _GRID_EXPERIMENTS for name in experiments):
+        # every grid axis is one Gauss-Legendre rule of `resolution` nodes
+        _check_legendre_nodes(resolution, "resolution", errors)
+        # min(n, 64) keeps the power small for any n: 2 ** 64 already exceeds the cap
+        if resolution ** min(n, 64) > MAX_GRID_NODES:
+            errors.append(f"resolution {resolution} in dimension {n} gives more than "
+                          f"{MAX_GRID_NODES} grid nodes")
+
+    opts = checked.get("experiment_options") or {}
+    for key, cap, per in (("gradient_points", MAX_GRID_NODES, ""),
+                          ("preservation_samples", MAX_PRESERVATION_SAMPLES, " per member")):
+        if opts.get(key, 0) > cap:
+            errors.append(f"experiment_options: {key} {opts[key]} exceeds the cap of {cap}{per}")
+    region = checked.get(_REGION)
+    if region and region["shape"] == geometry.TRUNCATED:
+        errors.append(f"{_REGION}: must be a bounded ball or box")
+        sound.discard(_REGION)
+    nec, before = checked.get(_WITNESS), len(errors)
+    if nec is not None:
+        nec["kernel"] = form(f"{_WITNESS}.kernel")
+        if "points_per_panel" in nec:
+            _check_legendre_nodes(nec["points_per_panel"], f"{_WITNESS}: points_per_panel",
+                                  errors)
+        if ("necessity_divergence" in experiments and len(errors) == before
+                and all(nec.get(key) is not None for key in _NECESSITY)):
+            # so that the run builds no member of a witness that would be refused
+            _build(partial(witness_member_count, nec["kernel"], nec["endpoints"],
+                           nec["points_per_panel"], nec["x0"]), _WITNESS, errors)
+
+    # the builds; the measure only beside a family that passed, which takes it
+    if "measure" in sound and "family" in sound:
+        measure = _build(partial(discretize, measure), "measure", errors)
+    fields = [(f"{i}:{node['kind']}", _build(partial(_FIELD_BUILDS[node["kind"]], node, n),
+                                              f"fields[{i}]", errors))
+              for i, node in enumerate(checked["fields"]) if f"fields[{i}]" in sound]
+    # a truncated window and the default region hold n numbers each, and n is
+    # bounded by the size of the config only once every field is built
+    sized = (len(fields) == len(checked["fields"]) > 0
+             and all(f is not None for _, f in fields))
+    domain = checked.get("domain")
+    if "domain" in sound and (sized or domain["shape"] != geometry.TRUNCATED):
+        domain = _build(partial(_DOMAIN_BUILDS[domain["shape"]], domain, n), "domain", errors)
+    else:
+        domain = None
+    if _REGION in sound:
+        region = _build(partial(_DOMAIN_BUILDS[region["shape"]], region, n), _REGION, errors)
+    else:
+        region = geometry.box([-0.5] * n, [0.5] * n) if sized and _REGION not in checked else None
+    if (domain is not None and _check_size(domain, "domain", errors)
+            and "gradient_check" in experiments
+            and opts.keys() >= {"gradient_points", "gradient_step", "gradient_margin"}):
+        _check_gradient_points(domain, opts, errors)
+    if region is not None:
+        _check_size(region, _REGION, errors)
+    if errors:
         return None
-    count = len(node["nodes"]) if "nodes" in node else node.get("count")
-    if count is not None and family_count is not None and count != family_count:
-        errors.append(f"measure has {count} nodes but the family has {family_count} members")
-    return lambda: discretize(node)
-
-
-def _parse_kernel(spec, where: str, errors: list) -> KernelForm | None:
-    """Check a kernel spec; return its form."""
-    if not isinstance(spec, dict):
-        errors.append(f"{where} must be an object")
-        return None
-    params = {k: v for k, v in spec.items() if k != "name"}
-    bad = [k for k, v in params.items() if not _is_number(v)]
-    errors.extend(f"{where}: kernel parameter {k} must be a number" for k in bad)
-    if bad:
-        return None
-    # the form's constructor is the one whitelist check
-    return _build(partial(kernel_form, spec.get("name"), **params), where, errors)
-
-
-def _parse_options(options, n: int, experiments: list, errors: list) -> dict:
-    """Walk experiment_options; return every option, defaults filled in.
-
-    The preservation region comes back as a call that builds it, and the
-    necessity kernel as its form.  When necessity_divergence is listed, the
-    witness passes its one check, :func:`witness_member_count`.
-    """
-
-    def capped(opts):  # once the three counts are walked
-        for key, cap, per in (("gradient_points", MAX_GRID_NODES, ""),
-                              ("preservation_samples", MAX_PRESERVATION_SAMPLES, " per member")):
-            if opts.get(key, 0) > cap:
-                errors.append(
-                    f"experiment_options: {key} {opts[key]} exceeds the cap of {cap}{per}")
-
-    opts = _walk(options, "experiment_options", _OPTIONS, errors, n,
-                 rules={"preservation_members": capped})
-    if opts is None:
-        return {}
-    opts["preservation_region"] = (
-        _parse_domain(options["preservation_region"], n,
-                      "experiment_options.preservation_region", errors, bounded_only=True)
-        if "preservation_region" in options else lambda: geometry.box([-0.5] * n, [0.5] * n))
-    where = "experiment_options.necessity"
-    nec = opts["necessity"] = _walk(opts["necessity"], where, _NECESSITY, errors, rules={
-        "kernel": lambda nec: nec.update(
-            kernel=_parse_kernel(nec["kernel"], f"{where}.kernel", errors))})
-    if nec is None or "points_per_panel" not in nec:
-        return opts
-    before = len(errors)
-    _check_legendre_nodes(nec["points_per_panel"], f"{where}: points_per_panel", errors)
-    if ("necessity_divergence" in experiments and len(errors) == before
-            and nec["kernel"] is not None and len(nec) == len(_NECESSITY)):
-        # so that the run builds no member of a witness that would be refused
-        _build(partial(witness_member_count, nec["kernel"], nec["endpoints"],
-                       nec["points_per_panel"], nec["x0"]), where, errors)
-    return opts
+    opts.update(preservation_region=region, necessity=nec)
+    return RunInputs(domain, kernel, partial(_FAMILY_BUILDS[kind], family, n, measure),
+                     tuple(fields), opts)
 
 
 def _check_gradient_points(domain: geometry.Domain, opts: dict, errors: list) -> None:
@@ -538,11 +615,12 @@ def _gradient_inset(opts: dict) -> tuple[str, float, str]:
 
 
 def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
-    """Parse and fully validate a JSON run config, in one walk.
+    """Parse and fully validate a JSON run config, in two passes.
 
     ``overrides`` replaces top-level keys before validation, so command-line
     values pass the same checks as the file's.  Raises :class:`ConfigError`
-    carrying every violation found.
+    carrying every violation found: every shape error in table order, then
+    every value error in build order.
     """
     try:
         raw = json.loads(text)
@@ -552,104 +630,24 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
         raise ConfigError(["top level must be a JSON object"])
     raw.update(overrides or {})
     errors: list[str] = []
-    top = _walk(raw, "config", _TOP, errors)
-    errors += [f"missing required key '{key}'" for key, shape in _TOP.items()
-               if shape.default is _REQUIRED and key not in raw]
-
-    n = top["dimension"]
-    if not _COUNT.test(n, 1):
-        errors.append(f"dimension must be {_COUNT.phrase}")
-        raise ConfigError(errors)
-    seed = top["seed"]
-    if not _SEED.test(seed, n):
-        errors.append(f"seed must be {_SEED.phrase}")
-        seed = 0
-
-    domain = _parse_domain(raw["domain"], n, "domain", errors) if "domain" in raw else None
-    family_count, family = (_parse_family(raw["family"], n, seed, errors)
-                            if "family" in raw else (None, None))
-    measure = (_parse_measure(top["measure"], top["family"], family_count, seed, errors)
-               if top["family"] is not None or "measure" in raw else None)
-    kernel = _parse_kernel(raw["kernel"], "kernel", errors) if "kernel" in raw else None
-
-    fields = top["fields"] if _LIST.test(top["fields"], n) else []
-    if "fields" in raw and not fields:
-        errors.append(f"fields must be {_LIST.phrase}")
-    field_nodes = [_walk(spec, f"fields[{i}]", _FIELDS, errors, n, tag="kind")
-                   for i, spec in enumerate(fields)]
-
-    ps = top["p"]
-    if not _NONEMPTY_NUMBERS.test(ps, n):
-        errors.append(f"p must be {_NONEMPTY_NUMBERS.phrase}")
-        ps = [1.0]
-    bad = [v for v in ps if not P_MIN <= v <= P_MAX]
-    if bad:
-        errors.append(f"p values must lie in [{P_MIN:g}, {P_MAX:g}], got {bad}")
-
-    resolution = top["resolution"]
-    if not _RULE_SIZE.test(resolution, n):
-        errors.append(f"resolution must be {_RULE_SIZE.phrase}")
-        resolution = 64
-
-    experiments = top["experiments"] if _LIST.test(top["experiments"], n) else []
-    if "experiments" in raw and not experiments:
-        errors.append(f"experiments must be {_LIST.phrase}")
-    unknown = [e for e in experiments if e not in EXPERIMENT_NAMES]
-    if unknown:
-        errors.append(f"unknown experiment(s) {unknown}, known: {list(EXPERIMENT_NAMES)}")
-    elif len(set(experiments)) != len(experiments):
-        errors.append("experiments must not repeat")
-    if any(name in _GRID_EXPERIMENTS for name in experiments):
-        # every grid axis is one Gauss-Legendre rule of `resolution` nodes
-        _check_legendre_nodes(resolution, "resolution", errors)
-        # min(n, 64) keeps the power small for any n: 2 ** 64 already exceeds the cap
-        if resolution ** min(n, 64) > MAX_GRID_NODES:
-            errors.append(
-                f"resolution {resolution} in dimension {n} gives more than "
-                f"{MAX_GRID_NODES} grid nodes"
-            )
-
-    opts = _parse_options(top["experiment_options"], n, experiments, errors)
-
-    output = top["output"]
-    if output is not None and not isinstance(output, str):
-        errors.append("output must be a string path")
-    if errors:
-        raise ConfigError(errors)
-    # the shapes hold, so each constructor checks its own values
-    measure = _build(measure, "measure", errors)
-    field_inputs = [(f"{i}:{f['kind']}", _build(partial(_FIELD_BUILDS[f["kind"]], f, n),
-                                                 f"fields[{i}]", errors))
-                    for i, f in enumerate(field_nodes)]
-    if errors:
-        raise ConfigError(errors)
-    # built only now: a truncated window and the default region hold n numbers
-    # each, and n is bounded by the size of the config only once the fields build
-    domain = _build(domain, "domain", errors)
-    region = opts["preservation_region"] = _build(
-        opts["preservation_region"], "experiment_options.preservation_region", errors)
-    if (domain is not None and _check_size(domain, "domain", errors)
-            and "gradient_check" in experiments):
-        # a grid that fits has n <= 22, so the draw estimate's floats cannot overflow
-        _check_gradient_points(domain, opts, errors)
-    if region is not None:
-        _check_size(region, "experiment_options.preservation_region", errors)
+    checked, sound = _check_shapes(raw, errors)
+    inputs = _check_values(checked, sound, errors)
     if errors:
         raise ConfigError(errors)
     return RunConfig(
-        dimension=n,
+        dimension=checked["dimension"],
         domain=raw["domain"],
         family=raw["family"],
         measure=raw.get("measure"),
         kernel=raw["kernel"],
-        fields=tuple(fields),
-        p=tuple(float(v) for v in ps),
-        resolution=resolution,
-        experiments=tuple(experiments),
-        options=top["experiment_options"],
-        seed=seed,
-        output=output,
-        inputs=RunInputs(domain, kernel, partial(family, measure), tuple(field_inputs), opts),
+        fields=tuple(raw["fields"]),
+        p=tuple(float(v) for v in checked["p"]),
+        resolution=checked["resolution"],
+        experiments=tuple(checked["experiments"]),
+        options=raw.get("experiment_options", {}),
+        seed=checked["seed"],
+        output=checked["output"],
+        inputs=inputs,
     )
 
 

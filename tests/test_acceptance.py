@@ -251,7 +251,8 @@ def test_nonintegrable_kernel_drives_operator_growth():
     assert np.abs(report.l1_norms - np.log1p(ends)).max() <= TOLERANCES["necessity_l1_match"]
     lower = math.exp(-2.0)
     assert report.lower_bound_constant == pytest.approx(lower)
-    assert np.all(report.ratios >= lower - TOLERANCES["necessity_ratio_slack"])
+    # the library's relative rule: ratios >= lower * (1 - slack)
+    assert np.all(report.ratios >= lower * (1.0 - TOLERANCES["necessity_ratio_slack"]))
     assert np.all(np.diff(report.operator_values_at_x0) > 0.0)
     assert time.perf_counter() - start < 30.0
     # the unit panels of consecutive endpoints are nested, so each increment of
@@ -262,9 +263,8 @@ def test_nonintegrable_kernel_drives_operator_growth():
     # e^-1 S_k and S_k, and S_k = ln(1+k) itself grows only 3.84x from 10 to
     # 10^4, so that gate stays the CLI verdict (README "Known failure")
     increments = np.diff(report.operator_values_at_x0)
-    required = (report.lower_bound_constant - TOLERANCES["necessity_ratio_slack"]) * np.diff(
-        report.l1_norms
-    )
+    floor = report.lower_bound_constant * (1.0 - TOLERANCES["necessity_ratio_slack"])
+    required = floor * np.diff(report.l1_norms)
     assert np.all(increments >= required), (
         f"operator increments {increments} below the kernel-mass bound {required}"
     )

@@ -158,30 +158,40 @@ def test_all_violations_are_collected():
 
 
 _ORDERED_ERRORS = {
-    # the option caps come after the three counts, and before the other options
+    # a rule's place is after every shape error: the option caps follow the
+    # shapes of the other options
     "options": ({"experiment_options": {
         "gradient_points": 10**9, "preservation_members": 0, "gradient_step": -1}}, [
         "experiment_options: preservation_members must be an integer >= 1",
-        "experiment_options: gradient_points 1000000000 exceeds the cap of 4194304",
         "experiment_options: gradient_step must be a positive number",
+        "experiment_options: gradient_points 1000000000 exceeds the cap of 4194304",
     ]),
-    # from_measure is checked before fold, and the count cap before the seed
+    # the family's rules come before the measure's, in build order
     "measure": ({
         "domain": {"shape": "truncated_space", "halfwidth": 8.0},
         "family": {"kind": "shifts", "from_measure": "yes", "fold": 1},
         "measure": {"scheme": "monte_carlo", "interval": [0.0, 1.0], "count": 2 * 10**6,
                     "seed": -1}}, [
-        "family: shifts need either offsets or from_measure = true",
         "family: fold must be a boolean",
-        "measure: count 2000000 exceeds the family size cap of 1000000",
         "measure: seed must be an integer >= 0",
+        "family: shifts need either offsets or from_measure = true",
+        "measure: count 2000000 exceeds the family size cap of 1000000",
     ]),
-    # a Haar family without a count is not walked further
+    # a Haar family whose count fails is still walked to its seed
     "haar": ({"family": {"kind": "rotations_haar", "count": 0, "seed": -1}}, [
         "family: count must be an integer in [1, 1000000]",
+        "family: seed must be an integer >= 0",
     ]),
-    # rules on the tag come before the unknown keys; the necessity kernel
-    # comes before the other necessity keys
+    # a truncated region is walked to every key before it is refused
+    "region": ({"experiment_options": {"preservation_region": {
+        "shape": "truncated_space", "halfwidth": "x", "y": 1}}}, [
+        "experiment_options.preservation_region: unknown key(s) ['y'], allowed: "
+        "['halfwidth', 'shape']",
+        "experiment_options.preservation_region: halfwidth must be a number",
+        "experiment_options.preservation_region: must be a bounded ball or box",
+    ]),
+    # a node's sub-nodes follow its own keys; rules on a tag come after every
+    # shape, and a truncated region is walked to its unknown keys
     "tags": ({
         "dimension": 2,
         "domain": {"shape": "box", "lower": [0.0, 0.0], "upper": [1.0, 1.0]},
@@ -190,11 +200,13 @@ _ORDERED_ERRORS = {
         "experiment_options": {
             "preservation_region": {"shape": "truncated_space", "halfwidth": 1.0, "x": 1},
             "necessity": {"kernel": {"name": "power", "a": "1"}, "x0": "0"}}}, [
-        "family: shifts need dimension 1",
         "family: unknown key(s) ['x'], allowed: ['kind', 'offsets']",
-        "experiment_options.preservation_region: must be a bounded ball or box",
-        "experiment_options.necessity.kernel: kernel parameter a must be a number",
+        "experiment_options.preservation_region: unknown key(s) ['x'], allowed: "
+        "['halfwidth', 'shape']",
         "experiment_options.necessity: x0 must be a number",
+        "experiment_options.necessity.kernel: kernel parameter a must be a number",
+        "family: shifts need dimension 1",
+        "experiment_options.preservation_region: must be a bounded ball or box",
     ]),
 }
 
@@ -208,12 +220,13 @@ def test_rules_keep_their_place_among_the_shape_errors(name):
 
 
 def test_value_errors_follow_the_shape_errors():
-    # the constructors check values only once every node has its shape
+    # a value error shows once the shapes it reads pass, whatever fails elsewhere
     config = _minimal_config(domain={"shape": "ball", "center": [0.0], "radius": -1.0},
                              fields=[{"kind": "gaussian", "center": [0.0]}])
     with pytest.raises(ConfigError) as exc:
         parse_config(json.dumps(config))
-    assert exc.value.errors == ["fields[0]: width must be a number"]
+    assert exc.value.errors == ["fields[0]: width must be a number",
+                                "domain: radius must be finite and > 0, got -1.0"]
     config["fields"][0]["width"] = 1.0
     with pytest.raises(ConfigError) as exc:
         parse_config(json.dumps(config))
@@ -407,7 +420,7 @@ def test_non_orthogonal_motions_are_config_errors(tmp_path, capsys, experiments)
 
 
 def test_huge_dimension_skips_the_ball_draw_estimate():
-    # the grid cap rejects the config before the estimate's floats overflow
+    # the center does not hold n numbers, so no ball is built to estimate on
     config = {**_minimal_config(experiments=["gradient_check"]), "dimension": _HUGE,
               "domain": {"shape": "ball", "center": [0.0], "radius": 1.0}}
     with pytest.raises(ConfigError, match=f"resolution 64 in dimension {_HUGE} gives more than"):
@@ -810,9 +823,10 @@ _CAPPED_INPUTS = {
         f"family: {GROUP_SIZE_CAP} members in dimension 5 make {25 * GROUP_SIZE_CAP} matrix "
         f"entries, more than the cap of {STACK_ENTRIES_CAP}",
     ),
+    # (10 points: 35 would also expect more than the draw cap on a 17-D ball)
     "sign_flips_stack_entries": (
-        _ball_gradient_config(16, gradient_points=35),
-        _ball_gradient_config(17, gradient_points=35),
+        _ball_gradient_config(16, gradient_points=10),
+        _ball_gradient_config(17, gradient_points=10),
         f"family: {2**17} members in dimension 17 make {2**17 * 17 * 17} matrix entries, "
         f"more than the cap of {STACK_ENTRIES_CAP}",
     ),
@@ -1481,24 +1495,50 @@ def test_fuzz_bases_parse(index):
     assert parse_config(json.dumps(_FUZZ_BASES[index]))
 
 
+def _mutate(config, path, value):
+    """Set the leaf at ``path`` to ``value``, or delete it; no-op if its parent is gone."""
+    parent = config
+    try:
+        for key in path[:-1]:
+            parent = parent[key]
+        if value is _DELETE:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = copy.deepcopy(value)
+    except (LookupError, TypeError):
+        pass  # an earlier mutation removed or replaced the parent
+
+
+def _errors(config) -> list:
+    try:
+        parse_config(json.dumps(config))
+    except ConfigError as exc:
+        return exc.errors
+    return []
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.data())
 def test_mutated_workload_configs_raise_only_config_errors(data):
     config = copy.deepcopy(data.draw(st.sampled_from(_WORKLOAD_CONFIGS + _FUZZ_BASES)))
     paths = st.sampled_from(_leaf_paths(config))
     for path in data.draw(st.lists(paths, min_size=1, max_size=3, unique=True)):
+        _mutate(config, path, data.draw(st.sampled_from(_MUTATIONS)))
+    _errors(config)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_errors_of_unlinked_nodes_add_up(data):
+    # no rule reads both the kernel and a field, so a config with a leaf of
+    # each mutated reports every error that each mutation reports alone
+    base = data.draw(st.sampled_from(_FUZZ_BASES))
+    both, alone = copy.deepcopy(base), []
+    for prefix, node in ((("kernel",), base["kernel"]), (("fields", 0), base["fields"][0])):
+        path = data.draw(st.sampled_from(_leaf_paths(node, prefix)))
         value = data.draw(st.sampled_from(_MUTATIONS))
-        parent = config
-        try:
-            for key in path[:-1]:
-                parent = parent[key]
-            if value is _DELETE:
-                del parent[path[-1]]
-            else:
-                parent[path[-1]] = copy.deepcopy(value)
-        except (LookupError, TypeError):
-            continue  # an earlier mutation removed or replaced the parent
-    try:
-        parse_config(json.dumps(config))
-    except ConfigError:
-        pass
+        config = copy.deepcopy(base)
+        _mutate(config, path, value)
+        _mutate(both, path, value)
+        alone += _errors(config)
+    assert set(alone) <= set(_errors(both))
