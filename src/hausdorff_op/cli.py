@@ -1,18 +1,21 @@
 """Config-driven experiment runner behind the ``hausdorff-op`` console script.
 
 A run is described by one JSON file, and :func:`parse_config` checks it in
-two passes.  The schema is data: each kind of node has a table mapping each
-key to its JSON shape (a number is a finite double) and, if it may be left
-out, its default.  Pass one walks every node against its table with one
-walker, :func:`_walk`, and never stops early: unknown keys are rejected and
-every violation is reported, because a silent typo in a tolerance or kernel
-name would invalidate a verification run.  Pass two runs every value rule,
-in build order, on the values whose shapes passed: the CLI's caps, counts
-that must agree, the library's checks of a family, a kernel and the
-necessity witness, then the builds of the measure, fields, domain and
-preservation region, where a constructor's ``ValueError`` becomes an error
-named by its node.  So every shape error comes in table order, then every
-value error in build order.
+two passes.  The schema is data: one tree of tables, a table per kind of
+node mapping each key to its JSON shape (a number is a finite double), its
+default if it may be left out and, for a key that holds a node, the node's
+tables.  Pass one checks ``dimension`` and then walks the tree from its
+root with one walker, :func:`_walk`, which never stops early: unknown keys
+are rejected and every violation is reported, because a silent typo in a
+tolerance or kernel name would invalidate a verification run.  Pass two
+runs every value rule, in build order, on the values whose shapes passed:
+the rules across nodes (a measure beside its family, the ``p`` range, the
+experiment names), the CLI's caps, counts that must agree, the library's
+checks of a family, a kernel and the necessity witness, then the builds of
+the measure, fields, domain and preservation region, where a constructor's
+``ValueError`` becomes an error named by its node, and the range of each
+gaussian where the run evaluates it.  So every shape error comes in the
+tree's order, depth first, then every value error in build order.
 Artifacts: ``results.csv`` (one row per bound check), ``divergence.csv``
 (present when the divergence experiment ran), and ``summary.txt``.  Numeric
 CSV cells use 17 significant digits so reruns diff byte-identically.
@@ -60,7 +63,7 @@ from .isometry import (
     rotation_family,
     shift_family,
 )
-from .measure_kernel import KernelForm, discretize, kernel_form, kernel_on_measure
+from .measure_kernel import _FORMS, KernelForm, discretize, kernel_form, kernel_on_measure
 from .operator import HausdorffOperator
 
 EXPERIMENT_DESCRIPTIONS = (
@@ -161,17 +164,23 @@ def _is_number_tree(x) -> bool:
     return True
 
 
-# the schema: one table per kind of node, mapping each key to its shape
+# the schema: one tree of tables, one per kind of node, mapping each key to
+# its shape; a key whose value is a node names the node's tables
 
 _REQUIRED = object()  # the default of a key the config may not leave out
 
 
 class _Key(NamedTuple):
-    """A key of a node table: its JSON shape, and its default if it may be left out."""
+    """A key of a node table: its JSON shape, its default if it may be left out, and its nodes."""
 
     test: Callable  # test(value, n), with n the dimension
     phrase: str  # the shape in "<where>: <key> must be <phrase>"; {n} is the dimension
     default: object = _REQUIRED
+    # a node value: its table or a table per value of the key tag, and
+    # whether the value is a list of such nodes
+    tables: dict | None = None
+    tag: str | None = None
+    many: bool = False
 
     def optional(self, default) -> _Key:
         return self._replace(default=default)
@@ -188,6 +197,8 @@ _POSITIVE = _Key(lambda v, n: _is_number(v) and v > 0, "a positive number")
 _NUMBERS = _Key(lambda v, n: isinstance(v, list) and all(_is_number(x) for x in v),
                "a list of numbers")
 _VECTOR = _Key(lambda v, n: _NUMBERS.test(v, n) and len(v) == n, "a list of {n} numbers")
+_MATRIX = _Key(lambda v, n: isinstance(v, list) and len(v) == n
+               and all(_VECTOR.test(row, n) for row in v), "a list of {n} rows of {n} numbers")
 _INTERVAL = _Key(lambda v, n: _NUMBERS.test(v, n) and len(v) == 2, "a list of 2 numbers")
 # numpy would turn JSON strings and booleans into numbers
 _COEFFS = _Key(lambda v, n: _is_number_tree(v), "a (nested) list of numbers")
@@ -200,11 +211,19 @@ _RULE_SIZE = _at_least(2)  # of a Gauss-Legendre rule
 # None is the config seed, filled in by the walk
 _SEED = _at_least(0).optional(None)
 
+
+def _node(tables: dict, tag: str | None = None, many: bool = False) -> _Key:
+    # the walk of each node checks that it is an object
+    return (_LIST if many else _ANY)._replace(tables=tables, tag=tag, many=many)
+
+
 _DOMAINS = {
     geometry.BALL: {"center": _VECTOR, "radius": _NUMBER},
     geometry.BOX: {"lower": _VECTOR, "upper": _VECTOR},
     geometry.TRUNCATED: {"halfwidth": _NUMBER},
 }
+# one of the motions' members
+_MOTION = {"matrix": _MATRIX, "offset": _VECTOR.optional(None)}
 _FAMILIES = {
     "rotations_haar": {
         "count": _Key(lambda v, n: _is_int(v) and 1 <= v <= GROUP_SIZE_CAP,
@@ -213,22 +232,30 @@ _FAMILIES = {
     },
     # the group's values pass its one check, finite_group_size
     "finite_group": {"group": _ANY.optional(None), "order": _INT.optional(None)},
-    "shifts": {"offsets": _NONEMPTY_NUMBERS},
-    "motions": {"members": _LIST},
+    # offsets, or from_measure = true with fold: pass two checks which
+    "shifts": {"offsets": _NONEMPTY_NUMBERS.optional(None), "from_measure": _ANY.optional(None),
+               "fold": _BOOL.optional(None)},
+    "motions": {"members": _node(_MOTION, many=True)},
 }
-# shifts without offsets, one per measure node; pass two requires from_measure
-_MEASURE_SHIFTS = {"from_measure": _ANY.optional(None), "fold": _BOOL.optional(False)}
-# one of the motions' members; pass one checks the values against n
-_MOTION = {"matrix": _ANY.optional(None), "offset": _ANY.optional(None)}
 _MEASURES = {
     "explicit": {"nodes": _NUMBERS, "weights": _NUMBERS},
     "gauss_legendre": {"interval": _INTERVAL, "count": _INT},
     "monte_carlo": {"interval": _INTERVAL, "count": _INT, "seed": _SEED},
 }
+# the whitelist of kernel forms, by name: each parameter is a number, and
+# kernel_form checks the values
+_KERNELS = {name: dict.fromkeys(form.params, _NUMBER) for name, form in _FORMS.items()}
 _FIELDS = {
     "gaussian": {"center": _VECTOR, "width": _NUMBER},
     "polynomial": {"coeffs": _COEFFS},
     "gaussian_times_poly": {"center": _VECTOR, "width": _NUMBER, "coeffs": _COEFFS},
+}
+# the default necessity witness: 88,880 folded shifts in all
+_NECESSITY = {
+    "kernel": _node(_KERNELS, "name").optional({"name": "power", "a": 1.0}),
+    "endpoints": _NUMBERS.optional([10.0, 100.0, 1000.0, 10000.0]),
+    "x0": _NUMBER.optional(0.0),
+    "points_per_panel": _RULE_SIZE.optional(8),
 }
 _OPTIONS = {
     "gradient_points": _COUNT.optional(50),
@@ -237,59 +264,68 @@ _OPTIONS = {
     "preservation_members": _COUNT.optional(10),
     "gradient_step": _POSITIVE.optional(TOLERANCES["gradient_step"]),
     "gradient_margin": _POSITIVE.optional(0.05),
-    # both nodes are walked in pass one; no region is the unit box
-    "preservation_region": _ANY.optional(None),
-    "necessity": _ANY.optional({}),
+    # no region is the unit box
+    "preservation_region": _node(_DOMAINS, "shape").optional(None),
+    "necessity": _node(_NECESSITY).optional({}),
 }
-# the default necessity witness: 88,880 folded shifts in all
-_NECESSITY = {
-    "kernel": _ANY.optional({"name": "power", "a": 1.0}),  # its form, by kernel_form
-    "endpoints": _NUMBERS.optional([10.0, 100.0, 1000.0, 10000.0]),
-    "x0": _NUMBER.optional(0.0),
-    "points_per_panel": _RULE_SIZE.optional(8),
-}
-# the top level: its keys and defaults; pass one checks the values in
-# turn, so that each shape error follows those of the nodes before it
+# the root of the tree; only a finite_group family, which brings its own,
+# may leave out the measure
 _TOP = {
-    "dimension": _ANY, "domain": _ANY, "family": _ANY, "measure": _ANY.optional(None),
-    "kernel": _ANY, "fields": _ANY, "p": _ANY.optional([1.0]), "resolution": _ANY.optional(64),
-    "experiments": _ANY, "experiment_options": _ANY.optional({}), "seed": _ANY.optional(0),
-    "output": _ANY.optional(None),
+    "dimension": _COUNT, "seed": _at_least(0).optional(0),
+    "domain": _node(_DOMAINS, "shape"), "family": _node(_FAMILIES, "kind"),
+    "measure": _node(_MEASURES, "scheme").optional(None), "kernel": _node(_KERNELS, "name"),
+    "fields": _node(_FIELDS, "kind", many=True), "p": _NONEMPTY_NUMBERS.optional([1.0]),
+    "resolution": _RULE_SIZE.optional(64), "experiments": _LIST,
+    "experiment_options": _node(_OPTIONS).optional({}),
+    "output": _Key(lambda v, n: v is None or isinstance(v, str), "a string path").optional(None),
 }
 
 
-def _walk(spec, where: str, tables: dict, errors: list, n: int = 1, tag=None, seed: int = 0):
-    """Check one config node against its table; return a checked copy, or None.
+def _walk(spec, where: str, shape: _Key, errors: list, sound: set, n: int, seed: int) -> dict:
+    """Check one config node, and the nodes under it, against their tables.
 
-    ``tables`` is the node's table or, with ``tag``, a table per value of
-    that key.  The walk checks that the node is an object with a known tag,
-    rejects unknown keys, then checks each key's shape in table order: a key
-    left out takes a copy of its default (a seed the config ``seed``), and a
-    required one left out fails.  The copy holds the tag and each key that
-    passed.
+    The node must be an object with a known tag (``shape.tag``); unknown
+    keys are rejected, then each key is checked in table order: one left
+    out takes a copy of its default (a seed the config ``seed``) or, if
+    required, fails, and a node value is walked in its place, unless it is
+    null with a null default.  Returns a copy of the tag and each key that
+    passed, ``{}`` for a node that is not an object or has no known tag, and
+    adds ``where`` to ``sound`` when no error was found in or under the node.
     """
     if not isinstance(spec, dict):
         errors.append(f"{where} must be an object")
-        return None
-    node, table = {}, tables
-    if tag is not None:
-        kind = spec.get(tag)
+        return {}
+    before, node, table, at = len(errors), {}, shape.tables, f"{where}: " if where else ""
+    if shape.tag is not None:
+        kind = spec.get(shape.tag)
         # a list or a dict is unhashable, so the type is tested first
-        if not (isinstance(kind, str) and kind in tables):
-            errors.append(f"{where}: {tag} must be one of {list(tables)}, got {kind!r}")
-            return None
-        node[tag], table = kind, tables[kind]
+        if not (isinstance(kind, str) and kind in table):
+            errors.append(f"{at}{shape.tag} must be one of {list(table)}, got {kind!r}")
+            return {}
+        node[shape.tag], table = kind, table[kind]
     allowed = {*node, *table}
     unknown = sorted(set(spec) - allowed)
     if unknown:
-        errors.append(f"{where}: unknown key(s) {unknown}, allowed: {sorted(allowed)}")
-    for key, shape in table.items():
-        if key not in spec and shape.default is not _REQUIRED:
-            node[key] = seed if shape is _SEED else copy.deepcopy(shape.default)
-        elif shape.test(spec.get(key), n):
-            node[key] = spec.get(key)
+        errors.append(f"{at}unknown key(s) {unknown}, allowed: {sorted(allowed)}")
+    for key, value_shape in table.items():
+        if key in spec and value_shape.test(spec[key], n):
+            value = spec[key]
+        elif key in spec:
+            errors.append(f"{at}{key} must be {value_shape.phrase.format(n=n)}")
+            continue
+        elif value_shape.default is _REQUIRED:
+            errors.append(f"{at}missing required key '{key}'")
+            continue
         else:
-            errors.append(f"{where}: {key} must be {shape.phrase.format(n=n)}")
+            value = seed if value_shape is _SEED else copy.deepcopy(value_shape.default)
+        if value_shape.tables is not None and not (value is None and value_shape.default is None):
+            walk = partial(_walk, shape=value_shape, errors=errors, sound=sound, n=n, seed=seed)
+            path = f"{where}.{key}" if where else key
+            value = ([walk(item, f"{path}[{i}]") for i, item in enumerate(value)]
+                     if value_shape.many else walk(value, path))
+        node[key] = value
+    if len(errors) == before:
+        sound.add(where)
     return node
 
 
@@ -334,16 +370,22 @@ _FIELD_BUILDS = {
     "polynomial": lambda f, n: polynomial(f["coeffs"], dimension=n),
     "gaussian_times_poly": lambda f, n: gaussian_times_poly(f["center"], f["width"], f["coeffs"]),
 }
+
+
+def _shift_offsets(family: dict, measure):
+    """A shifts family's offsets, or its measure's nodes, folded into [0, 1) with fold."""
+    if family["offsets"] is not None:
+        return family["offsets"]
+    return measure.nodes - np.floor(measure.nodes) if family["fold"] else measure.nodes
+
+
 # each family's call at run time: it takes the built measure (None for a
 # finite group, which brings its own) and returns the (family, measure) pair;
 # a motions family was built in pass two, which is its orthogonality check
 _FAMILY_BUILDS = {
     "rotations_haar": lambda f, n, m: (rotation_family(n, f["count"], f["seed"]), m),
     "finite_group": lambda f, n, m: finite_group_family(f["group"], n, f["order"]),
-    # shifts by the offsets, or by the measure's nodes, folded into [0, 1) with fold
-    "shifts": lambda f, n, m: (shift_family(
-        f["offsets"] if "offsets" in f else m.nodes - np.floor(m.nodes) if f["fold"]
-        else m.nodes), m),
+    "shifts": lambda f, n, m: (shift_family(_shift_offsets(f, m)), m),
     "motions": lambda f, n, m: (f["motions"], m),
 }
 _REGION = "experiment_options.preservation_region"
@@ -351,158 +393,63 @@ _WITNESS = "experiment_options.necessity"
 
 
 def _check_shapes(raw: dict, errors: list) -> tuple[dict, set]:
-    """Pass one: walk every node against its table, in table order.
+    """Pass one: walk the config tree; return its checked copy and the set
+    of nodes whose walk found no error (see :func:`_walk`).
 
-    Returns the checked values by where they sit in the config (a node that
-    is not an object or has no known tag is None), and the set of nodes
-    whose walk found no error.  It stops early only at a bad ``dimension``,
-    which every length is checked against.
+    It stops early only at a bad ``dimension``, which every length is
+    checked against; a bad ``seed`` is reported in its turn, and the nodes'
+    seeds default to 0.
     """
-    top = _walk(raw, "config", _TOP, errors)
-    errors += [f"missing required key '{key}'" for key, shape in _TOP.items()
-               if shape.default is _REQUIRED and key not in raw]
-    n = top["dimension"]
+    n, seed, sound = raw.get("dimension"), raw.get("seed", 0), set()
     if not _COUNT.test(n, 1):
-        errors.append(f"dimension must be {_COUNT.phrase}")
-        raise ConfigError(errors)
-    seed = top["seed"]
-    if not _SEED.test(seed, n):
-        errors.append(f"seed must be {_SEED.phrase}")
-        seed = 0
-    checked, sound = {"dimension": n, "seed": seed}, set()
-
-    def walk(where, spec, tables, tag=None):
-        before = len(errors)
-        checked[where] = _walk(spec, where, tables, errors, n, tag, seed)
-        if len(errors) == before:
-            sound.add(where)
-        return checked[where]
-
-    def kernel(where, spec):  # its parameters are numbers; kernel_form checks the rest
-        checked[where] = None
-        if not isinstance(spec, dict):
-            errors.append(f"{where} must be an object")
-            return
-        bad = [k for k, v in spec.items() if k != "name" and not _is_number(v)]
-        errors.extend(f"{where}: kernel parameter {k} must be a number" for k in bad)
-        if not bad:
-            checked[where] = spec
-
-    if "domain" in raw:
-        walk("domain", raw["domain"], _DOMAINS, "shape")
-    family_spec, measure_spec = top["family"], top["measure"]
-    family = None
-    if "family" in raw:
-        shifts = isinstance(family_spec, dict) and "offsets" not in family_spec
-        family = walk("family", family_spec,
-                      {**_FAMILIES, "shifts": _MEASURE_SHIFTS} if shifts else _FAMILIES, "kind")
-    if family and "members" in family:
-        members, before = family["members"], len(errors)
-        for i, member in enumerate(members):
-            if not isinstance(member, dict):
-                errors.append(f"family: member {i} must be an object")
-                continue
-            _walk(member, f"family member {i}", _MOTION, errors)
-            matrix = member.get("matrix")
-            if not (isinstance(matrix, list) and len(matrix) == n
-                    and all(_VECTOR.test(row, n) for row in matrix)):
-                errors.append(f"family: member {i} matrix must be {n}x{n}")
-            if "offset" in member and not _VECTOR.test(member["offset"], n):
-                errors.append(f"family: member {i} offset must be a list of {n} numbers")
-        if len(errors) > before:
-            sound.discard("family")
-        else:  # the (matrix, offset) pairs that pass two builds
-            family["motions"] = [(m["matrix"], m.get("offset")) for m in members]
-    if family and family["kind"] == "finite_group":
-        if measure_spec is not None:
-            errors.append("measure: a finite_group family carries its own uniform measure; "
-                          "omit the measure")
-    elif measure_spec is not None:
-        walk("measure", measure_spec, _MEASURES, "scheme")
-    elif family_spec is not None or "measure" in raw:
-        errors.append("missing required key 'measure' (only finite_group families omit it)")
-    if "kernel" in raw:
-        kernel("kernel", raw["kernel"])
-
-    fields = top["fields"] if _LIST.test(top["fields"], n) else []
-    if "fields" in raw and not fields:
-        errors.append(f"fields must be {_LIST.phrase}")
-    checked["fields"] = [walk(f"fields[{i}]", spec, _FIELDS, "kind")
-                         for i, spec in enumerate(fields)]
-
-    ps = top["p"]
-    if not _NONEMPTY_NUMBERS.test(ps, n):
-        errors.append(f"p must be {_NONEMPTY_NUMBERS.phrase}")
-        ps = [1.0]
-    bad = [v for v in ps if not P_MIN <= v <= P_MAX]
-    if bad:
-        errors.append(f"p values must lie in [{P_MIN:g}, {P_MAX:g}], got {bad}")
-    checked["p"] = ps
-
-    checked["resolution"] = top["resolution"]
-    if not _RULE_SIZE.test(top["resolution"], n):
-        errors.append(f"resolution must be {_RULE_SIZE.phrase}")
-        checked["resolution"] = 64
-
-    experiments = checked["experiments"] = (
-        top["experiments"] if _LIST.test(top["experiments"], n) else [])
-    if "experiments" in raw and not experiments:
-        errors.append(f"experiments must be {_LIST.phrase}")
-    unknown = [e for e in experiments if e not in EXPERIMENT_NAMES]
-    if unknown:
-        errors.append(f"unknown experiment(s) {unknown}, known: {list(EXPERIMENT_NAMES)}")
-    elif len(set(experiments)) != len(experiments):
-        errors.append("experiments must not repeat")
-
-    options = walk("experiment_options", top["experiment_options"], _OPTIONS)
-    if options is not None:
-        if "preservation_region" in top["experiment_options"]:
-            walk(_REGION, options["preservation_region"], _DOMAINS, "shape")
-        necessity = walk(_WITNESS, options["necessity"], _NECESSITY)
-        if necessity is not None:
-            kernel(f"{_WITNESS}.kernel", necessity["kernel"])
-
-    output = checked["output"] = top["output"]
-    if output is not None and not isinstance(output, str):
-        errors.append("output must be a string path")
-    return checked, sound
+        raise ConfigError([f"dimension must be {_COUNT.phrase}"])
+    seed = seed if _TOP["seed"].test(seed, n) else 0
+    return _walk(raw, "", _node(_TOP), errors, sound, n, seed), sound
 
 
-def _check_values(checked: dict, sound: set, errors: list) -> RunInputs | None:
+def _check_values(top: dict, sound: set, errors: list) -> RunInputs | None:
     """Pass two: every value rule, in build order, on the checked values it reads.
 
     A rule runs when the values it reads passed pass one, whatever failed
     elsewhere, and a node is built once its walk and every rule on it
     passed.  Returns what the run reads, or None when any error was found.
     """
-    n, experiments = checked["dimension"], checked["experiments"]
+    n, experiments = top["dimension"], top.get("experiments", [])
 
-    def form(where):  # a kernel's form: its constructor is the one whitelist check
-        spec = checked.get(where)
-        if spec is not None:
-            params = {k: v for k, v in spec.items() if k != "name"}
-            return _build(partial(kernel_form, spec.get("name"), **params), where, errors)
+    def form(spec, where):  # a kernel's form: its constructor checks the values
+        if where in sound:
+            return _build(partial(kernel_form, **spec), where, errors)
 
-    family, before = checked.get("family") or {}, len(errors)
+    family, before = top.get("family", {}), len(errors)
     kind = family.get("kind")
     if kind == "shifts" and n != 1:
         errors.append("family: shifts need dimension 1")
-    if "from_measure" in family and family["from_measure"] is not True:
-        errors.append("family: shifts need either offsets or from_measure = true")
+    if kind == "shifts" and "offsets" in family:
+        # offsets alone, or from_measure = true with an optional fold
+        alone = family["from_measure"] is None and family.get("fold") is None
+        if not (alone if family["offsets"] is not None else family["from_measure"] is True):
+            errors.append("family: shifts need either offsets or from_measure = true")
     if kind == "rotations_haar" and "count" in family:
         _build(partial(check_stack_entries, family["count"], n), "family", errors)
     if kind == "finite_group" and "order" in family:
         _build(partial(finite_group_size, family["group"], n, family["order"]), "family", errors)
-    if "motions" in family:
+    members = family.get("members", [])
+    if members and all(f"family.members[{i}]" in sound for i in range(len(members))):
         try:  # the family's own check names the first member that is not orthogonal
-            family["motions"] = motion_family(family["motions"])
+            family["motions"] = motion_family([(m["matrix"], m["offset"]) for m in members])
         except ValueError as exc:
             errors.append(str(exc))
     if len(errors) > before:
         sound.discard("family")
 
-    measure, before = checked.get("measure"), len(errors)
-    if measure is not None:
+    measure, before = top["measure"], len(errors)
+    if kind == "finite_group":
+        if measure is not None:
+            errors.append("measure: a finite_group family carries its own uniform measure; "
+                          "omit the measure")
+    elif kind is not None and measure is None:
+        errors.append("missing required key 'measure' (only finite_group families omit it)")
+    elif measure:
         count = measure.get("count", 0)
         if measure["scheme"] == "gauss_legendre":
             _check_legendre_nodes(count, "measure: count", errors)
@@ -510,16 +457,24 @@ def _check_values(checked: dict, sound: set, errors: list) -> RunInputs | None:
             errors.append(f"measure: count {count} exceeds the family size cap of "
                           f"{GROUP_SIZE_CAP}")
         # the member count the family states: a Haar count, its offsets or members
-        members = family.get("count") or len(family.get("offsets") or family.get("members") or [])
+        members = family.get("count") or len(family.get("offsets") or members)
         count = len(measure["nodes"]) if "nodes" in measure else measure.get("count")
         if count is not None and members and count != members:
             errors.append(f"measure has {count} nodes but the family has {members} members")
     if len(errors) > before:
         sound.discard("measure")
-    kernel = form("kernel")
+    kernel = form(top.get("kernel"), "kernel")
 
-    resolution = checked["resolution"]
-    if any(name in _GRID_EXPERIMENTS for name in experiments):
+    bad = [v for v in top.get("p", []) if not P_MIN <= v <= P_MAX]
+    if bad:
+        errors.append(f"p values must lie in [{P_MIN:g}, {P_MAX:g}], got {bad}")
+    unknown = [e for e in experiments if e not in EXPERIMENT_NAMES]
+    if unknown:
+        errors.append(f"unknown experiment(s) {unknown}, known: {list(EXPERIMENT_NAMES)}")
+    elif len(set(experiments)) != len(experiments):
+        errors.append("experiments must not repeat")
+    resolution = top.get("resolution")
+    if resolution is not None and any(name in _GRID_EXPERIMENTS for name in experiments):
         # every grid axis is one Gauss-Legendre rule of `resolution` nodes
         _check_legendre_nodes(resolution, "resolution", errors)
         # min(n, 64) keeps the power small for any n: 2 ** 64 already exceeds the cap
@@ -527,18 +482,18 @@ def _check_values(checked: dict, sound: set, errors: list) -> RunInputs | None:
             errors.append(f"resolution {resolution} in dimension {n} gives more than "
                           f"{MAX_GRID_NODES} grid nodes")
 
-    opts = checked.get("experiment_options") or {}
+    opts = top.get("experiment_options", {})
     for key, cap, per in (("gradient_points", MAX_GRID_NODES, ""),
                           ("preservation_samples", MAX_PRESERVATION_SAMPLES, " per member")):
         if opts.get(key, 0) > cap:
             errors.append(f"experiment_options: {key} {opts[key]} exceeds the cap of {cap}{per}")
-    region = checked.get(_REGION)
+    region = opts.get("preservation_region")
     if region and region["shape"] == geometry.TRUNCATED:
         errors.append(f"{_REGION}: must be a bounded ball or box")
         sound.discard(_REGION)
-    nec, before = checked.get(_WITNESS), len(errors)
+    nec, before = opts.get("necessity"), len(errors)
     if nec is not None:
-        nec["kernel"] = form(f"{_WITNESS}.kernel")
+        nec["kernel"] = form(nec.get("kernel"), f"{_WITNESS}.kernel")
         if "points_per_panel" in nec:
             _check_legendre_nodes(nec["points_per_panel"], f"{_WITNESS}: points_per_panel",
                                   errors)
@@ -549,16 +504,16 @@ def _check_values(checked: dict, sound: set, errors: list) -> RunInputs | None:
                            nec["points_per_panel"], nec["x0"]), _WITNESS, errors)
 
     # the builds; the measure only beside a family that passed, which takes it
-    if "measure" in sound and "family" in sound:
-        measure = _build(partial(discretize, measure), "measure", errors)
-    fields = [(f"{i}:{node['kind']}", _build(partial(_FIELD_BUILDS[node["kind"]], node, n),
-                                              f"fields[{i}]", errors))
-              for i, node in enumerate(checked["fields"]) if f"fields[{i}]" in sound]
+    measure = (_build(partial(discretize, measure), "measure", errors)
+               if "measure" in sound and "family" in sound else None)
+    nodes = top.get("fields", [])
+    built = {i: _build(partial(_FIELD_BUILDS[node["kind"]], node, n), f"fields[{i}]", errors)
+             for i, node in enumerate(nodes) if f"fields[{i}]" in sound}
+    fields = [(f"{i}:{nodes[i]['kind']}", f) for i, f in built.items()]
     # a truncated window and the default region hold n numbers each, and n is
     # bounded by the size of the config only once every field is built
-    sized = (len(fields) == len(checked["fields"]) > 0
-             and all(f is not None for _, f in fields))
-    domain = checked.get("domain")
+    sized = len(built) == len(nodes) > 0 and None not in built.values()
+    domain = top.get("domain")
     if "domain" in sound and (sized or domain["shape"] != geometry.TRUNCATED):
         domain = _build(partial(_DOMAIN_BUILDS[domain["shape"]], domain, n), "domain", errors)
     else:
@@ -566,11 +521,16 @@ def _check_values(checked: dict, sound: set, errors: list) -> RunInputs | None:
     if _REGION in sound:
         region = _build(partial(_DOMAIN_BUILDS[region["shape"]], region, n), _REGION, errors)
     else:
-        region = geometry.box([-0.5] * n, [0.5] * n) if sized and _REGION not in checked else None
-    if (domain is not None and _check_size(domain, "domain", errors)
-            and "gradient_check" in experiments
-            and opts.keys() >= {"gradient_points", "gradient_step", "gradient_margin"}):
-        _check_gradient_points(domain, opts, errors)
+        region = geometry.box([-0.5] * n, [0.5] * n) if sized and region is None else None
+    if domain is not None and _check_size(domain, "domain", errors):
+        if ("gradient_check" in experiments
+                and opts.keys() >= {"gradient_points", "gradient_step", "gradient_margin"}):
+            _check_gradient_points(domain, opts, errors)
+        if any(name in _GRID_EXPERIMENTS for name in experiments):
+            _check_gaussians({i: nodes[i] for i, f in built.items() if f is not None}, domain,
+                             family if "family" in sound else None, measure,
+                             "sobolev_bound" in experiments or "gradient_check" in experiments,
+                             errors)
     if region is not None:
         _check_size(region, _REGION, errors)
     if errors:
@@ -578,6 +538,38 @@ def _check_values(checked: dict, sound: set, errors: list) -> RunInputs | None:
     opts.update(preservation_region=region, necessity=nec)
     return RunInputs(domain, kernel, partial(_FAMILY_BUILDS[kind], family, n, measure),
                      tuple(fields), opts)
+
+
+def _check_gaussians(nodes: dict, domain: geometry.Domain, family: dict | None, measure,
+                     gradients: bool, errors: list) -> None:
+    """Check that no gaussian factor overflows where the run evaluates its field.
+
+    The run evaluates a field on the domain and at its images V x + b: those
+    of a ball or box stay in it, and on a truncated window [-h, h]^n each
+    coordinate lies within sqrt(n) h of the offset b's.  From the largest
+    |x_k - c_k| there, |x - c|^2 / w^2 and, with gradients, 2 |x_k - c_k| / w^2
+    must be finite doubles.  A window is skipped while the family (None
+    unless it passed) or its measure is unknown.
+    """
+    lo, hi = domain.bounding_box()
+    with np.errstate(over="ignore", invalid="ignore"):
+        if domain.shape == geometry.TRUNCATED:
+            kind = family and family["kind"]
+            if kind is None or kind == "shifts" and family["offsets"] is None and measure is None:
+                return
+            offsets = (family["motions"].offsets() if kind == "motions" else np.zeros(1)
+                       if kind != "shifts" else np.reshape(_shift_offsets(family, measure), (-1, 1)))
+            reach = math.sqrt(domain.dimension) * hi[0]
+            lo, hi = offsets.min(axis=0) - reach, offsets.max(axis=0) + reach
+        for i, node in nodes.items():
+            if "width" in node:
+                square = np.float64(node["width"]) * node["width"]
+                extent = np.maximum(np.abs(lo - node["center"]), np.abs(hi - node["center"]))
+                worst = [np.sum(extent * extent) / square,
+                         extent.max() * (2.0 / square) if gradients else 0.0]
+                if not np.isfinite(worst).all():
+                    errors.append(f"fields[{i}]: the gaussian overflows where the run evaluates "
+                                  "it: |x - c|^2 / w^2 or 2 |x - c| / w^2 exceeds the double range")
 
 
 def _check_gradient_points(domain: geometry.Domain, opts: dict, errors: list) -> None:
@@ -619,34 +611,39 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
 
     ``overrides`` replaces top-level keys before validation, so command-line
     values pass the same checks as the file's.  Raises :class:`ConfigError`
-    carrying every violation found: every shape error in table order, then
-    every value error in build order.
+    carrying every violation found: every shape error in the tree's order,
+    then every value error in build order.
     """
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # a syntax error, an integer of more digits than Python converts, or
+        # nesting deeper than the decoder recurses
         raise ConfigError([f"not valid JSON: {exc}"]) from exc
     if not isinstance(raw, dict):
         raise ConfigError(["top level must be a JSON object"])
     raw.update(overrides or {})
     errors: list[str] = []
-    checked, sound = _check_shapes(raw, errors)
-    inputs = _check_values(checked, sound, errors)
+    try:
+        top, sound = _check_shapes(raw, errors)
+        inputs = _check_values(top, sound, errors)
+    except RecursionError as exc:  # the repr of a value nested just short of that depth
+        raise ConfigError([*errors, f"a value nests too deeply to report: {exc}"]) from exc
     if errors:
         raise ConfigError(errors)
     return RunConfig(
-        dimension=checked["dimension"],
+        dimension=top["dimension"],
         domain=raw["domain"],
         family=raw["family"],
         measure=raw.get("measure"),
         kernel=raw["kernel"],
         fields=tuple(raw["fields"]),
-        p=tuple(float(v) for v in checked["p"]),
-        resolution=checked["resolution"],
-        experiments=tuple(checked["experiments"]),
+        p=tuple(float(v) for v in top["p"]),
+        resolution=top["resolution"],
+        experiments=tuple(top["experiments"]),
         options=raw.get("experiment_options", {}),
-        seed=checked["seed"],
-        output=checked["output"],
+        seed=top["seed"],
+        output=top["output"],
         inputs=inputs,
     )
 

@@ -113,18 +113,18 @@ def test_unknown_kernel_lists_whitelist():
     with pytest.raises(ConfigError) as exc:
         parse_config(json.dumps(config))
     (message,) = exc.value.errors
-    assert "kernel: unknown kernel form 'gauss', expected one of" in message
+    assert message == f"kernel: name must be one of {list(KERNEL_FORM_NAMES)}, got 'gauss'"
     for name in ("exp_decay", "power", "constant", "indicator"):
         assert name in message
 
 
 def test_kernel_name_that_is_a_list_lists_whitelist():
-    # the whitelist is a tuple, so an unhashable name is unknown, not a TypeError
+    # the walk tests a tag's type first, so an unhashable name is unknown, not a TypeError
     config = _minimal_config(kernel={"name": ["power"], "a": 1.0})
     with pytest.raises(ConfigError) as exc:
         parse_config(json.dumps(config))
     assert exc.value.errors == [
-        f"kernel: unknown kernel form ['power'], expected one of {KERNEL_FORM_NAMES}"
+        f"kernel: name must be one of {list(KERNEL_FORM_NAMES)}, got ['power']"
     ]
 
 
@@ -137,8 +137,7 @@ def test_bad_kernel_parameters_are_named():
         with pytest.raises(ConfigError) as exc:
             parse_config(json.dumps(config))
         bad = ("lo", "hi") if where == "kernel" else ("hi",)
-        assert exc.value.errors == [f"{where}: kernel parameter {key} must be a number"
-                                    for key in bad]
+        assert exc.value.errors == [f"{where}: {key} must be a number" for key in bad]
 
 
 def test_all_violations_are_collected():
@@ -190,8 +189,9 @@ _ORDERED_ERRORS = {
         "experiment_options.preservation_region: halfwidth must be a number",
         "experiment_options.preservation_region: must be a bounded ball or box",
     ]),
-    # a node's sub-nodes follow its own keys; rules on a tag come after every
-    # shape, and a truncated region is walked to its unknown keys
+    # a sub-node is walked in its key's place in its parent's table; rules on
+    # a tag come after every shape, and a truncated region is walked to its
+    # unknown keys
     "tags": ({
         "dimension": 2,
         "domain": {"shape": "box", "lower": [0.0, 0.0], "upper": [1.0, 1.0]},
@@ -200,11 +200,11 @@ _ORDERED_ERRORS = {
         "experiment_options": {
             "preservation_region": {"shape": "truncated_space", "halfwidth": 1.0, "x": 1},
             "necessity": {"kernel": {"name": "power", "a": "1"}, "x0": "0"}}}, [
-        "family: unknown key(s) ['x'], allowed: ['kind', 'offsets']",
+        "family: unknown key(s) ['x'], allowed: ['fold', 'from_measure', 'kind', 'offsets']",
         "experiment_options.preservation_region: unknown key(s) ['x'], allowed: "
         "['halfwidth', 'shape']",
+        "experiment_options.necessity.kernel: a must be a number",
         "experiment_options.necessity: x0 must be a number",
-        "experiment_options.necessity.kernel: kernel parameter a must be a number",
         "family: shifts need dimension 1",
         "experiment_options.preservation_region: must be a bounded ball or box",
     ]),
@@ -225,7 +225,7 @@ def test_value_errors_follow_the_shape_errors():
                              fields=[{"kind": "gaussian", "center": [0.0]}])
     with pytest.raises(ConfigError) as exc:
         parse_config(json.dumps(config))
-    assert exc.value.errors == ["fields[0]: width must be a number",
+    assert exc.value.errors == ["fields[0]: missing required key 'width'",
                                 "domain: radius must be finite and > 0, got -1.0"]
     config["fields"][0]["width"] = 1.0
     with pytest.raises(ConfigError) as exc:
@@ -341,7 +341,7 @@ _HUGE_NUMBERS = {
     ),
     "kernel": (
         _minimal_config(kernel={"name": "constant", "c": _HUGE}),
-        "kernel: kernel parameter c must be a number",
+        "kernel: c must be a number",
     ),
     "fields.center": (
         _minimal_config(fields=[{"kind": "gaussian", "center": [-_HUGE], "width": 1.0}]),
@@ -365,12 +365,12 @@ _HUGE_NUMBERS = {
     ),
     "motions.matrix": (
         _minimal_config(family={"kind": "motions", "members": [{"matrix": [[_HUGE]]}]}),
-        "family: member 0 matrix must be 1x1",
+        "family.members[0]: matrix must be a list of 1 rows of 1 numbers",
     ),
     "motions.offset": (
         _minimal_config(family={"kind": "motions",
                                 "members": [{"matrix": [[1.0]], "offset": [_HUGE]}]}),
-        "family: member 0 offset must be a list of 1 numbers",
+        "family.members[0]: offset must be a list of 1 numbers",
     ),
     "shifts.offsets": (
         _minimal_config(domain={"shape": "truncated_space", "halfwidth": 2.0},
@@ -604,6 +604,23 @@ _WIDTH_RULE = "width must be finite and > 0 with a finite nonzero square"
 def _inset_message(key, value, what):
     return (f"experiment_options: {key} {value} leaves no gradient points: "
             f"{what} reaches the inradius of the domain")
+
+
+_OVERFLOW_RULE = ("the gaussian overflows where the run evaluates it: |x - c|^2 / w^2 or "
+                  "2 |x - c| / w^2 exceeds the double range")
+
+
+def _wide_box_config(width):
+    """A gaussian of the given width at 0 on the box [0, 1e10]."""
+    return _minimal_config(domain={"shape": "box", "lower": [0.0], "upper": [1e10]},
+                           fields=[{"kind": "gaussian", "center": [0.0], "width": width}])
+
+
+def _shifted_window_config(offset):
+    return _minimal_config(domain={"shape": "truncated_space", "halfwidth": 2.0},
+                           family={"kind": "shifts", "offsets": [offset]},
+                           fields=[{"kind": "gaussian_times_poly", "center": [0.0], "width": 1.0,
+                                    "coeffs": [1.0]}])
 
 
 # (config at the cap, the same one step past it, the message past it)
@@ -868,6 +885,33 @@ _CAPPED_INPUTS = {
         _necessity_config(endpoints=[2.0, 1.0]),
         "experiment_options.necessity: endpoints must be finite, positive and increasing, "
         "got [2.0, 1.0]",
+    ),
+    # a gaussian's |x - c|^2 / w^2 must stay a double where the run evaluates
+    # it: past the cap the run printed overflow warnings and wrote nan rows
+    "gaussian_center_far": (
+        _minimal_config(fields=[{"kind": "gaussian", "center": [1e154], "width": 1.0}]),
+        _minimal_config(fields=[{"kind": "gaussian", "center": [1e308], "width": 1.0}]),
+        f"fields[0]: {_OVERFLOW_RULE}",
+    ),
+    "gaussian_width_on_a_wide_box": (
+        _wide_box_config(1e-144),
+        _wide_box_config(1e-150),
+        f"fields[0]: {_OVERFLOW_RULE}",
+    ),
+    # on a truncated window the run evaluates the field at the shifted points
+    "gaussian_shifted_window": (
+        _shifted_window_config(1e154),
+        _shifted_window_config(1e155),
+        f"fields[0]: {_OVERFLOW_RULE}",
+    ),
+    # with gradients, 2 |x - c| / w^2 must stay a double too; without, this
+    # width parses (gaussian_width_small)
+    "gaussian_gradient_factor": (
+        _minimal_config(experiments=["sobolev_bound"],
+                        fields=[{"kind": "gaussian", "center": [0.0], "width": 1.1e-154}]),
+        _minimal_config(experiments=["sobolev_bound"],
+                        fields=[{"kind": "gaussian", "center": [0.0], "width": 1e-154}]),
+        f"fields[0]: {_OVERFLOW_RULE}",
     ),
 }
 
@@ -1269,6 +1313,22 @@ def test_main_bad_config_exits_2(tmp_path, capsys):
     assert "config invalid" in capsys.readouterr().err
 
 
+def test_main_deep_json_exits_2_with_one_error(tmp_path):
+    # the decoder recurses once per level; past its limit it raised RecursionError
+    path = tmp_path / "deep.json"
+    path.write_text('{"dimension": 1, "fields": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-m", "hausdorff_op.cli", "run", str(path),
+                           "--out", str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("error: config invalid (1 error(s)):")
+    (line,) = [line for line in done.stderr.splitlines() if line.startswith("  - ")]
+    assert line.startswith("  - not valid JSON: maximum recursion depth exceeded")
+    assert not (tmp_path / "out").exists()
+
+
 def test_main_overrides_seed_and_resolution(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(_minimal_config()))
@@ -1525,6 +1585,45 @@ def test_mutated_workload_configs_raise_only_config_errors(data):
     for path in data.draw(st.lists(paths, min_size=1, max_size=3, unique=True)):
         _mutate(config, path, data.draw(st.sampled_from(_MUTATIONS)))
     _errors(config)
+
+
+# what replaces a leaf in the raw text: the leaf nested in lists, below and
+# past the decoder's recursion limit, or an integer past the double range,
+# past the digits Python converts
+_NESTINGS = st.one_of(st.integers(1, 64), st.sampled_from([500, 990, 1_000, 100_000]))
+_HUGE_INTS = st.sampled_from([400, 5_000]).map(lambda digits: "1" + "0" * digits)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_deep_or_huge_leaves_in_the_raw_text_raise_only_config_errors(data):
+    config = copy.deepcopy(data.draw(st.sampled_from(_WORKLOAD_CONFIGS + _FUZZ_BASES)))
+    path = data.draw(st.sampled_from(_leaf_paths(config)))
+    leaf = json.dumps(_leaf(config, path))
+    _mutate(config, path, "@leaf@")
+    depth = data.draw(_NESTINGS)
+    raw = data.draw(st.one_of(st.just("[" * depth + leaf + "]" * depth), _HUGE_INTS))
+    text = json.dumps(config).replace('"@leaf@"', raw)
+    try:
+        parse_config(text)
+    except ConfigError:
+        pass
+
+
+def test_a_name_nested_just_short_of_the_decoder_limit_is_a_config_error():
+    # the decoder takes it, and the repr of the name in its error recurses
+    # a few frames deeper than the decoder did
+    config = _necessity_config(kernel={"name": "@leaf@", "a": 1.0})
+    for depth in range(850, 1001):
+        text = json.dumps(config).replace('"@leaf@"', "[" * depth + "1" + "]" * depth)
+        with pytest.raises(ConfigError):
+            parse_config(text)
+
+
+def _leaf(config, path):
+    for key in path:
+        config = config[key]
+    return config
 
 
 @settings(max_examples=100, deadline=None)

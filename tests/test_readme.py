@@ -33,20 +33,24 @@ def _config_rows() -> dict:
 def test_readme_config_table_lists_the_schema():
     rows = _config_rows()
     assert set(rows) == set(cli._TOP)
-    # each README row, with the tables of the nodes it describes: a dict of
-    # tables per tag value, or one table
-    nodes = {
-        "domain": [cli._DOMAINS],
-        "family": [cli._FAMILIES, cli._MEASURE_SHIFTS, cli._MOTION],
-        "measure": [cli._MEASURES],
-        "fields": [cli._FIELDS],
-        "experiment_options": [cli._OPTIONS, cli._NECESSITY],
-    }
-    for row, tables in nodes.items():
-        for table in tables:
-            tagged = all(isinstance(value, dict) for value in table.values())
-            keys = [key for value in table.values() for key in value] if tagged else []
-            for name in [*table, *keys]:
-                assert re.search(rf'["`]{name}["`]', rows[row]), (row, name)
+    # every table reachable from the root, under the row of the first
+    # top-level key that reaches it: the row names each of its keys and, for
+    # a table per tag value, the tag and each value
+    seen = set()
+    for row, shape in cli._TOP.items():
+        stack = [shape]
+        while stack:
+            shape = stack.pop()
+            if shape.tables is None:
+                continue
+            tables = shape.tables if shape.tag else {None: shape.tables}
+            for kind, table in tables.items():
+                if id(table) in seen:
+                    continue
+                seen.add(id(table))
+                names = [*table] if kind is None else [shape.tag, kind, *table]
+                for name in names:
+                    assert re.search(rf'["`]{name}["`]', rows[row]), (row, name)
+                stack.extend(table.values())
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     assert "finite_group_uniform" not in readme
