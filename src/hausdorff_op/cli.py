@@ -14,8 +14,11 @@ experiment names), the CLI's caps, counts that must agree, the library's
 checks of a family, a kernel and the necessity witness, then the builds of
 the measure, fields, domain and preservation region, where a constructor's
 ``ValueError`` becomes an error named by its node, and the range of each
-gaussian where the run evaluates it.  So every shape error comes in the
-tree's order, depth first, then every value error in build order.
+gaussian where the run evaluates it; last, once every rule has passed, the
+family, the kernel's values on its measure and the operator, whose
+constructor checks that each motion keeps the domain in itself.  So every
+shape error comes in the tree's order, depth first, then every value error
+in build order, and :func:`run` builds only its grid and gradient points.
 Artifacts: ``results.csv`` (one row per bound check), ``divergence.csv``
 (present when the divergence experiment ran), and ``summary.txt``.  Numeric
 CSV cells use 17 significant digits so reruns diff byte-identically.
@@ -56,6 +59,7 @@ from .field import P_MAX, P_MIN, gaussian, gaussian_times_poly, polynomial
 from .geometry import build_grid_quadrature
 from .isometry import (
     GROUP_SIZE_CAP,
+    IsometryFamily,
     check_stack_entries,
     finite_group_family,
     finite_group_size,
@@ -63,7 +67,7 @@ from .isometry import (
     rotation_family,
     shift_family,
 )
-from .measure_kernel import _FORMS, KernelForm, discretize, kernel_form, kernel_on_measure
+from .measure_kernel import _FORMS, discretize, kernel_form, kernel_on_measure
 from .operator import HausdorffOperator
 
 EXPERIMENT_DESCRIPTIONS = (
@@ -74,7 +78,7 @@ EXPERIMENT_DESCRIPTIONS = (
     ("necessity_divergence", "operator blowup alongside a non-integrable kernel"),
 )
 EXPERIMENT_NAMES = tuple(name for name, _ in EXPERIMENT_DESCRIPTIONS)
-# experiments that build the operator, and whose resolution is capped at parse time
+# experiments that read the operator, and whose resolution is capped at parse time
 _GRID_EXPERIMENTS = ("lp_bound", "sobolev_bound", "gradient_check")
 # the checks that build the resolution ** dimension grid and share one
 # evaluation per field on it
@@ -111,13 +115,12 @@ class ConfigError(ValueError):
         super().__init__(f"config invalid ({len(self.errors)} error(s)):\n{lines}")
 
 
-@dataclass(frozen=True)
-class RunInputs:
-    """What :func:`run` reads of a config, built and checked; the family is still a call."""
+class RunInputs(NamedTuple):
+    """What :func:`run` reads of a config, built; None for what no experiment reads."""
 
     domain: geometry.Domain
-    kernel: KernelForm
-    family_measure: Callable[[], tuple]  # returns (family, measure)
+    family: IsometryFamily | None
+    operator: HausdorffOperator | None
     fields: tuple  # a (label, field) pair per field
     options: dict  # every option; the region is a Domain, the necessity kernel a form
 
@@ -379,9 +382,9 @@ def _shift_offsets(family: dict, measure):
     return measure.nodes - np.floor(measure.nodes) if family["fold"] else measure.nodes
 
 
-# each family's call at run time: it takes the built measure (None for a
-# finite group, which brings its own) and returns the (family, measure) pair;
-# a motions family was built in pass two, which is its orthogonality check
+# each family's build, the last of pass two: it takes the built measure (None
+# for a finite group, which brings its own) and returns the (family, measure)
+# pair; a motions family was built earlier, which is its orthogonality check
 _FAMILY_BUILDS = {
     "rotations_haar": lambda f, n, m: (rotation_family(n, f["count"], f["seed"]), m),
     "finite_group": lambda f, n, m: finite_group_family(f["group"], n, f["order"]),
@@ -411,10 +414,11 @@ def _check_values(top: dict, sound: set, errors: list) -> RunInputs | None:
     """Pass two: every value rule, in build order, on the checked values it reads.
 
     A rule runs when the values it reads passed pass one, whatever failed
-    elsewhere, and a node is built once its walk and every rule on it
-    passed.  Returns what the run reads, or None when any error was found.
+    elsewhere; a node is built once it and its rules passed, the family and
+    operator once all did.  Returns what the run reads, or None on any error.
     """
     n, experiments = top["dimension"], top.get("experiments", [])
+    grid = any(name in _GRID_EXPERIMENTS for name in experiments)
 
     def form(spec, where):  # a kernel's form: its constructor checks the values
         if where in sound:
@@ -474,7 +478,7 @@ def _check_values(top: dict, sound: set, errors: list) -> RunInputs | None:
     elif len(set(experiments)) != len(experiments):
         errors.append("experiments must not repeat")
     resolution = top.get("resolution")
-    if resolution is not None and any(name in _GRID_EXPERIMENTS for name in experiments):
+    if resolution is not None and grid:
         # every grid axis is one Gauss-Legendre rule of `resolution` nodes
         _check_legendre_nodes(resolution, "resolution", errors)
         # min(n, 64) keeps the power small for any n: 2 ** 64 already exceeds the cap
@@ -526,18 +530,25 @@ def _check_values(top: dict, sound: set, errors: list) -> RunInputs | None:
         if ("gradient_check" in experiments
                 and opts.keys() >= {"gradient_points", "gradient_step", "gradient_margin"}):
             _check_gradient_points(domain, opts, errors)
-        if any(name in _GRID_EXPERIMENTS for name in experiments):
+        if grid:
             _check_gaussians({i: nodes[i] for i, f in built.items() if f is not None}, domain,
                              family if "family" in sound else None, measure,
                              "sobolev_bound" in experiments or "gradient_check" in experiments,
                              errors)
     if region is not None:
         _check_size(region, _REGION, errors)
+    pair = values = operator = None  # the built (family, measure), kernel and operator
+    if not errors and (grid or "measure_preservation" in experiments):
+        pair = _build(partial(_FAMILY_BUILDS[kind], family, n, measure), "family", errors)
+    if pair is not None and grid:
+        values = _build(partial(kernel_on_measure, kernel, pair[1]), "kernel", errors)
+    if values is not None:  # its constructor checks that the family keeps the domain
+        operator = _build(partial(HausdorffOperator, measure=pair[1], kernel=values,
+                                  family=pair[0], domain=domain), "family", errors)
     if errors:
         return None
     opts.update(preservation_region=region, necessity=nec)
-    return RunInputs(domain, kernel, partial(_FAMILY_BUILDS[kind], family, n, measure),
-                     tuple(fields), opts)
+    return RunInputs(domain, pair and pair[0], operator, tuple(fields), opts)
 
 
 def _check_gaussians(nodes: dict, domain: geometry.Domain, family: dict | None, measure,
@@ -679,18 +690,7 @@ def run(config: RunConfig, out_dir) -> int:
     is evaluated.  The rows are then written in config order: each
     experiment in turn, then field, then p.
     """
-    inputs = config.inputs
-    domain, opts = inputs.domain, inputs.options
-
-    fields = inputs.fields
-    operator = None
-    if any(name in _GRID_EXPERIMENTS for name in config.experiments):
-        family, measure = inputs.family_measure()
-        kernel = kernel_on_measure(inputs.kernel, measure)
-        operator = HausdorffOperator(measure=measure, kernel=kernel, family=family,
-                                     domain=domain)
-    elif "measure_preservation" in config.experiments:
-        family, _ = inputs.family_measure()
+    domain, family, operator, fields, opts = config.inputs
 
     bound_reports = []
     if any(name in _BOUND_EXPERIMENTS for name in config.experiments):

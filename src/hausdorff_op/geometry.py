@@ -4,7 +4,7 @@ Three domain shapes are supported: balls, axis-aligned boxes, and truncated
 spaces.  A truncated space is the box ``[-h, h]^n`` used as a finite window
 onto all of R^n: quadrature and sampling treat it exactly like the box, but
 membership of transformed points is unrestricted (see
-:meth:`Domain.escape_distance`), because the underlying domain is unbounded
+:meth:`Domain.image_escape`), because the underlying domain is unbounded
 and the window exists only to make integrals finite.
 
 Grid quadrature is a tensor product of Gauss-Legendre rules over the bounding
@@ -351,12 +351,14 @@ class Domain:
         domain under each motion (see :meth:`image_bounds`), in closed form.
 
         A ball escapes by ||Vc + b - c||, a box by the excess of its image
-        bounds over lower/upper; truncated spaces return 0.
+        bounds over lower/upper; truncated spaces return 0.  An escape past
+        the double range is inf, the right verdict, so it does not warn.
         """
         if self.shape == TRUNCATED:
             return np.zeros(len(offsets))
         if self.shape == BALL:
-            return np.sqrt(squared_distances(matrices @ self.center + offsets, self.center))
+            with np.errstate(over="ignore"):
+                return np.sqrt(squared_distances(matrices @ self.center + offsets, self.center))
         lo, hi = self.image_bounds(matrices, offsets)
         return np.maximum(self.lower - lo, hi - self.upper).clip(min=0.0).max(axis=1)
 

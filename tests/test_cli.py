@@ -29,8 +29,7 @@ from hausdorff_op.experiments import evaluate_field, run_lp_bound, run_sobolev_b
 from hausdorff_op.geometry import build_grid_quadrature
 from hausdorff_op.field import MAX_POLYNOMIAL_COEFFS
 from hausdorff_op.isometry import GROUP_SIZE_CAP, STACK_ENTRIES_CAP
-from hausdorff_op.measure_kernel import KERNEL_FORM_NAMES, kernel_on_measure
-from hausdorff_op.operator import HausdorffOperator
+from hausdorff_op.measure_kernel import KERNEL_FORM_NAMES
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import workloads  # noqa: E402
@@ -285,6 +284,7 @@ def test_bad_dimension_short_circuits():
 
 def test_finite_group_family_owns_its_measure():
     config = _minimal_config(
+        domain={"shape": "box", "lower": [-1.0], "upper": [1.0]},
         family={"kind": "finite_group", "group": "sign_flips"},
     )
     with pytest.raises(ConfigError, match="carries its own uniform measure"):
@@ -292,6 +292,20 @@ def test_finite_group_family_owns_its_measure():
     del config["measure"]
     parsed = parse_config(json.dumps(config))
     assert parsed.measure is None
+
+
+def test_only_a_finite_group_may_omit_the_measure():
+    # a value rule of pass two: after every shape error, before the p range
+    message = "missing required key 'measure' (only finite_group families omit it)"
+    config = _minimal_config()
+    del config["measure"]
+    with pytest.raises(ConfigError) as exc:
+        parse_config(json.dumps(config))
+    assert exc.value.errors == [message]
+    with pytest.raises(ConfigError) as exc:
+        parse_config(json.dumps({**config, "p": [0.5], "kernel": {"name": "constant", "c": "x"}}))
+    assert exc.value.errors == ["kernel: c must be a number", message,
+                                "p values must lie in [1, 16], got [0.5]"]
 
 
 @pytest.mark.parametrize("measure", [[1], "x", 3])
@@ -458,7 +472,7 @@ def test_main_negative_seed_override_exits_2(tmp_path, capsys):
 
 def test_grid_size_is_capped():
     at_cap = _minimal_config(dimension=2, resolution=2048,
-                             domain={"shape": "box", "lower": [0.0, 0.0], "upper": [1.0, 1.0]},
+                             domain={"shape": "box", "lower": [-1.0, -1.0], "upper": [1.0, 1.0]},
                              family={"kind": "finite_group", "group": "sign_flips"},
                              fields=[{"kind": "gaussian", "center": [0.0, 0.0], "width": 1.0}])
     del at_cap["measure"]
@@ -1365,7 +1379,7 @@ def test_main_non_object_measure_exits_2(tmp_path, capsys, measure):
 
 
 def test_main_surfaces_runtime_value_errors(tmp_path, capsys):
-    # a family that escapes its bounded domain fails at build time, not parse
+    # a family that escapes its bounded domain fails when pass two builds the operator
     config = _minimal_config(
         family={"kind": "shifts", "offsets": [0.5]},
         domain={"shape": "box", "lower": [0.0], "upper": [1.0]},
@@ -1432,8 +1446,37 @@ def test_main_kernel_overflow_exits_2_without_a_warning(tmp_path, capsys):
     path.write_text(json.dumps(config))
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: kernel exp_decay(a=1) is not finite at measure node -9")
+    assert err.startswith("error: config invalid (1 error(s)):\n"
+                          "  - kernel: kernel exp_decay(a=1) is not finite at measure node -9")
     assert "Warning" not in err
+    assert not (tmp_path / "out").exists()
+
+
+# sign flips on the box [0, 1], and on a ball whose escape passes the double range
+_ESCAPES = {
+    "box": ({}, "1.000e+00"),
+    "far ball": ({"dimension": 3,
+                  "domain": {"shape": "ball", "center": [0.0, 0.0, 1e308], "radius": 2.0},
+                  "fields": [{"kind": "polynomial", "coeffs": [[[0.0, 1.0]]]}]}, "inf"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ESCAPES))
+def test_a_family_that_leaves_the_domain_is_a_config_error(tmp_path, capsys, name):
+    # the operator's constructor checks the escape in pass two, without a
+    # numpy warning when the escape overflows
+    overrides, escape = _ESCAPES[name]
+    config = _minimal_config(family={"kind": "finite_group", "group": "sign_flips"}, **overrides)
+    del config["measure"]  # a finite group carries its own
+    message = (f"family: family member 1 leaves the domain by {escape} (> 1e-09); "
+               "the family does not preserve this domain")
+    with pytest.raises(ConfigError) as exc:
+        parse_config(json.dumps(config))
+    assert exc.value.errors == [message]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: config invalid (1 error(s)):\n  - {message}\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -1443,11 +1486,8 @@ def test_main_kernel_overflow_exits_2_without_a_warning(tmp_path, capsys):
 def test_only_high_p_sobolev_is_informative():
     config = parse_config(json.dumps(_minimal_config(resolution=8)))
     inputs = config.inputs
-    family, measure = inputs.family_measure()
-    operator = HausdorffOperator(measure=measure, kernel=kernel_on_measure(inputs.kernel, measure),
-                                 family=family, domain=inputs.domain)
     quad = build_grid_quadrature(inputs.domain, config.resolution)
-    ev = evaluate_field(operator, inputs.fields[0][1], quad, gradients=True)
+    ev = evaluate_field(inputs.operator, inputs.fields[0][1], quad, gradients=True)
     assert run_sobolev_bound(ev, 1.0).fatal
     assert not run_sobolev_bound(ev, 2.0).fatal
     assert run_lp_bound(ev, 2.0).fatal
@@ -1553,6 +1593,24 @@ def _leaf_paths(node, path=()):
 def test_fuzz_bases_parse(index):
     # the fuzzer's mutations start from configs that pass the walk
     assert parse_config(json.dumps(_FUZZ_BASES[index]))
+
+
+# each base's exit code.  Base 2 exits 1 by design: its witness of two short
+# panels grows 2x, below the tenfold necessity gate.  Base 5 exits 1 on its
+# p = 1 lp_bound row, lhs 2.4756 against rhs 2.4532: the offset rotation
+# carries field mass into the resolution-4 truncated window from outside it,
+# which the bound over the window alone does not cover
+_FUZZ_BASE_CODES = [0, 0, 1, 0, 0, 1]
+
+
+@pytest.mark.parametrize("index", range(len(_FUZZ_BASES)))
+def test_fuzz_bases_run_end_to_end(tmp_path, index):
+    base = _FUZZ_BASES[index]
+    path, out = tmp_path / "config.json", tmp_path / "out"
+    path.write_text(json.dumps(base))
+    assert main(["run", str(path), "--out", str(out)]) == _FUZZ_BASE_CODES[index]
+    divergence = {"divergence.csv"} if "necessity_divergence" in base["experiments"] else set()
+    assert {p.name for p in out.iterdir()} == {"results.csv", "summary.txt", *divergence}
 
 
 def _mutate(config, path, value):
