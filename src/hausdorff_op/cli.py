@@ -13,19 +13,21 @@ the rules across nodes (a measure beside its family, the ``p`` range, the
 experiment names), the CLI's caps, counts that must agree, the library's
 checks of a family, a kernel and the necessity witness, then the builds of
 the measure, fields, domain and preservation region, where a constructor's
-``ValueError`` becomes an error named by its node, and the range of each
-gaussian where the run evaluates it; last, once every rule has passed, the
-family, the kernel's values on its measure and the operator, whose
-constructor checks that each motion keeps the domain in itself.  So every
-shape error comes in the tree's order, depth first, then every value error
-in build order, and :func:`run` builds only its grid and gradient points.
+``ValueError`` becomes an error named by its node; last, once every rule
+has passed, the family, the kernel's values on its measure and the
+operator, whose constructor checks that each motion keeps the domain in
+itself and that each weight times kernel value is finite.  So every shape
+error comes in the tree's order, depth first, then every value error in
+build order, and :func:`run` builds only its grid and gradient points.
 Artifacts: ``results.csv`` (one row per bound check), ``divergence.csv``
 (present when the divergence experiment ran), and ``summary.txt``.  Numeric
 CSV cells use 17 significant digits so reruns diff byte-identically.
 
 Exit code 0 means every fatal check passed; each report says whether it
 is fatal.  Sobolev checks at p > 1 are informative only: the proved
-constant applies at p = 1, so they never flip the exit code.
+constant applies at p = 1, so they never flip the exit code.  A run whose
+arithmetic overflows, or forms an invalid value or a division by zero,
+stops there with exit 2 and writes nothing.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ import json
 import math
 import sys
 from collections.abc import Callable
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -59,6 +62,7 @@ from .field import P_MAX, P_MIN, gaussian, gaussian_times_poly, polynomial
 from .geometry import build_grid_quadrature
 from .isometry import (
     GROUP_SIZE_CAP,
+    DomainEscapeError,
     IsometryFamily,
     check_stack_entries,
     finite_group_family,
@@ -375,20 +379,16 @@ _FIELD_BUILDS = {
 }
 
 
-def _shift_offsets(family: dict, measure):
-    """A shifts family's offsets, or its measure's nodes, folded into [0, 1) with fold."""
-    if family["offsets"] is not None:
-        return family["offsets"]
-    return measure.nodes - np.floor(measure.nodes) if family["fold"] else measure.nodes
-
-
 # each family's build, the last of pass two: it takes the built measure (None
 # for a finite group, which brings its own) and returns the (family, measure)
-# pair; a motions family was built earlier, which is its orthogonality check
+# pair; shifts take their offsets or the measure's nodes, folded into [0, 1)
+# with fold, and a motions family was built earlier, as its orthogonality check
 _FAMILY_BUILDS = {
     "rotations_haar": lambda f, n, m: (rotation_family(n, f["count"], f["seed"]), m),
     "finite_group": lambda f, n, m: finite_group_family(f["group"], n, f["order"]),
-    "shifts": lambda f, n, m: (shift_family(_shift_offsets(f, m)), m),
+    "shifts": lambda f, n, m: (shift_family(
+        f["offsets"] if f["offsets"] is not None
+        else m.nodes - np.floor(m.nodes) if f["fold"] else m.nodes), m),
     "motions": lambda f, n, m: (f["motions"], m),
 }
 _REGION = "experiment_options.preservation_region"
@@ -526,15 +526,10 @@ def _check_values(top: dict, sound: set, errors: list) -> RunInputs | None:
         region = _build(partial(_DOMAIN_BUILDS[region["shape"]], region, n), _REGION, errors)
     else:
         region = geometry.box([-0.5] * n, [0.5] * n) if sized and region is None else None
-    if domain is not None and _check_size(domain, "domain", errors):
-        if ("gradient_check" in experiments
-                and opts.keys() >= {"gradient_points", "gradient_step", "gradient_margin"}):
-            _check_gradient_points(domain, opts, errors)
-        if grid:
-            _check_gaussians({i: nodes[i] for i, f in built.items() if f is not None}, domain,
-                             family if "family" in sound else None, measure,
-                             "sobolev_bound" in experiments or "gradient_check" in experiments,
-                             errors)
+    if (domain is not None and _check_size(domain, "domain", errors)
+            and "gradient_check" in experiments
+            and opts.keys() >= {"gradient_points", "gradient_step", "gradient_margin"}):
+        _check_gradient_points(domain, opts, errors)
     if region is not None:
         _check_size(region, _REGION, errors)
     pair = values = operator = None  # the built (family, measure), kernel and operator
@@ -542,45 +537,17 @@ def _check_values(top: dict, sound: set, errors: list) -> RunInputs | None:
         pair = _build(partial(_FAMILY_BUILDS[kind], family, n, measure), "family", errors)
     if pair is not None and grid:
         values = _build(partial(kernel_on_measure, kernel, pair[1]), "kernel", errors)
-    if values is not None:  # its constructor checks that the family keeps the domain
-        operator = _build(partial(HausdorffOperator, measure=pair[1], kernel=values,
-                                  family=pair[0], domain=domain), "family", errors)
+    if values is not None:
+        try:  # its constructor checks that the family keeps the domain, then each coefficient
+            operator = HausdorffOperator(measure=pair[1], kernel=values, family=pair[0],
+                                         domain=domain)
+        except ValueError as exc:
+            where = "family" if isinstance(exc, DomainEscapeError) else "measure"
+            errors.append(f"{where}: {exc}")
     if errors:
         return None
     opts.update(preservation_region=region, necessity=nec)
     return RunInputs(domain, pair and pair[0], operator, tuple(fields), opts)
-
-
-def _check_gaussians(nodes: dict, domain: geometry.Domain, family: dict | None, measure,
-                     gradients: bool, errors: list) -> None:
-    """Check that no gaussian factor overflows where the run evaluates its field.
-
-    The run evaluates a field on the domain and at its images V x + b: those
-    of a ball or box stay in it, and on a truncated window [-h, h]^n each
-    coordinate lies within sqrt(n) h of the offset b's.  From the largest
-    |x_k - c_k| there, |x - c|^2 / w^2 and, with gradients, 2 |x_k - c_k| / w^2
-    must be finite doubles.  A window is skipped while the family (None
-    unless it passed) or its measure is unknown.
-    """
-    lo, hi = domain.bounding_box()
-    with np.errstate(over="ignore", invalid="ignore"):
-        if domain.shape == geometry.TRUNCATED:
-            kind = family and family["kind"]
-            if kind is None or kind == "shifts" and family["offsets"] is None and measure is None:
-                return
-            offsets = (family["motions"].offsets() if kind == "motions" else np.zeros(1)
-                       if kind != "shifts" else np.reshape(_shift_offsets(family, measure), (-1, 1)))
-            reach = math.sqrt(domain.dimension) * hi[0]
-            lo, hi = offsets.min(axis=0) - reach, offsets.max(axis=0) + reach
-        for i, node in nodes.items():
-            if "width" in node:
-                square = np.float64(node["width"]) * node["width"]
-                extent = np.maximum(np.abs(lo - node["center"]), np.abs(hi - node["center"]))
-                worst = [np.sum(extent * extent) / square,
-                         extent.max() * (2.0 / square) if gradients else 0.0]
-                if not np.isfinite(worst).all():
-                    errors.append(f"fields[{i}]: the gaussian overflows where the run evaluates "
-                                  "it: |x - c|^2 / w^2 or 2 |x - c| / w^2 exceeds the double range")
 
 
 def _check_gradient_points(domain: geometry.Domain, opts: dict, errors: list) -> None:
@@ -682,46 +649,61 @@ def _bound_reports(evaluation, label: str, config: RunConfig) -> list:
             for name in config.experiments if name in runners for p in config.p]
 
 
+@contextmanager
+def _job(label: str):
+    """Turn a floating-point error in the block into a ValueError that names the job."""
+    try:
+        yield
+    except FloatingPointError as exc:
+        raise ValueError(f"{label}: {exc}") from None
+
+
 def run(config: RunConfig, out_dir) -> int:
     """Execute the configured experiments and write artifacts into out_dir.
 
     When a bound check runs, each field is evaluated once, reduced to its
     rows for every bound check and every p, and freed before the next field
     is evaluated.  The rows are then written in config order: each
-    experiment in turn, then field, then p.
+    experiment in turn, then field, then p.  Every computation runs before
+    any output is written, and the first overflow, invalid value or division
+    by zero in it raises a ValueError that names its job (``fields[i]``,
+    ``measure_preservation member=i`` or ``necessity_divergence``), then
+    numpy's reason.  Underflow is ignored: gaussian tails underflow by design.
     """
     domain, family, operator, fields, opts = config.inputs
-
-    bound_reports = []
-    if any(name in _BOUND_EXPERIMENTS for name in config.experiments):
-        quad = build_grid_quadrature(domain, config.resolution)
-        with_gradients = "sobolev_bound" in config.experiments
-        for label, f in fields:
-            # the evaluation is a temporary, so one field's arrays are alive at a time
-            bound_reports += _bound_reports(
-                evaluate_field(operator, f, quad, gradients=with_gradients), label, config)
-
-    reports, divergence = [], None
-    for name in config.experiments:
-        if name in _BOUND_EXPERIMENTS:
-            reports += [(label, r) for check, label, r in bound_reports if check == name]
-        elif name == "gradient_check":
-            seed = config.seed + _GRADIENT_SEED_OFFSET
-            points = interior_points(domain, opts["gradient_points"], seed,
-                                     _gradient_inset(opts)[1])
-            for label, f in fields:
-                reports.append((f"gradient_check field={label}", run_gradient_check(
-                    operator, f, points, opts["gradient_step"], seed=seed)))
-        elif name == "measure_preservation":
-            members = min(opts["preservation_members"], len(family))
-            for i in range(members):
-                reports.append((f"measure_preservation member={i}", run_measure_preservation(
-                    family, i, opts["preservation_region"], opts["preservation_samples"],
-                    config.seed + _PRESERVATION_SEED_OFFSET + i)))
-        else:
-            nec = opts["necessity"]
-            divergence = run_necessity_divergence(
-                nec["kernel"], nec["endpoints"], nec["x0"], nec["points_per_panel"])
+    reports, bound_reports, divergence = [], [], None
+    with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
+        if any(name in _BOUND_EXPERIMENTS for name in config.experiments):
+            quad = build_grid_quadrature(domain, config.resolution)
+            with_gradients = "sobolev_bound" in config.experiments
+            for i, (label, f) in enumerate(fields):
+                # the evaluation is a temporary, so one field's arrays are alive at a time
+                with _job(f"fields[{i}]"):
+                    bound_reports += _bound_reports(
+                        evaluate_field(operator, f, quad, gradients=with_gradients), label, config)
+        for name in config.experiments:
+            if name in _BOUND_EXPERIMENTS:
+                reports += [(label, r) for check, label, r in bound_reports if check == name]
+            elif name == "gradient_check":
+                seed = config.seed + _GRADIENT_SEED_OFFSET
+                points = interior_points(domain, opts["gradient_points"], seed,
+                                         _gradient_inset(opts)[1])
+                for i, (label, f) in enumerate(fields):
+                    with _job(f"fields[{i}]"):
+                        reports.append((f"gradient_check field={label}", run_gradient_check(
+                            operator, f, points, opts["gradient_step"], seed=seed)))
+            elif name == "measure_preservation":
+                for i in range(min(opts["preservation_members"], len(family))):
+                    label = f"measure_preservation member={i}"
+                    with _job(label):
+                        reports.append((label, run_measure_preservation(
+                            family, i, opts["preservation_region"], opts["preservation_samples"],
+                            config.seed + _PRESERVATION_SEED_OFFSET + i)))
+            else:
+                nec = opts["necessity"]
+                with _job("necessity_divergence"):
+                    divergence = run_necessity_divergence(
+                        nec["kernel"], nec["endpoints"], nec["x0"], nec["points_per_panel"])
 
     header = "experiment,p,lhs,rhs,bound_constant,margin,resolution,seed,passed"
     rows = [header] + [_report_row(r) for _, r in reports]

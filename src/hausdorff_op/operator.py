@@ -40,7 +40,9 @@ Every evaluation point must lie in the domain.  The constructor checks
 exactly, once, that every member maps the domain into itself
 (:func:`~.isometry.check_domain_preserving`), so a mispaired family and
 domain fail there with a :class:`~.isometry.DomainEscapeError` naming the
-member, and evaluation does no escape test.
+member, and evaluation does no escape test.  It then forms each node's
+coefficient, weight times kernel value, and names the first node where that
+product is not finite.
 """
 
 from __future__ import annotations
@@ -83,11 +85,16 @@ class HausdorffOperator:
                 f"family has {len(family)} members but measure has {len(measure)} nodes"
             )
         check_domain_preserving(family, domain)
+        with np.errstate(over="ignore"):
+            coeff = measure.weights * kernel.values
+        if not np.all(np.isfinite(coeff)):
+            node = float(measure.nodes[np.argmin(np.isfinite(coeff))])
+            raise ValueError(f"weight times kernel value is not finite at measure node {node!r}")
         self.measure = measure
         self.kernel = kernel
         self.family = family
         self.domain = domain
-        self._coeff = measure.weights * kernel.values
+        self._coeff = coeff
         self._matrices = family.matrices()
         # the V^T stack of the image products, contiguous: numpy multiplies a
         # block of points by it about 3x faster than by a transposed view

@@ -9,6 +9,7 @@ import time
 import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -620,10 +621,6 @@ def _inset_message(key, value, what):
             f"{what} reaches the inradius of the domain")
 
 
-_OVERFLOW_RULE = ("the gaussian overflows where the run evaluates it: |x - c|^2 / w^2 or "
-                  "2 |x - c| / w^2 exceeds the double range")
-
-
 def _wide_box_config(width):
     """A gaussian of the given width at 0 on the box [0, 1e10]."""
     return _minimal_config(domain={"shape": "box", "lower": [0.0], "upper": [1e10]},
@@ -900,33 +897,6 @@ _CAPPED_INPUTS = {
         "experiment_options.necessity: endpoints must be finite, positive and increasing, "
         "got [2.0, 1.0]",
     ),
-    # a gaussian's |x - c|^2 / w^2 must stay a double where the run evaluates
-    # it: past the cap the run printed overflow warnings and wrote nan rows
-    "gaussian_center_far": (
-        _minimal_config(fields=[{"kind": "gaussian", "center": [1e154], "width": 1.0}]),
-        _minimal_config(fields=[{"kind": "gaussian", "center": [1e308], "width": 1.0}]),
-        f"fields[0]: {_OVERFLOW_RULE}",
-    ),
-    "gaussian_width_on_a_wide_box": (
-        _wide_box_config(1e-144),
-        _wide_box_config(1e-150),
-        f"fields[0]: {_OVERFLOW_RULE}",
-    ),
-    # on a truncated window the run evaluates the field at the shifted points
-    "gaussian_shifted_window": (
-        _shifted_window_config(1e154),
-        _shifted_window_config(1e155),
-        f"fields[0]: {_OVERFLOW_RULE}",
-    ),
-    # with gradients, 2 |x - c| / w^2 must stay a double too; without, this
-    # width parses (gaussian_width_small)
-    "gaussian_gradient_factor": (
-        _minimal_config(experiments=["sobolev_bound"],
-                        fields=[{"kind": "gaussian", "center": [0.0], "width": 1.1e-154}]),
-        _minimal_config(experiments=["sobolev_bound"],
-                        fields=[{"kind": "gaussian", "center": [0.0], "width": 1e-154}]),
-        f"fields[0]: {_OVERFLOW_RULE}",
-    ),
 }
 
 
@@ -1016,6 +986,39 @@ def test_main_past_a_cap_exits_2_without_output(tmp_path, capsys, name):
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+# (a config whose gaussian stays a double where the run evaluates it, the
+# same one a step past that): |x - c|^2 / w^2 and, with gradients,
+# 2 |x - c| / w^2 overflow past it
+_GAUSSIAN_OVERFLOWS = {
+    "gaussian_center_far": (
+        _minimal_config(fields=[{"kind": "gaussian", "center": [1e154], "width": 1.0}]),
+        _minimal_config(fields=[{"kind": "gaussian", "center": [1e308], "width": 1.0}]),
+    ),
+    "gaussian_width_on_a_wide_box": (_wide_box_config(1e-144), _wide_box_config(1e-150)),
+    # on a truncated window the run evaluates the field at the shifted points
+    "gaussian_shifted_window": (_shifted_window_config(1e154), _shifted_window_config(1e155)),
+    # without gradients, this width runs (gaussian_width_small)
+    "gaussian_gradient_factor": (
+        _minimal_config(experiments=["sobolev_bound"],
+                        fields=[{"kind": "gaussian", "center": [0.0], "width": 1.1e-154}]),
+        _minimal_config(experiments=["sobolev_bound"],
+                        fields=[{"kind": "gaussian", "center": [0.0], "width": 1e-154}]),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GAUSSIAN_OVERFLOWS))
+def test_a_gaussian_that_overflows_stops_the_run(tmp_path, capsys, name):
+    # the range is not predicted at parse time: the run stops at the overflow
+    for config, code in zip(_GAUSSIAN_OVERFLOWS[name], (0, 2)):
+        assert parse_config(json.dumps(config))
+        path, out = tmp_path / f"{code}.json", tmp_path / f"out{code}"
+        path.write_text(json.dumps(config))
+        assert main(["run", str(path), "--out", str(out)]) == code
+        assert out.exists() == (code == 0)
+    assert capsys.readouterr().err.startswith("error: fields[0]: ")
 
 
 def test_witness_values_are_checked_only_when_it_runs():
@@ -1391,10 +1394,11 @@ def test_main_surfaces_runtime_value_errors(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @pytest.mark.parametrize("coefficient", [1e306, 1e308])
-def test_bound_rows_with_a_non_finite_side_fail(tmp_path, coefficient):
-    # x^2 times the coefficient overflows on [-3, 3]; inf <= inf proves nothing
+def test_bound_rows_with_a_non_finite_side_fail(tmp_path, capsys, coefficient):
+    # x^2 times the coefficient, or its square, overflows on [-3, 3]: the run
+    # stops there, before any row is written (the library's rows FAIL, see
+    # tests/test_experiments.py)
     spec = _minimal_config(
         domain={"shape": "box", "lower": [-3.0], "upper": [3.0]},
         family={"kind": "finite_group", "group": "sign_flips"},
@@ -1405,11 +1409,9 @@ def test_bound_rows_with_a_non_finite_side_fail(tmp_path, coefficient):
     del spec["measure"]  # a finite group carries its own
     config = tmp_path / "config.json"
     config.write_text(json.dumps(spec))
-    assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 1
-    rows = _read_rows(tmp_path / "out" / "results.csv")
-    finite = [math.isfinite(float(r["lhs"])) and math.isfinite(float(r["rhs"])) for r in rows]
-    assert not all(finite)
-    assert all(r["passed"] == "false" for r, ok in zip(rows, finite) if not ok)
+    assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: fields[0]: overflow encountered in ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_narrow_gaussian_workload_runs_clean(tmp_path):
@@ -1699,3 +1701,76 @@ def test_errors_of_unlinked_nodes_add_up(data):
         _mutate(both, path, value)
         alone += _errors(config)
     assert set(alone) <= set(_errors(both))
+
+
+# one overflow rule: the run stops at its first floating-point overflow,
+# invalid value or division by zero, with exit 2 and no output
+
+_LINE = _FUZZ_BASES[3]  # a polynomial [1, -0.5] on the window h = 4, p = 1, 2
+_RUN_OVERFLOWS = {
+    "shift_past_the_double_range": {
+        **_LINE, "family": {"kind": "shifts", "offsets": [-1e308, 0.5]}},
+    "coefficient_at_the_double_max": {
+        **_LINE, "family": {"kind": "shifts", "offsets": [0.0, 0.5]},
+        "fields": [{"kind": "polynomial", "coeffs": [1e308, -0.5]}]},
+    # each coefficient is finite, their sum is not
+    "two_weights_at_the_double_max": _minimal_config(
+        family={"kind": "motions", "members": [{"matrix": [[1.0]]}, {"matrix": [[1.0]]}]},
+        measure={"scheme": "explicit", "nodes": [0.0, 1.0], "weights": [1e308, 1e308]}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RUN_OVERFLOWS))
+def test_a_run_that_overflows_exits_2_without_output(tmp_path, capsys, name):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_RUN_OVERFLOWS[name]))
+    before = np.geterr()
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert np.geterr() == before
+    assert capsys.readouterr().err.startswith("error: fields[0]: overflow encountered in ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_weight_times_kernel_value_past_the_double_range_is_a_config_error(tmp_path, capsys):
+    config = _minimal_config(measure={"scheme": "explicit", "nodes": [0.0], "weights": [1e308]},
+                             kernel={"name": "constant", "c": 10.0})
+    message = "measure: weight times kernel value is not finite at measure node 0.0"
+    with pytest.raises(ConfigError) as exc:
+        parse_config(json.dumps(config))
+    assert exc.value.errors == [message]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: config invalid (1 error(s)):\n  - {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_valid_run_restores_the_error_state(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_minimal_config()))
+    before = np.geterr()
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert np.geterr() == before
+
+
+_EXTREMES = [1e308, -1e308, 1e-300, 1e154, -1e154]
+
+
+def test_extreme_floats_end_in_an_exit_code(tmp_path, capsys):
+    # every float leaf of every base, set in turn to each extreme value; a
+    # numpy RuntimeWarning is an error here, as in every test
+    before, runs = np.geterr(), 0
+    for base in _FUZZ_BASES:
+        for path in _leaf_paths(base):
+            if not isinstance(_leaf(base, path), float):
+                continue
+            for value in _EXTREMES:
+                config = copy.deepcopy(base)
+                _mutate(config, path, value)
+                text, out = tmp_path / f"config{runs}.json", tmp_path / f"out{runs}"
+                text.write_text(json.dumps(config))
+                code = main(["run", str(text), "--out", str(out)])
+                assert code in (0, 1, 2) and out.exists() == (code != 2), (path, value)
+                assert np.geterr() == before
+                runs += 1
+    assert runs == 360

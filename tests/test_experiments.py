@@ -17,7 +17,14 @@ from hausdorff_op.experiments import (
     run_necessity_divergence,
     run_sobolev_bound,
 )
-from hausdorff_op.field import ScalarField, gaussian, gaussian_times_poly, lp_norm, sobolev_norm
+from hausdorff_op.field import (
+    ScalarField,
+    gaussian,
+    gaussian_times_poly,
+    lp_norm,
+    polynomial,
+    sobolev_norm,
+)
 from hausdorff_op.geometry import ball, box, build_grid_quadrature, truncated_space
 from hausdorff_op.isometry import (
     IsometryFamily,
@@ -119,6 +126,21 @@ def test_lp_bound_odd_field_maps_to_zero():
     report = run_lp_bound(evaluate_field(op, f, quad), 1.0)
     assert report.lhs == 0.0
     assert report.passed
+
+
+def test_bound_rows_with_a_non_finite_side_fail():
+    # 1e306 x^2 is finite on [-3, 3], but its square is not: inf <= inf
+    # proves nothing.  Under numpy's default error state the overflow is a
+    # warning; the CLI stops at it instead
+    dom = box([-3.0], [3.0])
+    quad = build_grid_quadrature(dom, 64)
+    f = polynomial([0.0, 0.0, 1e306])
+    with np.errstate(over="ignore"):
+        ev = evaluate_field(_sign_flip_operator(dom), f, quad, gradients=True)
+        reports = [run(ev, p) for run in (run_lp_bound, run_sobolev_bound) for p in (1.0, 2.0)]
+    finite = [math.isfinite(r.lhs) and math.isfinite(r.rhs) for r in reports]
+    assert finite == [True, False, True, False]
+    assert [r.passed for r in reports] == [True, False, True, False]
 
 
 # sobolev bound

@@ -449,6 +449,17 @@ def test_mismatched_family_and_domain_dimension():
         )
 
 
+def test_coefficient_overflow_names_the_node():
+    # 1e308 * 10 is past the double range; the error comes without a numpy warning
+    with pytest.raises(ValueError, match="not finite at measure node 2.0"):
+        HausdorffOperator(
+            measure=explicit_measure([1.0, 2.0], [1.0, 1e308]),
+            kernel=kernel_from_values([10.0, 10.0]),
+            family=shift_family([[0.0], [0.0]]),
+            domain=truncated_space(5.0, 1),
+        )
+
+
 def test_point_outside_domain_is_named():
     op = _dirac(2, domain=ball([0.0, 0.0], 1.0))
     f = gaussian([0.0, 0.0], 1.0)
