@@ -783,6 +783,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 1
+    except UnicodeDecodeError as exc:
+        print(f"error: {ConfigError([f'not valid UTF-8 at byte {exc.start}: {exc.reason}'])}",
+              file=sys.stderr)
+        return 2
     overrides = {key: value for key, value in
                  (("seed", args.seed), ("resolution", args.resolution)) if value is not None}
     try:

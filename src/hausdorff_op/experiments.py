@@ -169,7 +169,7 @@ def _bound_report(name: str, ev: FieldEvaluation, p: float, seed: int, constant:
 def run_lp_bound(evaluation: FieldEvaluation, p: float, seed: int = 0) -> ExperimentReport:
     """Check ||Hf||_p <= ||phi||_1 * ||f||_p on the evaluation's quadrature."""
     ev = evaluation
-    constant = ev.operator.kernel_l1()
+    constant = kernel_l1_norm(ev.operator.kernel, ev.operator.measure)
     lhs = lp_norm_of_values(ev.hf_values, p, ev.quad)
     rhs = constant * lp_norm_of_values(ev.f_values, p, ev.quad)
     return _bound_report("lp_bound", ev, p, seed, constant, lhs, rhs)
@@ -187,7 +187,7 @@ def run_sobolev_bound(evaluation: FieldEvaluation, p: float, seed: int = 0) -> E
         raise ValueError("run_sobolev_bound needs an evaluation built with gradients=True")
     n = ev.operator.dimension
     jac = ev.operator.family.jacobian_bound
-    constant = (jac * n + 1.0) * ev.operator.kernel_l1()
+    constant = (jac * n + 1.0) * kernel_l1_norm(ev.operator.kernel, ev.operator.measure)
     lhs = sobolev_norm_of_arrays(ev.hf_values, ev.hf_gradients, p, ev.quad).sobolev
     rhs = constant * sobolev_norm_of_arrays(ev.f_values, ev.f_gradients, p, ev.quad).sobolev
     fatal = p == 1
@@ -431,16 +431,3 @@ def run_necessity_divergence(
         notes="; ".join(notes),
     )
 
-
-def margins_non_worsening(reports) -> bool:
-    """Whether margins never degrade across a coarse-to-fine report list.
-
-    Allows the refinement_slack roundoff cushion, scaled by the larger of 1
-    and the right-hand side.
-    """
-    reports = list(reports)
-    slack = TOLERANCES["refinement_slack"]
-    for previous, current in zip(reports, reports[1:]):
-        if current.margin < previous.margin - slack * max(1.0, abs(previous.rhs)):
-            return False
-    return True

@@ -2,7 +2,8 @@
 
 Built-in field kinds (gaussian, polynomial, gaussian_times_poly) carry
 analytic gradients; building one validates its inputs and evaluates nothing.
-Custom fields may omit the gradient entirely; Sobolev norms then refuse them.
+A field built directly as a :class:`ScalarField` may have values only
+(``has_gradient=False``); Sobolev norms then refuse it.
 
 A field is one evaluation function, ``evaluate(pts, gradients)``, that
 returns the values and, when asked, the gradients, computing the values the
@@ -11,8 +12,7 @@ same way in both modes: :meth:`ScalarField.values`,
 are views of one checked call, so they agree bitwise.  Built-in kinds share
 their factors between the two outputs (one ``exp`` per gaussian point, one
 set of power tables and one pass over the multi-indices per polynomial
-point), sums, scalar multiples and products evaluate each part once, and a
-custom field calls its gradient callable only when gradients are asked for.
+point), and sums, scalar multiples and products evaluate each part once.
 Built-in kernels work one coordinate column at a time, because numpy is slow
 to broadcast over a short last axis, with the same operations per element as
 the row formulas: the gaussian forms each ``x_k - c_k`` once for its
@@ -236,15 +236,6 @@ def gaussian_times_poly(center, width: float, coeffs) -> ScalarField:
     return ScalarField(g.dimension, evaluate, kind="gaussian_times_poly")
 
 
-def custom_field(dimension: int, values_fn, gradients_fn=None) -> ScalarField:
-    """Wrap caller-supplied vectorized callables."""
-    return ScalarField(
-        dimension,
-        lambda pts, gradients: (values_fn(pts), gradients_fn(pts) if gradients else None),
-        gradients_fn is not None,
-    )
-
-
 @dataclass(frozen=True)
 class NormReport:
     """L^p and Sobolev W^{1,p} norms of one field on one quadrature.
@@ -301,18 +292,3 @@ def sobolev_norm(f: ScalarField, p: float, quad: DomainQuadrature) -> NormReport
     _check_p(p)
     return sobolev_norm_of_arrays(*f.values_and_gradients(quad.nodes), p, quad)
 
-
-def hajlasz_defect(f: ScalarField, witness: ScalarField, pairs: np.ndarray) -> float:
-    """Worst |f(x)-f(y)| - ||x-y|| (g(x)+g(y)) over an (m, 2, n) pair array.
-
-    Nonpositive (up to roundoff) when ``witness`` is a valid metric upper
-    gradient for f on the sampled pairs.
-    """
-    pts = np.asarray(pairs, dtype=float)
-    if pts.ndim != 3 or pts.shape[1] != 2:
-        raise ValueError(f"pairs must have shape (m, 2, n), got {pts.shape}")
-    x, y = pts[:, 0, :], pts[:, 1, :]
-    rho = np.sqrt(((x - y) ** 2).sum(axis=1))
-    lhs = np.abs(f.values(x) - f.values(y))
-    rhs = rho * (witness.values(x) + witness.values(y))
-    return float((lhs - rhs).max())

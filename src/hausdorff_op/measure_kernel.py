@@ -59,9 +59,6 @@ class DiscretizedMeasure:
     def __len__(self) -> int:
         return len(self.nodes)
 
-    def total_mass(self) -> float:
-        return float(pairwise_sum(self.weights))
-
 
 def explicit_measure(nodes, weights) -> DiscretizedMeasure:
     """Measure from caller-supplied nodes and weights."""

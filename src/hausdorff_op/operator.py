@@ -52,13 +52,9 @@ import numpy as np
 from .field import ScalarField
 from .geometry import Domain, check_points
 from .isometry import IsometryFamily, check_domain_preserving
-from .measure_kernel import (
-    DiscretizedMeasure,
-    Kernel,
-    finite_group_uniform_measure,
-    kernel_from_values,
-    kernel_l1_norm,
-)
+# kernel_l1_norm is not called here but stays importable from this module:
+# bench/tracing.py wraps it under this module's name
+from .measure_kernel import DiscretizedMeasure, Kernel, kernel_l1_norm  # noqa: F401
 from .summation import PairwiseStack, pairwise_sum
 
 # cap on the points of one block and on the image rows (members x points)
@@ -107,9 +103,6 @@ class HausdorffOperator:
     @property
     def dimension(self) -> int:
         return self.domain.dimension
-
-    def kernel_l1(self) -> float:
-        return kernel_l1_norm(self.kernel, self.measure)
 
     def _check_inputs(self, f: ScalarField, points) -> np.ndarray:
         if f.dimension != self.dimension:
@@ -203,17 +196,3 @@ def _rows_times(x: np.ndarray, matrices: np.ndarray) -> np.ndarray:
         return (np.concatenate([x, x], axis=-2) @ matrices)[..., :1, :]
     return x @ matrices
 
-
-def averaging_operator(family: IsometryFamily, domain: Domain) -> HausdorffOperator:
-    """Uniform averaging over a family of motions, kernel identically 1.
-
-    Each member weighs ``1 / len(family)``: pass a finite group,
-    ``finite_group_family(kind, n)[0]``, or Haar draws from
-    :func:`~.isometry.rotation_family` for Monte Carlo averaging over the
-    full rotation group.  Every member must map the domain into itself, as
-    an orthogonal one does for a ball centered at the origin or a truncated
-    space.
-    """
-    measure = finite_group_uniform_measure(len(family))
-    kernel = kernel_from_values(np.ones(len(measure)))
-    return HausdorffOperator(measure=measure, kernel=kernel, family=family, domain=domain)

@@ -1348,6 +1348,20 @@ def test_main_deep_json_exits_2_with_one_error(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_main_non_utf8_config_exits_2_with_one_error(tmp_path):
+    # a UTF-16 byte-order mark is not UTF-8; decoding it raised UnicodeDecodeError
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'\xff\xfe{"dimension": 1}')
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-m", "hausdorff_op.cli", "run", str(path),
+                           "--out", str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2
+    assert done.stderr == ("error: config invalid (1 error(s)):\n"
+                           "  - not valid UTF-8 at byte 0: invalid start byte\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_main_overrides_seed_and_resolution(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(_minimal_config()))

@@ -7,10 +7,8 @@ import pytest
 from hausdorff_op import experiments, geometry
 from hausdorff_op.experiments import (
     TOLERANCES,
-    ExperimentReport,
     evaluate_field,
     interior_points,
-    margins_non_worsening,
     run_gradient_check,
     run_lp_bound,
     run_measure_preservation,
@@ -202,7 +200,7 @@ def test_evaluation_sides_equal_the_norms_bitwise(n):
     with pytest.raises(ValueError, match="gradients=True"):
         run_sobolev_bound(values_only, 1.0)
     evaluation = evaluate_field(op, f, quad, gradients=True)
-    constant = op.kernel_l1()
+    constant = kernel_l1_norm(op.kernel, op.measure)
     sobolev_constant = (op.family.jacobian_bound * n + 1.0) * constant
     for p in (1.0, 2.0, 4.0):
         for ev in (values_only, evaluation):
@@ -586,34 +584,6 @@ def test_necessity_ratio_check_holds_far_from_the_origin(monkeypatch):
 
 
 # report helpers
-
-
-def _report(margin, rhs=1.0):
-    return ExperimentReport(
-        name="lp_bound",
-        p=1.0,
-        lhs=rhs - margin,
-        rhs=rhs,
-        bound_constant=1.0,
-        margin=margin,
-        resolution=32,
-        seed=0,
-        passed=True,
-    )
-
-
-def test_margins_non_worsening_accepts_roundoff():
-    assert margins_non_worsening([_report(0.5), _report(0.5 - 1e-10), _report(0.7)])
-
-
-def test_margins_non_worsening_rejects_degradation():
-    assert not margins_non_worsening([_report(0.5), _report(0.4)])
-
-
-def test_margins_non_worsening_scales_slack_with_rhs():
-    big = 1e6
-    reports = [_report(0.5, rhs=big), _report(0.5 - 1e-4, rhs=big)]
-    assert margins_non_worsening(reports)
 
 
 def test_interior_points_stay_inside():

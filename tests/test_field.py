@@ -5,18 +5,21 @@ import pytest
 
 from hausdorff_op import field
 from hausdorff_op.field import (
-    custom_field,
+    ScalarField,
     gaussian,
     gaussian_times_poly,
-    hajlasz_defect,
     lp_norm,
     polynomial,
     sobolev_norm,
 )
 from hausdorff_op.geometry import ball, box, build_grid_quadrature, truncated_space
 from hausdorff_op.isometry import motion_family, rotation_family
-from hausdorff_op.measure_kernel import explicit_measure, kernel_from_values
-from hausdorff_op.operator import HausdorffOperator, averaging_operator
+from hausdorff_op.measure_kernel import (
+    explicit_measure,
+    finite_group_uniform_measure,
+    kernel_from_values,
+)
+from hausdorff_op.operator import HausdorffOperator
 from hausdorff_op.summation import pairwise_sum
 
 
@@ -149,7 +152,7 @@ def test_compose_with_motion_chain_rule():
 
 
 def test_custom_field_without_gradient():
-    f = custom_field(1, lambda pts: np.abs(pts[:, 0]))
+    f = ScalarField(1, lambda pts, gradients: (np.abs(pts[:, 0]), None), has_gradient=False)
     assert not f.has_gradient
     quad = build_grid_quadrature(box([-1.0], [1.0]), 64)
     assert lp_norm(f, 1.0, quad) == pytest.approx(1.0, abs=1e-3)
@@ -200,10 +203,12 @@ def test_builtin_and_composite_values_and_gradients_bitwise():
     pts = rng.normal(size=(300, 2))
     g = gaussian([0.3, -0.2], 0.9)
     gp = gaussian_times_poly([0.1, 0.0], 1.1, [[1.0, 0.3, -0.2], [0.5, 0.0, 0.1]])
-    custom = custom_field(2, lambda p: np.sin(p[:, 0]) * p[:, 1],
-                          lambda p: np.stack([np.cos(p[:, 0]) * p[:, 1], np.sin(p[:, 0])], axis=1))
+    custom = ScalarField(2, lambda p, gradients: (
+        np.sin(p[:, 0]) * p[:, 1],
+        np.stack([np.cos(p[:, 0]) * p[:, 1], np.sin(p[:, 0])], axis=1) if gradients else None))
     # a pushforward is the operator's one pass, with or without gradients
-    op = averaging_operator(rotation_family(2, 5, 0), ball([0.0, 0.0], 10.0))
+    op = HausdorffOperator(finite_group_uniform_measure(5), kernel_from_values(np.ones(5)),
+                           rotation_family(2, 5, 0), ball([0.0, 0.0], 10.0))
     for f in (g, gp, g + gp, 2.5 * gp, gp + (-1.0) * g, custom, custom + g,
               op.push(g), op.push(gp)):
         _assert_values_and_gradients_bitwise(f, pts)
@@ -245,7 +250,7 @@ def test_gaussian_keeps_the_bits_of_the_row_reduction(n):
 
 
 def test_values_and_gradients_needs_a_gradient():
-    f = custom_field(1, lambda pts: np.abs(pts[:, 0]))
+    f = ScalarField(1, lambda pts, gradients: (np.abs(pts[:, 0]), None), has_gradient=False)
     with pytest.raises(ValueError, match="has no gradient"):
         f.values_and_gradients(np.zeros((3, 1)))
 
@@ -399,25 +404,41 @@ def test_sobolev_gaussian_needs_fine_grid_for_derivative_kink():
 # hajlasz defect
 
 
+def _hajlasz_defect(f: ScalarField, witness: ScalarField, pairs: np.ndarray) -> float:
+    """Worst |f(x)-f(y)| - ||x-y|| (g(x)+g(y)) over an (m, 2, n) pair array.
+
+    Nonpositive (up to roundoff) when ``witness`` is a valid metric upper
+    gradient for f on the sampled pairs.
+    """
+    pts = np.asarray(pairs, dtype=float)
+    if pts.ndim != 3 or pts.shape[1] != 2:
+        raise ValueError(f"pairs must have shape (m, 2, n), got {pts.shape}")
+    x, y = pts[:, 0, :], pts[:, 1, :]
+    rho = np.sqrt(((x - y) ** 2).sum(axis=1))
+    lhs = np.abs(f.values(x) - f.values(y))
+    rhs = rho * (witness.values(x) + witness.values(y))
+    return float((lhs - rhs).max())
+
+
 def test_hajlasz_linear_field_with_constant_witness():
     a = np.array([0.6, -0.8])
     f = polynomial([[0.0, a[1]], [a[0], 0.0]])
     g = polynomial([[float(np.linalg.norm(a)) / 2.0]])
     pairs = np.random.default_rng(3).uniform(-1, 1, (500, 2, 2))
-    assert hajlasz_defect(f, g, pairs) <= 1e-12
+    assert _hajlasz_defect(f, g, pairs) <= 1e-12
 
 
 def test_hajlasz_zero_fields():
     f = polynomial([0.0])
     pairs = np.random.default_rng(4).uniform(-1, 1, (50, 2, 1))
-    assert hajlasz_defect(f, f, pairs) == 0.0
+    assert _hajlasz_defect(f, f, pairs) == 0.0
 
 
 def test_hajlasz_square_field_with_identity_witness():
     f = polynomial([0.0, 0.0, 1.0])  # x^2
     g = polynomial([0.0, 1.0])  # x
     pairs = np.random.default_rng(5).uniform(0.0, 1.0, (10**4, 2, 1))
-    assert hajlasz_defect(f, g, pairs) <= 1e-12
+    assert _hajlasz_defect(f, g, pairs) <= 1e-12
 
 
 def test_hajlasz_witness_transport_under_motion():
@@ -426,8 +447,8 @@ def test_hajlasz_witness_transport_under_motion():
     v, b = _rotation(0.9), np.array([0.1, -0.3])
     window = truncated_space(4.0, 2)
     pairs = np.random.default_rng(6).uniform(-1, 1, (200, 2, 2))
-    original = hajlasz_defect(f, g, pairs)
+    original = _hajlasz_defect(f, g, pairs)
     # x -> V^T (x - b) inverts the motion; the row form of V^T y is y @ V
     pulled = (pairs - b) @ v
-    transported = hajlasz_defect(_pullback(f, v, b, window), _pullback(g, v, b, window), pulled)
+    transported = _hajlasz_defect(_pullback(f, v, b, window), _pullback(g, v, b, window), pulled)
     assert abs(transported - original) <= 1e-12

@@ -19,6 +19,7 @@ from hausdorff_op.measure_kernel import (
     kernel_on_measure,
     monte_carlo_measure,
 )
+from hausdorff_op.summation import pairwise_sum
 
 
 def _dense_trapezoid(fn, lo, hi, steps=10**6):
@@ -34,7 +35,7 @@ def _dense_trapezoid(fn, lo, hi, steps=10**6):
 def test_explicit_measure_roundtrip():
     m = explicit_measure([0.0, 1.5], [0.25, 0.75])
     assert len(m) == 2
-    assert m.total_mass() == pytest.approx(1.0)
+    assert pairwise_sum(m.weights) == pytest.approx(1.0)
 
 
 def test_measure_validation_errors():
@@ -91,13 +92,13 @@ def test_monte_carlo_measure():
 
 def test_finite_group_uniform():
     m = finite_group_uniform_measure(8)
-    assert m.total_mass() == pytest.approx(1.0, abs=1e-15)
+    assert pairwise_sum(m.weights) == pytest.approx(1.0, abs=1e-15)
     assert np.array_equal(m.nodes, np.arange(8.0))
 
 
 def test_panels_cover_interval():
     m = gauss_legendre_panels((0.0, 7.5), points_per_panel=8)
-    assert m.total_mass() == pytest.approx(7.5, abs=1e-12)
+    assert pairwise_sum(m.weights) == pytest.approx(7.5, abs=1e-12)
     assert np.all(np.diff(m.nodes) > 0)
 
 
@@ -115,7 +116,7 @@ def test_discretize_dispatch_and_errors():
     m = discretize({"scheme": "gauss_legendre", "interval": [0.0, 1.0], "count": 4})
     assert len(m) == 4
     m = discretize({"scheme": "explicit", "nodes": [1.0], "weights": [2.0]})
-    assert m.total_mass() == pytest.approx(2.0)
+    assert pairwise_sum(m.weights) == pytest.approx(2.0)
     with pytest.raises(ValueError, match="scheme"):
         discretize({"scheme": "spectral"})
     with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from hausdorff_op.field import (
+    ScalarField,
     gaussian,
     gaussian_times_poly,
     lp_norm,
@@ -25,10 +26,11 @@ from hausdorff_op.measure_kernel import (
     gauss_legendre_measure,
     kernel_form,
     kernel_from_values,
+    kernel_l1_norm,
     kernel_on_measure,
 )
 from hausdorff_op import operator as operator_module
-from hausdorff_op.operator import HausdorffOperator, averaging_operator
+from hausdorff_op.operator import HausdorffOperator
 from hausdorff_op.summation import pairwise_sum
 
 
@@ -50,6 +52,16 @@ def _reflection_pair():
         kernel=kernel_from_values([1.0, 1.0]),
         family=motion_family([([[1.0]], None), ([[-1.0]], None)]),
         domain=truncated_space(20.0, 1),
+    )
+
+
+def _averaging(family, domain):
+    # uniform averaging over the family: each member weighs 1 / len(family)
+    return HausdorffOperator(
+        measure=finite_group_uniform_measure(len(family)),
+        kernel=kernel_from_values(np.ones(len(family))),
+        family=family,
+        domain=domain,
     )
 
 
@@ -172,9 +184,7 @@ def test_push_without_gradient_stays_gradient_free():
     op = _reflection_pair()
     f = 0.0 * gaussian([0.0], 1.0)
     assert op.push(f).has_gradient
-    from hausdorff_op.field import custom_field
-
-    raw = custom_field(1, lambda pts: np.abs(pts[:, 0]))
+    raw = ScalarField(1, lambda pts, gradients: (np.abs(pts[:, 0]), None), has_gradient=False)
     assert not op.push(raw).has_gradient
 
 
@@ -199,7 +209,7 @@ def test_pointwise_bound_by_kernel_mass():
         family=shift_family([[0.0], [0.7], [-0.4]]),
         domain=truncated_space(10.0, 1),
     )
-    l1 = op.kernel_l1()
+    l1 = kernel_l1_norm(op.kernel, op.measure)
     f = gaussian_times_poly([0.1], 0.9, [0.0, 1.0, 0.5])
     rng = np.random.default_rng(17)
     for x in rng.uniform(-2.0, 2.0, 50):
@@ -361,7 +371,7 @@ def test_one_point_under_many_shifts_matches_the_per_member_loop_bitwise():
 
 def test_cyclic_averaging_of_x_squared():
     family, _ = finite_group_family("cyclic_rotation_2d", 2, order=4)
-    op = averaging_operator(family, ball([0.0, 0.0], 2.0))
+    op = _averaging(family, ball([0.0, 0.0], 2.0))
     f = polynomial([[0.0], [0.0], [1.0]])  # x^2
     pts = np.random.default_rng(7).uniform(-1.2, 1.2, (50, 2))
     want = 0.5 * (pts[:, 0] ** 2 + pts[:, 1] ** 2)
@@ -369,7 +379,7 @@ def test_cyclic_averaging_of_x_squared():
 
 
 def test_sign_flip_averaging_on_the_line():
-    op = averaging_operator(finite_group_family("sign_flips", 1)[0], truncated_space(10.0, 1))
+    op = _averaging(finite_group_family("sign_flips", 1)[0], truncated_space(10.0, 1))
     f = gaussian_times_poly([0.2], 1.0, [1.0, 1.0])
     xs = np.linspace(-2.0, 2.0, 11)[:, None]
     want = 0.5 * (f.values(xs) + f.values(-xs))
@@ -377,7 +387,7 @@ def test_sign_flip_averaging_on_the_line():
 
 
 def test_haar_averaging_kills_linear_fields():
-    op = averaging_operator(rotation_family(2, 4096, 11), ball([0.0, 0.0], 2.0))
+    op = _averaging(rotation_family(2, 4096, 11), ball([0.0, 0.0], 2.0))
     f = polynomial([[0.0], [1.0]])  # x_1
     for x in ([1.0, 0.5], [-1.5, 0.3], [0.0, 1.9]):
         sigma = np.linalg.norm(x) / math.sqrt(2 * 4096)
@@ -386,7 +396,7 @@ def test_haar_averaging_kills_linear_fields():
 
 def test_averaging_measure_is_the_finite_group_measure():
     family, measure = finite_group_family("signed_permutations", 3)
-    op = averaging_operator(family, ball([0.0] * 3, 1.0))
+    op = _averaging(family, ball([0.0] * 3, 1.0))
     assert np.array_equal(op.measure.nodes, measure.nodes)
     assert np.array_equal(op.measure.weights, measure.weights)
     assert np.array_equal(op.kernel.values, np.ones(len(family)))
@@ -397,7 +407,7 @@ def test_averaging_measure_is_the_finite_group_measure():
 def test_finite_group_averaging_is_invariant(kind, order):
     dom = ball([0.0, 0.0], 3.0)
     family, _ = finite_group_family(kind, 2, order)
-    op = averaging_operator(family, dom)
+    op = _averaging(family, dom)
     f = gaussian([0.4, 0.2], 1.0)
     x = np.array([0.7, -0.3])
     base = op.apply_many(f, [x])[0]
@@ -408,7 +418,7 @@ def test_finite_group_averaging_is_invariant(kind, order):
 
 def test_averaging_preserves_sobolev_budget():
     dom = ball([0.0, 0.0], 3.0)
-    op = averaging_operator(finite_group_family("sign_flips", 2)[0], dom)
+    op = _averaging(finite_group_family("sign_flips", 2)[0], dom)
     f = gaussian([0.3, 0.1], 0.8)
     quad = build_grid_quadrature(dom, 32)
     lhs = sobolev_norm(op.push(f), 1.0, quad).sobolev
@@ -499,13 +509,13 @@ def test_averaging_needs_centered_domain():
     # diag(-1, 1) moves the ball's centre; diag(1, -1) flips the box to y <= 0
     sign_flips, _ = finite_group_family("sign_flips", 2)
     with pytest.raises(DomainEscapeError, match="family member 2 leaves the domain"):
-        averaging_operator(sign_flips, ball([1.0, 0.0], 2.0))
+        _averaging(sign_flips, ball([1.0, 0.0], 2.0))
     with pytest.raises(DomainEscapeError, match="family member 1 leaves the domain"):
-        averaging_operator(sign_flips, box([0.0, 0.0], [1.0, 1.0]))
+        _averaging(sign_flips, box([0.0, 0.0], [1.0, 1.0]))
 
 
 def test_operator_metadata():
     op = _reflection_pair()
     assert len(op) == 2
     assert op.dimension == 1
-    assert op.kernel_l1() == 1.0
+    assert kernel_l1_norm(op.kernel, op.measure) == 1.0
