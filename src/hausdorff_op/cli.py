@@ -12,7 +12,8 @@ runs every value rule, in build order, on the values whose shapes passed:
 the rules across nodes (a measure beside its family, the ``p`` range, the
 experiment names), the CLI's caps, counts that must agree, the library's
 checks of a family, a kernel and the necessity witness, then the builds of
-the measure, fields, domain and preservation region, where a constructor's
+the measure, fields, domain and preservation region, and the domain's checks
+that it can sample the gradient points and inset them, where a library
 ``ValueError`` becomes an error named by its node; last, once every rule
 has passed, the family, the kernel's values on its measure and the
 operator, whose constructor checks that each motion keeps the domain in
@@ -97,10 +98,6 @@ MAX_GRID_NODES = 1 << 22
 # 4 ms at this size, so the cap bounds the size of a grid axis, of a measure
 # that becomes a shift family and of a witness panel, not the time of the rule
 MAX_LEGENDRE_NODES = 1 << 15
-# most draws from its bounding box that sampling a ball by rejection may be
-# expected to take; the acceptance rate vol(ball) / vol(box) falls faster
-# than exponentially with the dimension (3.6e-6 at n = 16)
-MAX_BALL_DRAWS = 10**7
 # largest preservation sample per member; the check streams its samples in
 # blocks, so this bounds time, not memory
 MAX_PRESERVATION_SAMPLES = 10**8
@@ -552,36 +549,20 @@ def _check_values(top: dict, sound: set, errors: list) -> RunInputs | None:
 
 def _check_gradient_points(domain: geometry.Domain, opts: dict, errors: list) -> None:
     """Check, on the built domain, that the gradient check can draw its points."""
-    n, count = domain.dimension, opts["gradient_points"]
-    # on a ball it samples them by rejection from the bounding box, and
-    # log(vol(ball) / vol(box)) = log(pi^(n/2) / (Gamma(n/2 + 1) 2^n))
-    log_rate = n / 2 * math.log(math.pi) - math.lgamma(n / 2 + 1) - n * math.log(2)
-    log10_draws = (math.log(count) - log_rate) / math.log(10)
-    if domain.shape == geometry.BALL and log10_draws > math.log10(MAX_BALL_DRAWS):
-        exponent = math.floor(log10_draws)
-        errors.append(
-            f"experiment_options: gradient_points {count} on a ball in dimension {n} "
-            f"expects {10 ** (log10_draws - exponent):.2f}e{exponent} rejection-sampling "
-            f"draws, more than the cap of {MAX_BALL_DRAWS}"
-        )
-    key, inset, what = _gradient_inset(opts)
-    try:
-        domain.shrink(inset)
-    except ValueError:
-        errors.append(f"experiment_options: {key} {opts[key]} leaves no gradient "
-                      f"points: {what} reaches the inradius of the domain")
+    _build(partial(domain.check_sample, opts["gradient_points"]),
+           "experiment_options: gradient_points", errors)
+    _build(partial(domain.shrink, _gradient_inset(opts)), "experiment_options: gradient_margin "
+           f"{opts['gradient_margin']} and gradient_step {opts['gradient_step']} leave no "
+           "gradient points", errors)
 
 
-def _gradient_inset(opts: dict) -> tuple[str, float, str]:
-    """How far inside the domain the gradient points are drawn, and the option that sets it.
+def _gradient_inset(opts: dict) -> float:
+    """How far inside the domain the gradient points are drawn.
 
-    The check skips points within twice the step of the boundary, so points
-    drawn the larger of the margin and twice the step inside skip none.
+    The check refuses points within twice the step of the boundary, so
+    points drawn the larger of the margin and twice the step inside pass.
     """
-    margin, twice_step = opts["gradient_margin"], 2 * opts["gradient_step"]
-    if margin >= twice_step:
-        return "gradient_margin", margin, "the margin"
-    return "gradient_step", twice_step, "twice the step"
+    return float(max(opts["gradient_margin"], 2 * opts["gradient_step"]))
 
 
 def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
@@ -592,8 +573,8 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
     carrying every violation found: every shape error in the tree's order,
     then every value error in build order.
     """
-    try:
-        raw = json.loads(text)
+    try:  # a leading byte-order mark, as some editors save UTF-8, is not JSON
+        raw = json.loads(text.removeprefix("\ufeff"))
     except (ValueError, RecursionError) as exc:
         # a syntax error, an integer of more digits than Python converts, or
         # nesting deeper than the decoder recurses
@@ -687,7 +668,7 @@ def run(config: RunConfig, out_dir) -> int:
             elif name == "gradient_check":
                 seed = config.seed + _GRADIENT_SEED_OFFSET
                 points = interior_points(domain, opts["gradient_points"], seed,
-                                         _gradient_inset(opts)[1])
+                                         _gradient_inset(opts))
                 for i, (label, f) in enumerate(fields):
                     with _job(f"fields[{i}]"):
                         reports.append((f"gradient_check field={label}", run_gradient_check(

@@ -220,24 +220,24 @@ def run_gradient_check(
 ) -> ExperimentReport:
     """Compare the analytic gradient of Hf with central finite differences.
 
-    Points within twice the step of the boundary are skipped (noted in the
-    report); the defect is |analytic - fd| / (1 + |fd|), maxed over the
-    surviving points and axes.
+    A central difference reads Hf a step away along each axis, so before any
+    operator call a point nearer the boundary than twice the step raises
+    ValueError naming the first such point.  The defect is
+    |analytic - fd| / (1 + |fd|), maxed over the points and axes.
     """
     if step is None:
         step = TOLERANCES["gradient_step"]
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    safe = operator.domain.shrink(2.0 * step).contains_many(pts)
-    skipped = int((~safe).sum())
-    pts = pts[safe]
-    if len(pts) == 0:
-        raise ValueError("no points remain after skipping near-boundary ones")
+    inside = operator.domain.shrink(2.0 * step).contains_many(pts)
+    if not inside.all():
+        k = int(np.argmin(inside))
+        raise ValueError(f"gradient point {k}, {pts[k].tolist()}, lies within twice the "
+                         f"step {step} of the domain's boundary")
     analytic = operator.apply_gradient_many(f, pts)
     fd = _fd_gradient(operator.push(f), pts, step)
     defect = np.abs(analytic - fd) / (1.0 + np.abs(fd))
     lhs = float(defect.max())
     rhs = TOLERANCES["gradient_check"]
-    notes = f"{skipped} near-boundary points skipped" if skipped else ""
     return ExperimentReport(
         name="gradient_check",
         p=None,
@@ -248,7 +248,6 @@ def run_gradient_check(
         resolution=len(pts),
         seed=seed,
         passed=bool(lhs <= rhs),
-        notes=notes,
     )
 
 

@@ -36,6 +36,9 @@ _PAIRWISE_COLUMNS = 8
 _TILE_ROWS = 1 << 14
 # the natural log of the largest double
 _LOG_DOUBLE_MAX = math.log(sys.float_info.max)
+# most draws a ball's rejection sampler may expect to take; its acceptance rate
+# vol(ball) / vol(box) falls faster than exponentially in n (3.6e-6 at n = 16)
+MAX_BALL_DRAWS = 10**7
 
 
 def squared_distances(
@@ -391,6 +394,22 @@ class Domain:
             raise ValueError(f"margin {margin} swallows box with extents {hi - lo}")
         return box(lo + margin, hi - margin)
 
+    def check_sample(self, count: int) -> None:
+        """Raise ValueError unless ``count >= 1`` and, on a ball, which is sampled
+        by rejection from its bounding box, ``count / (vol(ball) / vol(box))``
+        expected draws are at most ``MAX_BALL_DRAWS``."""
+        if count < 1:
+            raise ValueError(f"count must be >= 1, got {count}")
+        n = self.dimension
+        # log(vol(ball) / vol(box)) = log(pi^(n/2) / (Gamma(n/2 + 1) 2^n))
+        log_rate = n / 2 * math.log(math.pi) - math.lgamma(n / 2 + 1) - n * math.log(2)
+        log10_draws = (math.log(count) - log_rate) / math.log(10)
+        if self.shape == BALL and log10_draws > math.log10(MAX_BALL_DRAWS):
+            exponent = math.floor(log10_draws)
+            raise ValueError(f"a uniform sample of size {count} from a ball in dimension {n} "
+                             f"expects {10 ** (log10_draws - exponent):.2f}e{exponent} "
+                             f"rejection-sampling draws, more than the cap of {MAX_BALL_DRAWS}")
+
     def sample_uniform(self, count: int, seed: int) -> np.ndarray:
         """Uniform sample of ``count`` points, rejection sampling for balls.
 
@@ -406,10 +425,10 @@ class Domain:
         bitwise ``sample_uniform(count, seed)``, so a caller that reduces each
         block holds O(block) memory.  Box windows give full blocks and a
         shorter last one; balls give the accepted rows of each block of
-        draws.  The caller may modify each block in place.
+        draws.  The caller may modify each block in place.  Reading the first
+        block runs :meth:`check_sample` before any draw.
         """
-        if count < 1:
-            raise ValueError(f"count must be >= 1, got {count}")
+        self.check_sample(count)
         rng = np.random.default_rng(seed)
         lo, hi = self.bounding_box()
         tile = min(block, _TILE_ROWS)  # rows of lo and hi - lo, repeated
@@ -431,7 +450,6 @@ class Domain:
         if self.shape != BALL:
             yield from draws(count)
             return
-        # acceptance ratio vol(ball)/vol(box) shrinks with dimension; fine at desk scale
         got = 0
         while got < count:
             for batch in draws(2 * (count - got) + 16):

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from hausdorff_op import cli
 from hausdorff_op.cli import (
     EXPERIMENT_NAMES,
-    MAX_BALL_DRAWS,
     MAX_GRID_NODES,
     MAX_LEGENDRE_NODES,
     MAX_PRESERVATION_SAMPLES,
@@ -27,7 +26,7 @@ from hausdorff_op.cli import (
     run,
 )
 from hausdorff_op.experiments import evaluate_field, run_lp_bound, run_sobolev_bound
-from hausdorff_op.geometry import build_grid_quadrature
+from hausdorff_op.geometry import MAX_BALL_DRAWS, build_grid_quadrature
 from hausdorff_op.field import MAX_POLYNOMIAL_COEFFS
 from hausdorff_op.isometry import GROUP_SIZE_CAP, STACK_ENTRIES_CAP
 from hausdorff_op.measure_kernel import KERNEL_FORM_NAMES
@@ -616,9 +615,9 @@ _WINDOW_2 = {"shape": "truncated_space", "halfwidth": 2.0}
 _WIDTH_RULE = "width must be finite and > 0 with a finite nonzero square"
 
 
-def _inset_message(key, value, what):
-    return (f"experiment_options: {key} {value} leaves no gradient points: "
-            f"{what} reaches the inradius of the domain")
+def _inset_message(margin, step, reason):
+    return (f"experiment_options: gradient_margin {margin} and gradient_step {step} leave no "
+            f"gradient points: {reason}")
 
 
 def _wide_box_config(width):
@@ -641,8 +640,9 @@ _CAPPED_INPUTS = {
     "ball_gradient_points": (
         _ball_gradient_config(16, gradient_points=35),
         _ball_gradient_config(16, gradient_points=36),
-        "experiment_options: gradient_points 36 on a ball in dimension 16 expects "
-        f"1.00e7 rejection-sampling draws, more than the cap of {MAX_BALL_DRAWS}",
+        "experiment_options: gradient_points: a uniform sample of size 36 from a ball in "
+        "dimension 16 expects 1.00e7 rejection-sampling draws, more than the cap of "
+        f"{MAX_BALL_DRAWS}",
     ),
     # a box samples without rejection; the points, their gradients and
     # differences are (count, n) arrays
@@ -679,27 +679,27 @@ _CAPPED_INPUTS = {
         f"{GROUP_SIZE_CAP}",
     ),
     # the gradient points lie the margin inside the domain, and the check
-    # skips those within twice the step of its boundary: the inradius is the
+    # refuses those within twice the step of its boundary: the inradius is the
     # radius of a ball, half the smallest extent of a box, a window's halfwidth
     "gradient_margin_ball": (
         _gradient_inset_config(_BALL3, gradient_margin=2.99),
         _gradient_inset_config(_BALL3, gradient_margin=5),
-        _inset_message("gradient_margin", 5, "the margin"),
+        _inset_message(5, 1e-05, "margin 5.0 swallows ball of radius 3.0"),
     ),
     "gradient_step_ball": (
         _gradient_inset_config(_BALL3, gradient_step=1.49),
         _gradient_inset_config(_BALL3, gradient_step=2.0),
-        _inset_message("gradient_step", 2.0, "twice the step"),
+        _inset_message(0.05, 2.0, "margin 4.0 swallows ball of radius 3.0"),
     ),
     "gradient_margin_box": (
         _gradient_inset_config(_BOX_1_BY_4, gradient_margin=0.49),
         _gradient_inset_config(_BOX_1_BY_4, gradient_margin=0.5),
-        _inset_message("gradient_margin", 0.5, "the margin"),
+        _inset_message(0.5, 1e-05, "margin 0.5 swallows box with extents [1. 4.]"),
     ),
     "gradient_step_window": (
         _gradient_inset_config(_WINDOW_2, gradient_step=0.99),
         _gradient_inset_config(_WINDOW_2, gradient_step=1.0),
-        _inset_message("gradient_step", 1.0, "twice the step"),
+        _inset_message(0.05, 1.0, "margin 2.0 swallows box with extents [4. 4.]"),
     ),
     "preservation_samples": (
         _preservation_config(MAX_PRESERVATION_SAMPLES),
@@ -944,11 +944,11 @@ def test_unbounded_inputs_are_capped_at_parse_time(tmp_path, name):
     assert exc.value.errors == [message]
     if name.startswith("gradient_"):
         # the points are drawn the larger of the margin and twice the step
-        # inside, so the check skips none (a step this large fails the check)
+        # inside, so the check refuses none (a step this large fails the check)
         assert run(config, tmp_path) in (0, 1)
         row = _read_rows(tmp_path / "results.csv")[0]
         assert row["resolution"] == str(config.inputs.options["gradient_points"])
-        assert "skipped" not in (tmp_path / "summary.txt").read_text()
+        assert "[" not in (tmp_path / "summary.txt").read_text()
 
 
 def test_legendre_cap_keeps_the_fine_rules():
@@ -1359,6 +1359,27 @@ def test_main_non_utf8_config_exits_2_with_one_error(tmp_path):
     assert done.returncode == 2
     assert done.stderr == ("error: config invalid (1 error(s)):\n"
                            "  - not valid UTF-8 at byte 0: invalid start byte\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_main_reads_a_config_saved_with_a_byte_order_mark(tmp_path, capsys):
+    # as some editors save UTF-8; it was "Unexpected UTF-8 BOM", exit 2
+    text = json.dumps(_minimal_config())
+    outputs = []
+    for name, data in (("plain", text.encode()), ("bom", b"\xef\xbb\xbf" + text.encode())):
+        (tmp_path / f"{name}.json").write_bytes(data)
+        code = main(["run", str(tmp_path / f"{name}.json"), "--out", str(tmp_path / name)])
+        outputs.append((code, *((tmp_path / name / f).read_bytes()
+                                for f in ("results.csv", "summary.txt"))))
+    assert outputs[0][0] == 0
+    assert outputs[1] == outputs[0]
+    assert parse_config("\ufeff" + text).dimension == 1  # as library callers pass it
+    # a byte that is not UTF-8 is named by its offset in the file, mark included
+    (tmp_path / "bad.json").write_bytes(b'\xef\xbb\xbf{"a": "\xff"}')
+    capsys.readouterr()
+    assert main(["run", str(tmp_path / "bad.json"), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == ("error: config invalid (1 error(s)):\n"
+                                       "  - not valid UTF-8 at byte 10: invalid start byte\n")
     assert not (tmp_path / "out").exists()
 
 

@@ -236,21 +236,35 @@ def test_gradient_check_reflection_pair():
     assert report.lhs <= 1e-6
 
 
-def test_gradient_check_skips_near_boundary_points():
+def test_gradient_check_skips_near_boundary_points(monkeypatch):
+    # a point nearer the boundary than twice the step is never evaluated: the whole
+    # check is refused before any operator call, naming that point
     dom = ball([0.0, 0.0], 1.0)
     op = _identity_operator(2, dom)
-    pts = np.array([[0.0, 0.0], [0.999999, 0.0], [0.3, 0.3]])
-    report = run_gradient_check(op, gaussian([0.0, 0.0], 1.0), pts)
-    assert report.notes == "1 near-boundary points skipped"
+    f = gaussian([0.0, 0.0], 1.0)
+    # a point exactly twice the step inside passes
+    report = run_gradient_check(op, f, [[0.0, 0.0], [0.5, 0.0]], step=0.25)
     assert report.resolution == 2
-    assert report.passed
+    assert report.notes == ""
+
+    def called(*args, **kwargs):
+        raise AssertionError("the operator was called")
+
+    monkeypatch.setattr(HausdorffOperator, "apply_gradient_many", called)
+    monkeypatch.setattr(HausdorffOperator, "push", called)
+    # the second point lies 1e-6 inside the unit ball, nearer than twice the step
+    pts = np.array([[0.0, 0.0], [0.999999, 0.0], [0.3, 0.3]])
+    with pytest.raises(ValueError, match=r"gradient point 1, \[0\.999999, 0\.0\], lies within "
+                                         r"twice the step 1e-05 of the domain's boundary"):
+        run_gradient_check(op, f, pts)
 
 
 def test_gradient_check_requires_surviving_points():
+    # every point must survive the boundary rule; a lone point 1e-7 inside does not
     dom = ball([0.0, 0.0], 1.0)
     op = _identity_operator(2, dom)
     pts = np.array([[0.9999999, 0.0]])
-    with pytest.raises(ValueError, match="no points remain"):
+    with pytest.raises(ValueError, match=r"gradient point 0, \[0\.9999999, 0\.0\], lies within "):
         run_gradient_check(op, gaussian([0.0, 0.0], 1.0), pts)
 
 

@@ -337,6 +337,23 @@ def test_sample_uniform_deterministic_and_contained():
         assert domain.contains_many(a).all()
 
 
+def test_sampling_a_ball_that_would_not_finish_is_refused_at_once():
+    # a 30-D ball takes 2.0e-14 of its bounding-box draws
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"ball in dimension 30 expects 4\.90e13 "
+                                         "rejection-sampling draws, more than the cap of "
+                                         f"{geometry.MAX_BALL_DRAWS}"):
+        ball(np.zeros(30), 1.0).sample_uniform(1, 0)
+    assert time.perf_counter() - start < 0.05
+    # the refusal comes before the stream's first draw
+    blocks = ball(np.zeros(30), 1.0).sample_blocks(1, 0, 1)
+    with pytest.raises(ValueError, match="4.90e13"):
+        next(blocks)
+    for domain in (ball([0.0], 1.0), box([0.0], [1.0]), truncated_space(1.0, 1)):
+        with pytest.raises(ValueError, match="count must be >= 1, got 0"):
+            domain.sample_uniform(0, 0)
+
+
 @pytest.mark.parametrize("n", range(1, 10))
 def test_squared_distances_match_the_row_reduction_bitwise(n):
     rng = np.random.default_rng(40 + n)
